@@ -13,7 +13,7 @@ from .errors import (
     DegeneratePair,
     GridTooCoarse,
     NoCatalogMatch,
-    NoConvergence,
+    NotStationary,
     QdiskError,
     ZeroBoundaryMass,
     ZeroEnergy,
@@ -29,7 +29,7 @@ __all__ = [
     "DegeneratePair",
     "GridTooCoarse",
     "NoCatalogMatch",
-    "NoConvergence",
+    "NotStationary",
     "QdiskError",
     "QPoint",
     "ZeroBoundaryMass",

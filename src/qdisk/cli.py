@@ -40,7 +40,7 @@ from .blowup import (
 from .errors import (
     AmbiguousClass,
     NoCatalogMatch,
-    NoConvergence,
+    NotStationary,
     QdiskError,
 )
 from .field import (
@@ -81,28 +81,19 @@ DEFAULT_PROFILE_RADII = tuple(np.linspace(0.25, 1.0, 16))
 DEFAULT_BLOWUP_RADII = (0.4, 0.2, 0.1)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_trace_args(parser: argparse.ArgumentParser) -> None:
+    """Arguments minimize and blowup share: trace, grid, radii, output, class."""
+    parser.add_argument("trace", help="boundary trace JSON file")
     parser.add_argument("--nr", type=int, default=64, help="radial cells")
     parser.add_argument("--ntheta", type=int, default=256, help="angular cells")
-    parser.add_argument("--tol", type=float, default=1e-9, help="classification tolerance")
-    parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     parser.add_argument("--radii", type=str, default=None, help="comma-separated radii")
     parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument(
         "--class",
         dest="klass",
         choices=("identity", "swap"),
         default=None,
         help="force the continuation class",
-    )
-    parser.add_argument("--oracle", action="store_true", help="run the relaxation oracle")
-    parser.add_argument("--oracle-tol", type=float, default=0.01, help="max relative oracle gap")
-    parser.add_argument(
-        "--dump-fields",
-        metavar="PREFIX",
-        default=None,
-        help="blowup only: write each rescaled field to PREFIX_r<RADIUS>.csv",
     )
 
 
@@ -187,11 +178,7 @@ def cmd_minimize(args) -> int:
     print(f"field dump: {base}  profile: {profile_path}")
 
     if args.oracle:
-        try:
-            relaxed = relax_oracle(trace, grid, kind=result.kind)
-        except NoConvergence as exc:
-            print(f"oracle failed to converge: {exc}")
-            return EXIT_NUMERICAL
+        relaxed = relax_oracle(trace, grid, kind=result.kind)
         gap = abs(dirichlet_energy(relaxed, 1.0) - result.energy) / max(
             result.energy, 1e-30
         )
@@ -246,21 +233,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a sheet coefficient tuple")
     p.add_argument("tuple", help="four comma-separated reals a,b,c,d")
-    _add_common(p)
+    p.add_argument("--tol", type=float, default=1e-9, help="classification tolerance")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("table", help="emit the matching table")
-    _add_common(p)
+    p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("minimize", help="minimize boundary data")
-    p.add_argument("trace", help="boundary trace JSON file")
-    _add_common(p)
+    _add_trace_args(p)
+    p.add_argument("--oracle", action="store_true", help="run the relaxation oracle")
+    p.add_argument("--oracle-tol", type=float, default=0.01, help="max relative oracle gap")
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("blowup", help="blow-up analysis of a minimizer")
-    p.add_argument("trace", help="boundary trace JSON file")
-    _add_common(p)
+    _add_trace_args(p)
+    p.add_argument(
+        "--dump-fields",
+        metavar="PREFIX",
+        default=None,
+        help="write each rescaled field to PREFIX_r<RADIUS>.csv",
+    )
     p.set_defaults(func=cmd_blowup)
 
     return parser
@@ -280,7 +274,7 @@ def main(argv=None) -> int:
     except AmbiguousClass as exc:
         print(f"error: AmbiguousClass: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NoCatalogMatch, NoConvergence) as exc:
+    except (NoCatalogMatch, NotStationary) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except QdiskError as exc:

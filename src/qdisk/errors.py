@@ -37,14 +37,5 @@ class NoCatalogMatch(QdiskError):
     """The field does not fit any admissible homogeneous catalog entry."""
 
 
-class NoConvergence(QdiskError):
-    """Relaxation hit the sweep budget before meeting the stopping rule.
-
-    Carries the last iterate so callers can inspect how far it got.
-    """
-
-    def __init__(self, message, field=None, residual=None, sweeps=None):
-        super().__init__(message)
-        self.field = field
-        self.residual = residual
-        self.sweeps = sweeps
+class NotStationary(QdiskError):
+    """The relaxation oracle's result is not a minimizer of the discrete energy."""

@@ -69,8 +69,8 @@ def test_table_unwritable_path(tmp_path):
 
 def test_table_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    main(["table", "--out", str(a), "--seed", "5"])
-    main(["table", "--out", str(b), "--seed", "5"])
+    main(["table", "--out", str(a)])
+    main(["table", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -148,6 +148,33 @@ def test_blowup_dichotomy(tmp_path):
     assert report["fitted_N"] == 0.0
     assert report["continuation"] is None
     assert "note" in report
+
+
+def test_non_finite_trace_rejected(tmp_path):
+    n = 64
+    th = 2 * np.pi * np.arange(n) / n
+    cover = np.concatenate([th, th + 2 * np.pi])
+    loop = np.stack([np.cos(1.5 * cover), np.sin(1.5 * cover)], axis=1)
+    for bad in (float("nan"), float("inf")):
+        rows = [
+            {"theta": float(t), "p1": list(a), "p2": list(b)}
+            for t, a, b in zip(th, loop[:n], loop[n:])
+        ]
+        rows[5]["p1"][0] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(rows))  # writes NaN / Infinity literals
+        out = tmp_path / "report.json"
+        assert main(["blowup", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert main(["minimize", str(path), "--out", str(tmp_path / "f.csv")]) == 2
+
+
+def test_subcommands_reject_flags_they_do_not_read():
+    assert main(["classify", "1,0,0,1", "--oracle"]) == 2
+    assert main(["table", "--nr", "8"]) == 2
+    assert main(["blowup", "t.json", "--oracle"]) == 2
+    assert main(["minimize", "t.json", "--dump-fields", "x"]) == 2
+    assert main(["minimize", "t.json", "--seed", "1"]) == 2
 
 
 def test_blowup_bad_radii(perturbed_trace_file):
