@@ -8,7 +8,8 @@ Subcommands:
     blowup    TRACE.json  blow-up at given radii and catalog identification
 
 Exit codes: 0 success, 1 negative classification result, 2 invalid input,
-3 numerical-verification failure.
+3 numerical-verification failure. Errors and warnings (such as trace modes
+folded above the grid's angular Nyquist) go to stderr.
 
 File formats:
     boundary trace  JSON array of {"theta": t, "p1": [x, y], "p2": [x, y]}
@@ -60,6 +61,7 @@ from .forms import (
 )
 from .minimizer import (
     analyze_spectrum,
+    folded_modes,
     forced_lift,
     frequency_from_spectrum,
     lift_boundary,
@@ -157,11 +159,23 @@ def _load_trace_checked(path: str):
     return trace
 
 
+def _report_folding(spectrum, grid: PolarGrid) -> None:
+    """One stderr line when the grid cannot resolve some of the trace's modes."""
+    count, share = folded_modes(spectrum, grid)
+    if count:
+        print(
+            f"warning: folded modes: {count} above the grid's angular Nyquist "
+            f"carry {share:.3e} of the spectral energy",
+            file=sys.stderr,
+        )
+
+
 def cmd_minimize(args) -> int:
     trace = _load_trace_checked(args.trace)
     grid = PolarGrid(args.nr, args.ntheta)
     kind = Continuation(args.klass) if args.klass else None
     result = minimize(trace, grid, kind=kind)
+    _report_folding(result.spectrum, grid)
     print(f"class: {result.kind.value}")
     print(f"energy: {result.energy:.12g}")
     if result.alt_energy is not None:
@@ -211,6 +225,7 @@ def cmd_blowup(args) -> int:
         raise UsageError("blow-up radii below grid resolution (3 rings)")
 
     result = minimize(trace, grid, kind=kind)
+    _report_folding(result.spectrum, grid)
     seq = blowup_sequence(result.field, radii)
     limit = seq.fields[-1]
     profile = frequency_profile(limit, (0.25, 0.5, 0.75, 1.0))

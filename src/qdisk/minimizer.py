@@ -20,7 +20,7 @@ mode (``qdisk._kernels``). The two agree up to discretization error.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -220,42 +220,64 @@ def analyze_spectrum(lift: BoundaryLift) -> Spectrum:
     return Spectrum(lift.kind, tuple(cos_all), tuple(sin_all))
 
 
-def _eval_modes(cos, sin, unit, radial, angles) -> np.ndarray:
-    """Sum_k r^(k*unit) (A_k cos(k*unit*ang) + B_k sin(k*unit*ang))."""
-    out = np.zeros(radial.shape[:1] + angles.shape + (2,))
-    for k in range(cos.shape[0]):
-        A, B = cos[k], sin[k]
-        if max(abs(A).max(), abs(B).max()) <= COEFF_EPS:
-            continue
-        nu = k * unit
-        basis = np.cos(nu * angles)[None, :, None] * A + np.sin(nu * angles)[
-            None, :, None
-        ] * B
-        out += np.power(radial, nu)[:, None, None] * basis
-    return out
+# Rings per inverse FFT in _eval_modes: bounds each of its work arrays to
+# about EVAL_BLOCK * cols * 16 bytes (1 MiB on the 256x1024 double cover).
+EVAL_BLOCK = 32
+
+
+def _present(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Indices of the modes with a coefficient above COEFF_EPS."""
+    peak = np.maximum(np.abs(cos).max(axis=1), np.abs(sin).max(axis=1))
+    return np.nonzero(peak > COEFF_EPS)[0]
+
+
+def _columns(spectrum: Spectrum, grid: PolarGrid) -> int:
+    """Angular samples of one loop on the grid: n_theta, or 2*n_theta on the
+    double cover of the branched loop."""
+    return grid.n_theta if spectrum.kind is Continuation.IDENTITY else 2 * grid.n_theta
+
+
+def _eval_modes(spectrum: Spectrum, grid: PolarGrid, radial: np.ndarray) -> list[np.ndarray]:
+    """Per loop, sum_k r^(k*unit) (A_k cos(k*unit*ang) + B_k sin(k*unit*ang))
+    at the radii ``radial`` and the loop's grid angles; shape (R, cols, 2).
+
+    At those angles mode k is frequency k of the loop's cols samples, so a
+    block of rings is one inverse real FFT: bin k mod cols takes
+    r^(k*unit) (A_k - i B_k) / 2, bins past cols/2 are conjugated onto
+    cols - bin, and the DC and Nyquist bins keep twice their real part.
+    Modes above cols/2 thus fold onto their bin, exactly as evaluating them
+    at the grid angles aliases them. Modes with no coefficient above
+    COEFF_EPS are left out.
+    """
+    cols = _columns(spectrum, grid)
+    half = cols // 2
+    stacks = []
+    for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs):
+        k = _present(cos, sin)
+        coeffs = 0.5 * (cos[k] - 1j * sin[k])
+        bins = k % cols
+        mirrored = bins > half
+        coeffs[mirrored] = coeffs[mirrored].conj()
+        bins[mirrored] = cols - bins[mirrored]
+        # bins are distinct within each half period of k (a set, not
+        # np.unique, which imports numpy.ma and keeps 0.5 MiB resident)
+        segments = [k // half == s for s in set((k // half).tolist())]
+        nu = k * spectrum.frequency_unit
+        out = np.empty((len(radial), cols, 2))
+        for lo in range(0, len(radial), EVAL_BLOCK):
+            w = np.power(radial[lo : lo + EVAL_BLOCK, None], nu)[:, :, None]
+            spec = np.zeros((len(w), half + 1, 2), dtype=complex)
+            for seg in segments:
+                spec[:, bins[seg]] += w[:, seg] * coeffs[seg]
+            spec[:, [0, half]] = 2.0 * spec[:, [0, half]].real
+            out[lo : lo + EVAL_BLOCK] = np.fft.irfft(spec, n=cols, axis=1, norm="forward")
+        stacks.append(out)
+    return stacks
 
 
 def harmonic_extension(spectrum: Spectrum, grid: PolarGrid) -> DiskField:
     """Extend each loop mode of frequency nu by r^nu onto the slit grid."""
-    radial = grid.radii
-    unit = spectrum.frequency_unit
-    if spectrum.kind is Continuation.IDENTITY:
-        stacks = [
-            _eval_modes(c, s, unit, radial, grid.thetas)
-            for c, s in zip(spectrum.cos_coeffs, spectrum.sin_coeffs)
-        ]
-    else:
-        cover_angles = np.concatenate([grid.thetas, grid.thetas + 2.0 * np.pi])
-        stacks = [
-            _eval_modes(
-                spectrum.cos_coeffs[0],
-                spectrum.sin_coeffs[0],
-                unit,
-                radial,
-                cover_angles,
-            )
-        ]
-    return DiskField.from_stacks(grid, stacks, spectrum.kind)
+    return DiskField.from_stacks(grid, _eval_modes(spectrum, grid, grid.radii), spectrum.kind)
 
 
 def spectral_energy(spectrum: Spectrum) -> float:
@@ -271,6 +293,25 @@ def spectral_energy(spectrum: Spectrum) -> float:
         k = np.arange(cos.shape[0])
         total += np.pi * np.sum(k * (np.sum(cos**2, axis=1) + np.sum(sin**2, axis=1)))
     return float(total)
+
+
+def folded_modes(spectrum: Spectrum, grid: PolarGrid) -> tuple[int, float]:
+    """Modes above the grid's angular Nyquist that carry data: their count
+    and their share of ``spectral_energy``.
+
+    The grid samples a loop at cols angles, so the extension folds such a
+    mode k onto angular mode k mod cols (or its mirror) with its r^nu
+    profile unchanged: the field then no longer matches the spectrum.
+    """
+    half = _columns(spectrum, grid) // 2
+    count, energy = 0, 0.0
+    for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs):
+        k = _present(cos, sin)
+        k = k[k > half]
+        count += len(k)
+        mass = np.sum(cos[k] ** 2, axis=1) + np.sum(sin[k] ** 2, axis=1)
+        energy += np.pi * np.sum(k * mass)
+    return count, (float(energy / spectral_energy(spectrum)) if count else 0.0)
 
 
 def frequency_from_spectrum(spectrum: Spectrum) -> float:
@@ -300,13 +341,16 @@ def frequency_from_spectrum(spectrum: Spectrum) -> float:
 class MinimizeResult:
     field: DiskField
     kind: Continuation
+    spectrum: Spectrum
     energy: float
     alt_energy: float | None = None
     oracle_gap: float | None = None
 
     def __post_init__(self):
-        if self.alt_energy is not None:
-            assert self.energy <= self.alt_energy + 1e-12
+        if self.alt_energy is not None and not self.energy <= self.alt_energy + 1e-12:
+            raise ValueError(
+                f"energy {self.energy!r} exceeds the other class's {self.alt_energy!r}"
+            )
 
 
 def minimize(
@@ -325,13 +369,13 @@ def minimize(
     detection.
     """
 
-    def build(l: BoundaryLift) -> tuple[DiskField, float]:
-        f = harmonic_extension(analyze_spectrum(l), grid)
-        return f, dirichlet_energy(f, 1.0)
+    def build(l: BoundaryLift) -> MinimizeResult:
+        spectrum = analyze_spectrum(l)
+        f = harmonic_extension(spectrum, grid)
+        return MinimizeResult(f, l.kind, spectrum, dirichlet_energy(f, 1.0))
 
     if kind is not None:
-        field, energy = build(forced_lift(trace, kind))
-        return MinimizeResult(field, kind, energy)
+        return build(forced_lift(trace, kind))
 
     try:
         lift = lift_boundary(trace, sep_tol)
@@ -342,21 +386,13 @@ def minimize(
                 f"{len(events)} collision events admit more than the two "
                 "canonical splittings; pass the class explicitly"
             )
-        built = {
-            k: build(forced_lift(trace, k))
-            for k in (Continuation.IDENTITY, Continuation.SWAP)
-        }
-        winner = min(built, key=lambda k: built[k][1])
-        other = (
-            Continuation.SWAP
-            if winner is Continuation.IDENTITY
-            else Continuation.IDENTITY
+        identity, swap = (
+            build(forced_lift(trace, k)) for k in (Continuation.IDENTITY, Continuation.SWAP)
         )
-        field, energy = built[winner]
-        return MinimizeResult(field, winner, energy, alt_energy=built[other][1])
+        winner, other = (identity, swap) if identity.energy <= swap.energy else (swap, identity)
+        return replace(winner, alt_energy=other.energy)
 
-    field, energy = build(lift)
-    return MinimizeResult(field, lift.kind, energy)
+    return build(lift)
 
 
 # --- relaxation oracle ------------------------------------------------------
@@ -364,16 +400,7 @@ def minimize(
 
 def _boundary_rows(spectrum: Spectrum, grid: PolarGrid) -> list[np.ndarray]:
     """Band-limited resample of each loop at the grid angles (r = 1)."""
-    one = np.ones(1)
-    if spectrum.kind is Continuation.IDENTITY:
-        return [
-            _eval_modes(c, s, 1.0, one, grid.thetas)[0]
-            for c, s in zip(spectrum.cos_coeffs, spectrum.sin_coeffs)
-        ]
-    cover_angles = np.concatenate([grid.thetas, grid.thetas + 2.0 * np.pi])
-    return [
-        _eval_modes(spectrum.cos_coeffs[0], spectrum.sin_coeffs[0], 0.5, one, cover_angles)[0]
-    ]
+    return [stack[0] for stack in _eval_modes(spectrum, grid, np.ones(1))]
 
 
 def _sweep_decrease(u: np.ndarray, dtheta: float) -> float:

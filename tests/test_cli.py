@@ -226,3 +226,38 @@ def test_cli_subprocess_entry(tmp_path, branched_trace_file):
     )
     assert proc.returncode == 0
     assert "F4(b=2)" in proc.stdout
+
+
+def _branched_trace_with_mode(n, k):
+    """Degree-3/2 branched trace of n samples plus a small double-loop mode k
+    (frequency k/2)."""
+    th = 2 * np.pi * np.arange(n) / n
+    cover = np.concatenate([th, th + 2 * np.pi])
+    loop = np.stack(
+        [
+            np.cos(1.5 * cover) + 1e-3 * np.cos(0.5 * k * cover),
+            np.sin(1.5 * cover) + 1e-3 * np.sin(0.5 * k * cover),
+        ],
+        axis=1,
+    )
+    return BoundaryTrace.from_values(loop[:n], loop[n:])
+
+
+@pytest.mark.parametrize("n, folds", [(1024, True), (256, False)])
+def test_folded_modes_reported_on_stderr(tmp_path, capsys, n, folds):
+    """On 64x256 the double cover has 512 columns, Nyquist mode 256: mode
+    n/2 + 1 of a 1024-sample trace folds, that of a 256-sample trace fits."""
+    path = tmp_path / "trace.json"
+    save_trace(_branched_trace_with_mode(n, n // 2 + 1), path)
+    grid = ["--nr", "64", "--ntheta", "256"]
+    for argv in (
+        ["minimize", str(path), *grid, "--out", str(tmp_path / "f.csv")],
+        ["blowup", str(path), *grid, "--out", str(tmp_path / "report.json")],
+    ):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        warnings = [line for line in captured.err.splitlines() if "Nyquist" in line]
+        assert len(warnings) == int(folds)
+        assert "Nyquist" not in captured.out
+        if folds:
+            assert warnings[0].startswith("warning: folded modes: 1 above")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,41 @@ def test_field_dump_roundtrip(tmp_path, grid32):
     np.testing.assert_array_equal(g.sheet2, f.sheet2)
 
 
+def golden_field(seam):
+    """Deterministic 4x10 field: exactly rounded arithmetic only (no libm),
+    17-digit mantissas, signed zero, subnormal and extreme magnitudes."""
+    grid = PolarGrid(4, 10)
+    n = (grid.n_r + 1) * grid.n_theta * 2
+    vals = (np.arange(2 * n, dtype=float) - n) / 3.0 + 1.0 / 7.0
+    s1 = vals[:n].reshape(grid.n_r + 1, grid.n_theta, 2)
+    s2 = -vals[n:].reshape(grid.n_r + 1, grid.n_theta, 2) * np.pi
+    s1[0] = s1[0, 0]
+    s2[0] = (-0.0, 1e-300)
+    s1[1, :5, 0] = (-0.0, 1e-300, 1e300, -1e300, 5e-324)
+    s2[2, 3] = (0.1 + 0.2, 2.0 / 3.0)
+    return DiskField(grid, s1, s2, seam)
+
+
+# SHA-256 of sidecar + CSV bytes, pinned with the csv.writer-based dump
+GOLDEN_DUMP_SHA256 = {
+    Continuation.IDENTITY: "7b91bc282cb7cf4e8e9fa4e71baeeda143b6a1e54b2c83b05a0d35b043048edf",
+    Continuation.SWAP: "346be0d42c50bcc6a14af17cf4adda12acfa6c260a6ea25c7d0e1a2298437973",
+}
+
+
+@pytest.mark.parametrize("seam", sorted(GOLDEN_DUMP_SHA256, key=lambda s: s.value))
+def test_field_dump_golden_bytes(tmp_path, seam):
+    f = golden_field(seam)
+    path = tmp_path / "field.csv"
+    save_field(f, path)
+    data = path.with_suffix(".json").read_bytes() + path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_DUMP_SHA256[seam]
+    g = load_field(path)
+    assert g.seam is seam
+    assert g.sheet1.tobytes() == f.sheet1.tobytes()
+    assert g.sheet2.tobytes() == f.sheet2.tobytes()
+
+
 def test_profile_csv(tmp_path, grid64):
     f = make_field(DOUBLED_Z)
     prof = frequency_profile(f, [0.25, 0.5, 1.0])
@@ -297,3 +334,33 @@ def test_energy_and_mass_scaling_slopes():
         slope_h = np.polyfit(np.log(snapped), np.log(H), 1)[0]
         assert abs(slope_d - 2 * entry.N) <= 0.02 * max(1.0, 2 * entry.N)
         assert abs(slope_h - (2 * entry.N + 1)) <= 0.02 * (2 * entry.N + 1)
+
+
+def _edit_dump(path, edit):
+    lines = path.read_bytes().split(b"\r\n")[:-1]
+    path.write_bytes(b"".join(line + b"\r\n" for line in edit(lines)))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: lines[:200],  # cut after 199 of 288 node rows
+        lambda lines: lines[:-1],  # last row missing
+        lambda lines: lines[:100] + [lines[99]] + lines[101:],  # row duplicated
+        lambda lines: lines[:100] + [lines[101], lines[100]] + lines[102:],  # rows swapped
+        lambda lines: lines + [lines[-1]],  # extra row
+        lambda lines: lines[1:],  # header missing
+        lambda lines: lines[:1],  # header only
+        lambda lines: [b"ring,angle,sheet,x,y"] + lines[1:],  # wrong header
+        lambda lines: lines[:5] + [lines[5] + b",0"] + lines[6:],  # extra column
+    ],
+    ids=["truncated", "last-row", "duplicated", "swapped", "extra-row", "no-header",
+         "header-only", "bad-header", "extra-column"],
+)
+def test_load_field_rejects_damaged_dump(tmp_path, edit):
+    path = tmp_path / "field.csv"
+    save_field(sample_field(BRANCHED_HALF, PolarGrid(8, 16)), path)
+    load_field(path)
+    _edit_dump(path, edit)
+    with pytest.raises(ValueError):
+        load_field(path)

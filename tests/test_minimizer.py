@@ -14,8 +14,13 @@ from qdisk.field import (
 )
 from qdisk.forms import Continuation, FourTuple, HomogeneousPair
 from qdisk.minimizer import (
+    COEFF_EPS,
     BoundaryTrace,
+    MinimizeResult,
+    Spectrum,
+    _boundary_rows,
     analyze_spectrum,
+    folded_modes,
     forced_lift,
     frequency_from_spectrum,
     harmonic_extension,
@@ -114,6 +119,80 @@ def test_extension_mode0_only(grid64):
     )
     assert np.allclose(field.sheet1, [0.5, 0.5], atol=1e-12)
     assert np.allclose(field.sheet2, [-1.0, 0.25], atol=1e-12)
+
+
+def _direct_sum(cos, sin, unit, radial, angles):
+    """Reference: sum_k r^nu (A_k cos(nu ang) + B_k sin(nu ang)), nu = k*unit,
+    one mode at a time, skipping modes with no coefficient above COEFF_EPS."""
+    out = np.zeros(radial.shape[:1] + angles.shape + (2,))
+    for k in range(cos.shape[0]):
+        A, B = cos[k], sin[k]
+        if max(abs(A).max(), abs(B).max()) <= COEFF_EPS:
+            continue
+        nu = k * unit
+        basis = np.cos(nu * angles)[None, :, None] * A + np.sin(nu * angles)[
+            None, :, None
+        ] * B
+        out += np.power(radial, nu)[:, None, None] * basis
+    return out
+
+
+def _direct_stacks(spectrum, grid, radial):
+    if spectrum.kind is Continuation.IDENTITY:
+        return [
+            _direct_sum(c, s, 1.0, radial, grid.thetas)
+            for c, s in zip(spectrum.cos_coeffs, spectrum.sin_coeffs)
+        ]
+    cover = np.concatenate([grid.thetas, grid.thetas + 2.0 * np.pi])
+    return [_direct_sum(spectrum.cos_coeffs[0], spectrum.sin_coeffs[0], 0.5, radial, cover)]
+
+
+@pytest.mark.parametrize("kind", [Continuation.IDENTITY, Continuation.SWAP])
+@pytest.mark.parametrize("n", [64, 1024], ids=["band", "folding"])
+def test_extension_matches_direct_sum(kind, n):
+    """The inverse-FFT evaluator equals the per-mode sum at the grid nodes.
+
+    A 64-sample trace fits the 16x64 grid; a 1024-sample one carries modes
+    far above the grid's Nyquist, which both fold onto the same angles.
+    """
+    grid = PolarGrid(16, 64)
+    rng = np.random.default_rng(n)
+    trace = random_trace(rng, kind, n=n)
+    noisy = BoundaryTrace.from_values(
+        trace.p1 + 0.01 * rng.normal(size=trace.p1.shape),
+        trace.p2 + 0.01 * rng.normal(size=trace.p2.shape),
+    )
+    spec = analyze_spectrum(forced_lift(noisy, kind))
+    assert (folded_modes(spec, grid)[0] > 0) == (n > 64)
+
+    ref = DiskField.from_stacks(grid, _direct_stacks(spec, grid, grid.radii), kind)
+    got = harmonic_extension(spec, grid)
+    scale = max(np.abs(ref.sheet1).max(), np.abs(ref.sheet2).max())
+    assert np.abs(got.sheet1 - ref.sheet1).max() <= 1e-13 * scale
+    assert np.abs(got.sheet2 - ref.sheet2).max() <= 1e-13 * scale
+
+    rows = _boundary_rows(spec, grid)
+    want_rows = [s[0] for s in _direct_stacks(spec, grid, np.ones(1))]
+    assert len(rows) == len(want_rows)
+    for row, want_row in zip(rows, want_rows):
+        assert np.abs(row - want_row).max() <= 1e-13 * np.abs(want_row).max()
+
+
+def test_extension_skips_modes_below_coeff_eps():
+    """A 1e-13 mode is left out: the field is bit-equal to one without it."""
+    grid = PolarGrid(16, 64)
+    spec = analyze_spectrum(lift_boundary(single_mode_trace(1.5, n=64)))
+    cos, sin = spec.cos_coeffs[0].copy(), spec.sin_coeffs[0].copy()
+    cos[5], sin[5] = (1e-13, 0.0), (0.0, -1e-13)
+    tiny = Spectrum(spec.kind, (cos,), (sin,))
+    cos, sin = cos.copy(), sin.copy()
+    cos[5] = sin[5] = 0.0
+    clean = Spectrum(spec.kind, (cos,), (sin,))
+    for with_tiny, without in (
+        (harmonic_extension(tiny, grid).sheet1, harmonic_extension(clean, grid).sheet1),
+        (_boundary_rows(tiny, grid)[0], _boundary_rows(clean, grid)[0]),
+    ):
+        assert with_tiny.tobytes() == without.tobytes()
 
 
 @pytest.mark.parametrize("kind", [Continuation.IDENTITY, Continuation.SWAP])
@@ -365,3 +444,34 @@ def test_extension_on_mismatched_grid_resolution():
     res = minimize(trace, grid)
     assert res.kind is Continuation.SWAP
     np.testing.assert_allclose(res.energy, 6 * np.pi, rtol=0.02)
+
+
+def test_minimize_result_rejects_higher_energy_under_optimize():
+    """The class-order check is a real check, not an assert that -O strips."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qdisk
+
+    code = (
+        "import sys\n"
+        "from qdisk.forms import Continuation\n"
+        "from qdisk.minimizer import MinimizeResult\n"
+        "print(sys.flags.optimize)\n"
+        "try:\n"
+        "    MinimizeResult(None, Continuation.SWAP, None, energy=5.0, alt_energy=1.0)\n"
+        "except ValueError:\n"
+        "    print('rejected')\n"
+    )
+    src = str(Path(qdisk.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "rejected"]
+    MinimizeResult(None, Continuation.SWAP, None, energy=1.0, alt_energy=5.0)
