@@ -18,11 +18,10 @@ import numpy as np
 from .errors import DegeneratePair, NoCatalogMatch, ZeroEnergy
 from .field import (
     DiskField,
-    PolarGrid,
+    _cumulative_energy,
     boundary_mass,
     dirichlet_energy,
     frequency_profile,
-    values_at,
 )
 from .forms import (
     FREQ_INTEGERS,
@@ -41,25 +40,39 @@ ENERGY_EPS = 1e-14
 CENTER_EXCLUSION_RINGS = 3
 
 
-def rescale_normalize(field: DiskField, r: float, grid: PolarGrid | None = None) -> DiskField:
+def rescale_normalize(field: DiskField, r: float) -> DiskField:
     """Dilate the disk of radius r to the unit disk and normalize energy.
 
-    Resampling is bilinear in (r, theta) with seam-aware wraparound; the
-    result has unit discrete Dirichlet energy on its own grid (exactly, by
-    construction). Raises ZeroEnergy when there is nothing to normalize.
+    Node (rho, theta) of the result takes the field's value at
+    (r * rho, theta). Those are the field's own grid angles, so the
+    resample is linear in r between two whole rings at each angle and never
+    crosses the seam. The result has unit discrete Dirichlet energy on the
+    field's grid (exactly, by construction). Raises ZeroEnergy when there
+    is nothing to normalize.
     """
-    if dirichlet_energy(field, r) <= ENERGY_EPS:
+    return _rescale_normalize(field, r, _cumulative_energy(field))
+
+
+def _rescale_normalize(field: DiskField, r: float, energy: np.ndarray) -> DiskField:
+    """rescale_normalize, given the field's energy up to each ring."""
+    grid = field.grid
+    if energy[grid.ring_of(r)] <= ENERGY_EPS:
         raise ZeroEnergy(f"Dirichlet energy at r={r} is numerically zero")
-    grid = field.grid if grid is None else grid
-    rr = r * grid.radii[:, None] * np.ones(grid.n_theta)[None, :]
-    tt = np.broadcast_to(grid.thetas[None, :], rr.shape)
-    v1, v2 = values_at(field, rr, tt)
-    rescaled = DiskField(grid, v1, v2, field.seam)
-    scale = dirichlet_energy(rescaled, 1.0)
+    x = np.clip(r * grid.radii, 0.0, 1.0) * grid.n_r
+    i0 = np.minimum(x.astype(int), grid.n_r - 1)
+    fr = (x - i0)[:, None, None]
+    sheets = []
+    for sheet in (field.sheet1, field.sheet2):
+        lerp = sheet[i0] * (1 - fr)
+        lerp += sheet[i0 + 1] * fr
+        sheets.append(lerp)
+    scale = dirichlet_energy(DiskField(grid, *sheets, field.seam), 1.0)
     if scale <= ENERGY_EPS:
         raise ZeroEnergy("rescaled field has numerically zero energy")
     root = np.sqrt(scale)
-    return DiskField(grid, rescaled.sheet1 / root, rescaled.sheet2 / root, field.seam)
+    for sheet in sheets:
+        sheet /= root
+    return DiskField(grid, *sheets, field.seam)
 
 
 @dataclass(frozen=True)
@@ -83,7 +96,8 @@ def blowup_sequence(field: DiskField, radii) -> BlowupSequence:
     for r in radii:
         if r * n_r < CENTER_EXCLUSION_RINGS:
             raise ValueError(f"radius {r} is below {CENTER_EXCLUSION_RINGS} grid rings")
-    fields = tuple(rescale_normalize(field, r) for r in radii)
+    energy = _cumulative_energy(field)
+    fields = tuple(_rescale_normalize(field, r, energy) for r in radii)
     defects = []
     for f, g in zip(fields, fields[1:]):
         d = pair_distance_arrays(f.sheet1, f.sheet2, g.sheet1, g.sheet2)

@@ -127,39 +127,36 @@ def sample_field(entry: HomogeneousPair, grid: PolarGrid) -> DiskField:
     )
 
 
-def _stack_density(stack: np.ndarray, grid: PolarGrid) -> np.ndarray:
-    """Pointwise |grad|^2 of one periodic stack.
-
-    Central differences in r and theta, one-sided at the center ring and
-    the outer boundary. The center row gets zero angular term (single node)
-    and its radial term never enters the quadrature since the polar
-    Jacobian vanishes there.
-    """
-    n_r = grid.n_r
-    h = grid.dr
-    dtheta = grid.dtheta
-
-    d_r = np.empty_like(stack)
-    d_r[1:-1] = (stack[2:] - stack[:-2]) / (2 * h)
-    d_r[0] = (stack[1] - stack[0]) / h
-    d_r[-1] = (stack[-1] - stack[-2]) / h
-
-    d_t = (np.roll(stack, -1, axis=1) - np.roll(stack, 1, axis=1)) / (2 * dtheta)
-
-    density = np.sum(d_r**2, axis=-1)
-    radii = grid.radii.copy()
-    radii[0] = 1.0  # avoid 0/0; the center angular term is zeroed below
-    density[1:] += np.sum(d_t[1:] ** 2, axis=-1) / radii[1:, None] ** 2
-    return density
+def _ring_sums(d: np.ndarray) -> np.ndarray:
+    """Sum of squares of each ring (axis 0) of a difference array."""
+    return np.einsum("ijk,ijk->i", d, d)
 
 
 def _ring_energy(field: DiskField) -> np.ndarray:
-    """Angular integral of |grad|^2 * r per ring, summed over both sheets."""
+    """Angular integral of |grad|^2 * r per ring, summed over both sheets.
+
+    Central differences in r and theta, one-sided in r at the outer
+    boundary. The center ring contributes nothing: the polar Jacobian
+    vanishes there. Angular differences wrap across the slit onto the same
+    sheet (identity seam) or the other sheet (swap seam), as on the
+    periodic stacks, read here from slices without building them.
+    """
     grid = field.grid
-    g = np.zeros(grid.n_r + 1)
-    for stack in field.stacks():
-        g += _stack_density(stack, grid).sum(axis=1)
-    return g * grid.dtheta * grid.radii
+    radial = np.zeros(grid.n_r + 1)
+    angular = np.zeros(grid.n_r + 1)
+    s1, s2 = field.sheet1, field.sheet2
+    swap = field.seam is Continuation.SWAP
+    for sheet, across in ((s1, s2 if swap else s1), (s2, s1 if swap else s2)):
+        radial[1:-1] += _ring_sums(sheet[2:] - sheet[:-2]) / (2 * grid.dr) ** 2
+        radial[-1:] += _ring_sums(sheet[-1:] - sheet[-2:-1]) / grid.dr**2
+        rings = sheet[1:]
+        angular[1:] += _ring_sums(rings[:, 2:] - rings[:, :-2])
+        # first and last angle: their neighbours lie across the slit
+        first = rings[:, 1] - across[1:, -1]
+        last = across[1:, 0] - rings[:, -2]
+        angular[1:] += _ring_sums(np.stack([first, last], axis=1))
+    angular[1:] /= (2 * grid.dtheta * grid.radii[1:]) ** 2
+    return (radial + angular) * grid.dtheta * grid.radii
 
 
 def _cumulative_energy(field: DiskField) -> np.ndarray:

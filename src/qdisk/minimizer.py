@@ -106,23 +106,27 @@ def _track_selection(trace: BoundaryTrace) -> tuple[np.ndarray, np.ndarray, bool
     """Nearest-point continuation around the circle.
 
     Returns the selected and complementary value sequences plus whether the
-    selection returns to its start after a full turn.
+    selection returns to its start after a full turn. Sample j continues
+    with p1[j] when it is at least as close to the previous selection as
+    p2[j]; the walk runs on Python floats, which is much faster than numpy
+    on two-element rows and rounds the same squared distances.
     """
-    n = trace.n
-    sel = np.empty((n, 2))
-    comp = np.empty((n, 2))
-    sel[0] = trace.p1[0]
-    comp[0] = trace.p2[0]
-    for j in range(1, n):
-        prev = sel[j - 1]
-        d1 = np.sum((trace.p1[j] - prev) ** 2)
-        d2 = np.sum((trace.p2[j] - prev) ** 2)
-        take_first = d1 <= d2
-        sel[j] = trace.p1[j] if take_first else trace.p2[j]
-        comp[j] = trace.p2[j] if take_first else trace.p1[j]
-    d_back = np.sum((trace.p1[0] - sel[-1]) ** 2)
-    d_cross = np.sum((trace.p2[0] - sel[-1]) ** 2)
-    return sel, comp, d_back <= d_cross
+    p1, p2 = trace.p1.tolist(), trace.p2.tolist()
+
+    def nearer_first(j: int, x: float, y: float) -> bool:
+        (ax, ay), (bx, by) = p1[j], p2[j]
+        ax, ay, bx, by = ax - x, ay - y, bx - x, by - y
+        return ax * ax + ay * ay <= bx * bx + by * by
+
+    take_first = [True] * trace.n
+    x, y = p1[0]
+    for j in range(1, trace.n):
+        take_first[j] = nearer_first(j, x, y)
+        x, y = p1[j] if take_first[j] else p2[j]
+    take = np.array(take_first)[:, None]
+    sel = np.where(take, trace.p1, trace.p2)
+    comp = np.where(take, trace.p2, trace.p1)
+    return sel, comp, nearer_first(0, x, y)
 
 
 def lift_boundary(trace: BoundaryTrace, sep_tol: float = 1e-9) -> BoundaryLift:
@@ -296,12 +300,15 @@ def spectral_energy(spectrum: Spectrum) -> float:
 
 
 def folded_modes(spectrum: Spectrum, grid: PolarGrid) -> tuple[int, float]:
-    """Modes above the grid's angular Nyquist that carry data: their count
-    and their share of ``spectral_energy``.
+    """Modes carrying data that the grid cannot represent: their count and
+    the share of ``spectral_energy`` the field loses with them.
 
-    The grid samples a loop at cols angles, so the extension folds such a
-    mode k onto angular mode k mod cols (or its mirror) with its r^nu
-    profile unchanged: the field then no longer matches the spectrum.
+    The grid samples a loop at cols angles, so the extension folds a mode
+    k above cols/2 onto angular mode k mod cols (or its mirror) with its
+    r^nu profile unchanged: the field then no longer matches the spectrum.
+    A mode at exactly cols/2 keeps its cosine part, but its sine part
+    vanishes at every node; it counts when that sine part is above
+    COEFF_EPS, with the sine part's energy.
     """
     half = _columns(spectrum, grid) // 2
     count, energy = 0, 0.0
@@ -311,6 +318,9 @@ def folded_modes(spectrum: Spectrum, grid: PolarGrid) -> tuple[int, float]:
         count += len(k)
         mass = np.sum(cos[k] ** 2, axis=1) + np.sum(sin[k] ** 2, axis=1)
         energy += np.pi * np.sum(k * mass)
+        if half < len(sin) and np.abs(sin[half]).max() > COEFF_EPS:
+            count += 1
+            energy += np.pi * half * np.sum(sin[half] ** 2)
     return count, (float(energy / spectral_energy(spectrum)) if count else 0.0)
 
 
@@ -319,13 +329,13 @@ def frequency_from_spectrum(spectrum: Spectrum) -> float:
 
     A nonzero constant mode means the extension does not vanish at the
     origin, which forces frequency zero (the dichotomy); otherwise the
-    lowest present mode dominates as r -> 0.
+    lowest present mode dominates as r -> 0. Present means what the
+    extension keeps: a coefficient above COEFF_EPS.
     """
     unit = spectrum.frequency_unit
     best = None
     for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs):
-        mags = np.sqrt(np.sum(cos**2, axis=1)) + np.sqrt(np.sum(sin**2, axis=1))
-        present = np.nonzero(mags > COEFF_EPS)[0]
+        present = _present(cos, sin)
         if len(present) == 0:
             continue
         if present[0] == 0:

@@ -56,8 +56,15 @@ def support_card(P: QPoint, tol: float = 1e-9) -> int:
     return 1 if float(np.linalg.norm(P.p1 - P.p2)) <= tol else 2
 
 
+def _squared_distance(a, b):
+    """|a - b|^2 over the trailing axis of length 2, summed as x^2 + y^2
+    (as np.sum orders two terms, without its reduction overhead)."""
+    d = a - b
+    return d[..., 0] ** 2 + d[..., 1] ** 2
+
+
 def pair_distance_arrays(p1, p2, q1, q2):
     """Vectorized pair metric over arrays of shape (..., 2)."""
-    straight = np.sum((p1 - q1) ** 2, axis=-1) + np.sum((p2 - q2) ** 2, axis=-1)
-    crossed = np.sum((p1 - q2) ** 2, axis=-1) + np.sum((p2 - q1) ** 2, axis=-1)
+    straight = _squared_distance(p1, q1) + _squared_distance(p2, q2)
+    crossed = _squared_distance(p1, q2) + _squared_distance(p2, q1)
     return np.sqrt(np.minimum(straight, crossed))

@@ -4,6 +4,8 @@ import pytest
 from conftest import random_trace, single_mode_trace
 
 from qdisk.blowup import (
+    CENTER_EXCLUSION_RINGS,
+    BlowupSequence,
     blowup_sequence,
     boundary_mass_identity,
     homogeneity_defect,
@@ -11,7 +13,7 @@ from qdisk.blowup import (
     rescale_normalize,
 )
 from qdisk.errors import NoCatalogMatch, ZeroEnergy
-from qdisk.field import DiskField, PolarGrid, dirichlet_energy, sample_field
+from qdisk.field import DiskField, PolarGrid, dirichlet_energy, sample_field, values_at
 from qdisk.forms import (
     Continuation,
     FormClass,
@@ -219,3 +221,68 @@ def test_blowup_sequence_unit_energy(grid64):
     seq = blowup_sequence(field, [0.5, 0.3, 0.2])
     for g in seq.fields:
         assert abs(dirichlet_energy(g, 1.0) - 1.0) <= 1e-10
+
+
+def _bilinear_rescale_normalize(field: DiskField, r: float) -> DiskField:
+    """The former rescale: values_at at every node, then unit energy."""
+    grid = field.grid
+    assert dirichlet_energy(field, r) > 1e-14
+    rr = r * grid.radii[:, None] * np.ones(grid.n_theta)[None, :]
+    tt = np.broadcast_to(grid.thetas[None, :], rr.shape)
+    rescaled = DiskField(grid, *values_at(field, rr, tt), field.seam)
+    root = np.sqrt(dirichlet_energy(rescaled, 1.0))
+    return DiskField(grid, rescaled.sheet1 / root, rescaled.sheet2 / root, field.seam)
+
+
+def _bilinear_blowup_sequence(field: DiskField, radii) -> BlowupSequence:
+    fields = tuple(_bilinear_rescale_normalize(field, r) for r in radii)
+    defects = []
+    for f, g in zip(fields, fields[1:]):
+        d = pair_distance_arrays(f.sheet1, f.sheet2, g.sheet1, g.sheet2)
+        defects.append(float(d[CENTER_EXCLUSION_RINGS:].max()))
+    return BlowupSequence(tuple(radii), fields, tuple(defects))
+
+
+def _assert_fields_close(got: DiskField, want: DiskField, rtol: float) -> None:
+    assert got.seam is want.seam and got.grid == want.grid
+    scale = max(np.abs(want.sheet1).max(), np.abs(want.sheet2).max())
+    assert np.abs(got.sheet1 - want.sheet1).max() <= rtol * scale
+    assert np.abs(got.sheet2 - want.sheet2).max() <= rtol * scale
+
+
+def _minimizer_field(kind: Continuation, grid: PolarGrid) -> DiskField:
+    rng = np.random.default_rng(7 if kind is Continuation.SWAP else 8)
+    return minimize(random_trace(rng, kind, n=grid.n_theta), grid).field
+
+
+@pytest.mark.parametrize("kind", [Continuation.IDENTITY, Continuation.SWAP])
+def test_row_rescale_matches_bilinear(grid64, kind):
+    """Rescaling by whole rings equals bilinear values_at at every node.
+
+    values_at divides each grid angle by dtheta again, which can land a
+    rounding step below the node and mix in the previous angle by that
+    step, so the two agree to rounding, not bit for bit.
+    """
+    field = _minimizer_field(kind, grid64)
+    for r in (1.0, 0.5, 0.37, 3 / grid64.n_r):
+        got = rescale_normalize(field, r)
+        _assert_fields_close(got, _bilinear_rescale_normalize(field, r), 1e-13)
+        assert abs(dirichlet_energy(got, 1.0) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", [Continuation.IDENTITY, Continuation.SWAP])
+def test_blowup_sequence_matches_bilinear(grid64, kind):
+    field = _minimizer_field(kind, grid64)
+    radii = (0.4, 0.2, 0.1)
+    got = blowup_sequence(field, radii)
+    want = _bilinear_blowup_sequence(field, radii)
+    for g, w in zip(got.fields, want.fields):
+        _assert_fields_close(g, w, 1e-12)
+    np.testing.assert_allclose(got.cauchy_defects, want.cauchy_defects, rtol=1e-12)
+
+
+def test_blowup_sequence_zero_energy_raises(grid64):
+    zero = np.zeros((grid64.n_r + 1, grid64.n_theta, 2))
+    field = DiskField(grid64, zero, zero, Continuation.SWAP)
+    with pytest.raises(ZeroEnergy):
+        blowup_sequence(field, [0.5, 0.25])

@@ -261,3 +261,23 @@ def test_folded_modes_reported_on_stderr(tmp_path, capsys, n, folds):
         assert "Nyquist" not in captured.out
         if folds:
             assert warnings[0].startswith("warning: folded modes: 1 above")
+
+
+def test_nyquist_sine_reported_on_stderr(tmp_path, capsys):
+    """8x16 grid, double cover of 32 columns: the 0.1 sin(8t) term of a
+    64-sample trace sits on mode 16, the grid Nyquist, and vanishes at
+    every node."""
+    n = 64
+    th = 2 * np.pi * np.arange(n) / n
+    cover = np.concatenate([th, th + 2 * np.pi])
+    loop = np.stack([np.cos(1.5 * cover) + 0.1 * np.sin(8 * cover), np.sin(1.5 * cover)], axis=1)
+    path = tmp_path / "trace.json"
+    save_trace(BoundaryTrace.from_values(loop[:n], loop[n:]), path)
+    argv = ["minimize", str(path), "--nr", "8", "--ntheta", "16", "--radii", "0.5,1"]
+    assert main([*argv, "--out", str(tmp_path / "f.csv")]) == 0
+    captured = capsys.readouterr()
+    warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
+    assert warnings == [
+        "warning: folded modes: 1 above the grid's angular Nyquist carry 2.597e-02 "
+        "of the spectral energy"
+    ]

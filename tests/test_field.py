@@ -7,6 +7,7 @@ from qdisk.errors import DegenerateField, GridTooCoarse, ZeroBoundaryMass
 from qdisk.field import (
     DiskField,
     PolarGrid,
+    _ring_energy,
     boundary_mass,
     branch_report,
     dirichlet_energy,
@@ -149,6 +150,40 @@ def test_quadrature_convergence():
             f = sample_field(entry, PolarGrid(n_r, n_t))
             errs.append(abs(frequency(f, 0.5) - entry.N))
         assert errs[1] <= errs[0] / 1.9
+
+
+def _stack_density_reference(stack: np.ndarray, grid: PolarGrid) -> np.ndarray:
+    """Pointwise |grad|^2 of one periodic stack: the per-node quadrature
+    that _ring_energy replaced, kept as its reference."""
+    h = grid.dr
+    d_r = np.empty_like(stack)
+    d_r[1:-1] = (stack[2:] - stack[:-2]) / (2 * h)
+    d_r[0] = (stack[1] - stack[0]) / h
+    d_r[-1] = (stack[-1] - stack[-2]) / h
+    d_t = (np.roll(stack, -1, axis=1) - np.roll(stack, 1, axis=1)) / (2 * grid.dtheta)
+    density = np.sum(d_r**2, axis=-1)
+    radii = grid.radii.copy()
+    radii[0] = 1.0
+    density[1:] += np.sum(d_t[1:] ** 2, axis=-1) / radii[1:, None] ** 2
+    return density
+
+
+@pytest.mark.parametrize("seam", [Continuation.IDENTITY, Continuation.SWAP])
+@pytest.mark.parametrize("n_r, n_theta", [(16, 32), (64, 256)])
+def test_ring_energy_matches_node_density(seam, n_r, n_theta):
+    """The slice sums equal the per-node density summed over each ring.
+
+    Random nodes make every difference, the seam wrap included, count."""
+    grid = PolarGrid(n_r, n_theta)
+    rng = np.random.default_rng(n_theta)
+    sheets = rng.normal(size=(2, n_r + 1, n_theta, 2))
+    sheets[:, 0] = sheets[:, 0, :1]
+    field = DiskField(grid, sheets[0], sheets[1], seam)
+    want = sum(_stack_density_reference(s, grid).sum(axis=1) for s in field.stacks())
+    want = want * grid.dtheta * grid.radii
+    got = _ring_energy(field)
+    assert got[0] == want[0] == 0.0
+    np.testing.assert_allclose(got[1:], want[1:], rtol=1e-13, atol=0)
 
 
 def test_branch_report_swap_entry(grid64):

@@ -19,6 +19,7 @@ from qdisk.minimizer import (
     MinimizeResult,
     Spectrum,
     _boundary_rows,
+    _track_selection,
     analyze_spectrum,
     folded_modes,
     forced_lift,
@@ -475,3 +476,82 @@ def test_minimize_result_rejects_higher_energy_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "rejected"]
     MinimizeResult(None, Continuation.SWAP, None, energy=1.0, alt_energy=5.0)
+
+
+def _track_selection_reference(trace: BoundaryTrace):
+    """The former per-sample numpy loop of _track_selection."""
+    n = trace.n
+    sel = np.empty((n, 2))
+    comp = np.empty((n, 2))
+    sel[0] = trace.p1[0]
+    comp[0] = trace.p2[0]
+    for j in range(1, n):
+        prev = sel[j - 1]
+        take_first = np.sum((trace.p1[j] - prev) ** 2) <= np.sum((trace.p2[j] - prev) ** 2)
+        sel[j] = trace.p1[j] if take_first else trace.p2[j]
+        comp[j] = trace.p2[j] if take_first else trace.p1[j]
+    d_back = np.sum((trace.p1[0] - sel[-1]) ** 2)
+    d_cross = np.sum((trace.p2[0] - sel[-1]) ** 2)
+    return sel, comp, d_back <= d_cross
+
+
+def _tracking_traces():
+    rng = np.random.default_rng(23)
+    for kind in (Continuation.IDENTITY, Continuation.SWAP):
+        for n in (256, 1024):
+            trace = random_trace(rng, kind, n=n)
+            yield trace
+            # noise large enough to make the nearest-point walk jump sheets
+            yield BoundaryTrace.from_values(
+                trace.p1 + 0.3 * rng.normal(size=trace.p1.shape),
+                trace.p2 + 0.3 * rng.normal(size=trace.p2.shape),
+            )
+    # sheets touching at four angles: ties pick p1
+    th = 2 * np.pi * np.arange(256) / 256
+    p1 = np.stack([np.cos(th), np.sin(2 * th)], axis=1)
+    yield BoundaryTrace.from_values(p1, p1 * [1.0, -1.0])
+
+
+def test_track_selection_matches_reference_loop():
+    for trace in _tracking_traces():
+        sel, comp, closes = _track_selection(trace)
+        want_sel, want_comp, want_closes = _track_selection_reference(trace)
+        assert np.array_equal(sel, want_sel) and np.array_equal(comp, want_comp)
+        assert closes == want_closes
+
+
+def _swap_spectrum(modes: dict, m: int = 64) -> Spectrum:
+    """Double-loop spectrum with the given {k: (cos, sin)} coefficient pairs."""
+    cos = np.zeros((m // 2 + 1, 2))
+    sin = np.zeros((m // 2 + 1, 2))
+    for k, (c, s) in modes.items():
+        cos[k], sin[k] = c, s
+    return Spectrum(Continuation.SWAP, (cos,), (sin,))
+
+
+def test_frequency_presence_matches_extension():
+    """Four coefficients of 7e-13 sum to a norm above COEFF_EPS, but no
+    single one is above it: the extension leaves the mode out, and so does
+    the frequency."""
+    tiny = np.full(2, 7e-13)
+    assert 2 * np.linalg.norm(tiny) > COEFF_EPS > tiny.max()
+    unit = ((1.0, 0.0), (0.0, 1.0))
+    with_tiny = _swap_spectrum({1: (tiny, tiny), 3: unit})
+    without = _swap_spectrum({3: unit})
+    grid = PolarGrid(8, 16)
+    a, b = harmonic_extension(with_tiny, grid), harmonic_extension(without, grid)
+    assert np.array_equal(a.sheet1, b.sheet1) and np.array_equal(a.sheet2, b.sheet2)
+    assert frequency_from_spectrum(with_tiny) == frequency_from_spectrum(without) == 1.5
+
+
+def test_folded_modes_counts_nyquist_sine():
+    """On 8x16 the double cover has 32 columns: the sine of mode 16 vanishes
+    at every node, its cosine survives."""
+    grid = PolarGrid(8, 16)
+    unit = ((1.0, 0.0), (0.0, 1.0))
+    lost = _swap_spectrum({3: unit, 16: ((0.0, 0.0), (0.1, 0.0))})
+    count, share = folded_modes(lost, grid)
+    assert count == 1
+    assert share == pytest.approx(np.pi * 16 * 0.01 / spectral_energy(lost), rel=1e-12)
+    kept = _swap_spectrum({3: unit, 16: ((0.1, 0.0), (0.0, 0.0))})
+    assert folded_modes(kept, grid) == (0, 0.0)

@@ -94,3 +94,16 @@ def test_vectorized_matches_scalar():
         np.testing.assert_allclose(
             vec[i], pair_distance(QPoint(a[i], b[i]), QPoint(c[i], d[i]))
         )
+
+
+def test_vectorized_equals_summed_squares():
+    """Bit-equal to the np.sum form it replaced, on the field shape blow-up
+    defects use."""
+    rng = np.random.default_rng(12)
+    a, b, c, d = rng.normal(size=(4, 17, 64, 2))
+
+    def sq(x, y):
+        return np.sum((x - y) ** 2, axis=-1)
+
+    want = np.sqrt(np.minimum(sq(a, c) + sq(b, d), sq(a, d) + sq(b, c)))
+    assert np.array_equal(pair_distance_arrays(a, b, c, d), want)
