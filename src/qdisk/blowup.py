@@ -142,13 +142,16 @@ def _fit_sheet_tuple(values: np.ndarray, thetas: np.ndarray, N: float) -> FourTu
     return FourTuple(sol[0, 0], sol[1, 0], sol[0, 1], sol[1, 1])
 
 
-def identify_catalog(g: DiskField, tol: float) -> tuple[HomogeneousPair, float]:
+def identify_catalog(
+    g: DiskField, tol: float
+) -> tuple[HomogeneousPair, float, float]:
     """Fit a normalized blow-up limit to a concrete catalog entry.
 
-    Fits N from the frequency profile and rounds to the nearest
-    half-integer, fits each sheet's boundary trace to the degree-N mode
-    family, classifies the fitted tuples, and validates the pair under the
-    field's seam. Returns the entry and the sup-norm boundary residual.
+    Fits N as the median of the frequency profile at _FIT_RADII and rounds
+    it to the nearest half-integer, fits each sheet's boundary trace to the
+    degree-N mode family, classifies the fitted tuples, and validates the
+    pair under the field's seam. Returns the entry, the fitted N and the
+    sup-norm boundary residual.
     Raises NoCatalogMatch when the fitted degree is farther than 0.1 from a
     half-integer or the tuples fail classification/matching at ``tol``.
     """
@@ -193,7 +196,7 @@ def identify_catalog(g: DiskField, tol: float) -> tuple[HomogeneousPair, float]:
     residual = float(
         pair_distance_arrays(g.sheet1[-1], g.sheet2[-1], fit1, fit2).max()
     )
-    return entry, residual
+    return entry, fitted, residual
 
 
 def blowup_report(

@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 negative classification result, 2 invalid input,
 3 numerical-verification failure. Errors and warnings (such as trace modes
-folded above the grid's angular Nyquist) go to stderr.
+folded at or above the grid's angular Nyquist) go to stderr.
 
 File formats:
     boundary trace  JSON array of {"theta": t, "p1": [x, y], "p2": [x, y]}
@@ -164,7 +164,7 @@ def _report_folding(spectrum, grid: PolarGrid) -> None:
     count, share = folded_modes(spectrum, grid)
     if count:
         print(
-            f"warning: folded modes: {count} above the grid's angular Nyquist "
+            f"warning: folded modes: {count} at or above the grid's angular Nyquist "
             f"carry {share:.3e} of the spectral energy",
             file=sys.stderr,
         )
@@ -228,9 +228,8 @@ def cmd_blowup(args) -> int:
     _report_folding(result.spectrum, grid)
     seq = blowup_sequence(result.field, radii)
     limit = seq.fields[-1]
-    profile = frequency_profile(limit, (0.25, 0.5, 0.75, 1.0))
-    entry, residual = identify_catalog(limit, BLOWUP_FIT_TOL)
-    report = blowup_report(limit, entry, float(np.median(profile.N)), residual)
+    entry, fitted, residual = identify_catalog(limit, BLOWUP_FIT_TOL)
+    report = blowup_report(limit, entry, fitted, residual)
     report["cauchy_defects"] = list(seq.cauchy_defects)
     if args.dump_fields:
         for r, rescaled in zip(seq.radii, seq.fields):

@@ -14,11 +14,12 @@ and its limit at 0 is the homogeneity degree of the blow-up.
 
 from __future__ import annotations
 
-import csv
+import functools
 import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -227,11 +228,10 @@ class FrequencyProfile:
     monotonicity_defect: float
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "D", "H", "N"])
-            for row in zip(self.radii, self.D, self.H, self.N):
-                writer.writerow([format(x, ".17g") for x in row])
+        """r, D, H, N rows as %.17g, lines ending in CRLF."""
+        values = np.column_stack([self.radii, self.D, self.H, self.N])
+        with open(path, "wb") as fh:
+            fh.write(b"r,D,H,N\r\n" + _csv_rows(values))
 
 
 def frequency_profile(field: DiskField, radii) -> FrequencyProfile:
@@ -341,7 +341,8 @@ def values_at(field: DiskField, r, theta) -> tuple[np.ndarray, np.ndarray]:
     Angular wraparound is seam aware: under a swap seam the interpolation
     runs on the double cover, so crossing the slit picks up the other
     sheet. Broadcasts over array input; returns (v1, v2) with trailing
-    axis 2.
+    axis 2. At a node (ring radius, grid angle) it returns the stored
+    values exactly.
     """
     grid = field.grid
     r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -354,6 +355,9 @@ def values_at(field: DiskField, r, theta) -> tuple[np.ndarray, np.ndarray]:
     def interp(stack: np.ndarray, angles: np.ndarray) -> np.ndarray:
         cols = stack.shape[1]
         y = angles / grid.dtheta
+        # a grid angle divides to within a few ulps of its node: read the node
+        node = np.rint(y)
+        y = np.where(np.abs(y - node) <= 4 * np.spacing(node), node, y)
         j0 = y.astype(int) % cols
         fj = (y - y.astype(int))[..., None]
         j1 = (j0 + 1) % cols
@@ -416,10 +420,161 @@ def energy_decay_check(field: DiskField, s: float, r: float) -> tuple[float, flo
 # --- serialization ----------------------------------------------------------
 
 
-# Nodes per formatted write in save_field. Chunks of 128 nodes and more are
-# barely faster but fragment the heap: peak RSS then grows with every dump.
-DUMP_CHUNK = 64
+# Rings per block of save_field. A block holds about 380 bytes of text and
+# temporaries per node (3 MiB at n_theta = 1024). On 256x1024, 8 rings were
+# faster than 2, 4 or 16, and 32 raised peak RSS by 6 MiB.
+DUMP_BLOCK = 8
 DUMP_COLUMNS = ("ring_index", "angle_index", "sheet", "x", "y")
+
+# Exact "%.17g" text of whole arrays. Each value's text is laid out in
+# VALUE_WORDS uint32 words of NUL-padded ASCII in fixed columns; deleting the
+# NUL bytes leaves the text:
+#
+#   words 0-4    "\0\0" sign d0 d1 ... d16: the integer digits
+#   words 5-6    the point: "." (blank when no fraction digit is left), or
+#                "0." and the zeros after it when |x| < 1
+#   words 7-11   the same 17 digit places: the fraction digits, without the
+#                trailing zeros
+#   word 12      exponent, "e-05" or "e-06"
+#
+# d0 ... d16 and the exponent k come exactly from float64 arithmetic
+# (_decimal17) for 1e-6 < |x| < 1e15. That is k in [-6, 14], fixed notation
+# for k >= -4 and exponent notation (integer part d0) below. Every other
+# value (zeros, subnormals, tiny or huge values, inf, nan) takes the text of
+# "%.17g" % x one value at a time, left-aligned over the whole field.
+VALUE_WORDS = 13
+_K_MIN, _K_MAX = -6, 14
+
+
+def _label_words(texts) -> np.ndarray:
+    """ASCII labels as (words, len(texts)) uint32 words, NUL-padded."""
+    raw = [text.encode() for text in texts]
+    width = 4 * -(-max(map(len, raw)) // 4)
+    return np.array(raw, dtype=f"S{width}").view(np.uint32).reshape(len(raw), -1).T
+
+
+def _veltkamp(a):
+    """Split a into hi + lo of 26 bits each, whose products are exact."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _text_tables() -> SimpleNamespace:
+    """Lookup tables of the formatter, built on first use (in memory byte
+    order, so the words read back as text on any host)."""
+    pow10 = 10.0 ** np.arange(23)  # exact in binary64 up to 10**22
+    pow_hi, pow_lo = _veltkamp(pow10)
+    n = np.arange(10000)
+    quad = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
+    zeros = np.where(n == 0, 4, 0)  # trailing zeros of a 4-digit group
+    for m in (10, 100, 1000):
+        zeros += (n % m == 0) & (n != 0)
+    k = np.arange(_K_MIN, _K_MAX + 1)
+    split = np.where(k < -4, 0, k)  # index of the last integer digit
+    place = np.arange(20) - 3  # digit index of each byte of words 0-4
+    integer = (place >= 0) & (place <= split[:, None])
+    fraction = (place >= 0) & (place > split[:, None])
+    # fraction digits kept, per (k, trailing zeros of the 17 digits)
+    fraction = fraction[:, None, :] & (place < 17 - np.arange(17)[:, None])
+    point = ["0." + "0" * (-e - 1) if -4 <= e < 0 else "." for e in k]
+    exponent = [f"e-0{-e}" if e < -4 else "" for e in k]
+    comma, crlf = _label_words([",", "\r\n"])[0]
+    return SimpleNamespace(
+        pow10=pow10, pow_hi=pow_hi, pow_lo=pow_lo,
+        quad=(48 + quad).astype(np.uint8).view(np.uint32).ravel(),
+        minus=_label_words(["\0\0-"])[0, 0],
+        zeros=zeros,
+        integer=(integer * 255).astype(np.uint8).view(np.uint32).T.copy(),
+        fraction=(fraction * 255).astype(np.uint8).view(np.uint32).reshape(-1, 5).T.copy(),
+        fraction_digits=16 - split,
+        point=_label_words(point),
+        exponent=_label_words(exponent)[0],
+        comma=comma, crlf=crlf,
+    )
+
+
+def _product(a, p, t):
+    """hi, lo with hi + lo == a * 10**p exactly (Dekker's TwoProduct)."""
+    ah, al = _veltkamp(a)
+    bh, bl = t.pow_hi[p], t.pow_lo[p]
+    hi = a * t.pow10[p]
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    return hi, lo
+
+
+def _decimal17(a, t):
+    """17 significant digits of each a in (1e-6, 1e15), correctly rounded.
+
+    Returns int64 d in [10**16, 10**17) and the decimal exponent k in
+    [-6, 14]: a rounds to d * 10**(k - 16), ties to even, as in "%.17g".
+    With p = 16 - k in [2, 22], hi + lo == a * 10**p exactly, and
+    hi >= 2**53 is an even integer. So hi + floor(lo) is the floor of the
+    exact product, which has 17 digits exactly when k is right, and
+    hi + rint(lo) is its rounding. That rounding never reaches 10**17: the
+    largest double below each power of ten in the range lies more than 8
+    units of the 17th digit below it.
+    """
+    k = np.floor(np.log10(a)).astype(np.intp)
+    np.clip(k, -6, 14, out=k)  # keeps 10**p exact; the check below corrects k
+    hi, lo = _product(a, 16 - k, t)
+    floor = hi.astype(np.int64) + np.floor(lo).astype(np.int64)
+    off = (floor >= 10**17).astype(np.intp) - (floor < 10**16)
+    redo = np.flatnonzero(off)
+    k[redo] += off[redo]
+    hi[redo], lo[redo] = _product(a[redo], 16 - k[redo], t)
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), k
+
+
+def _text_words(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the "%.17g" text of each x into out, (VALUE_WORDS, len(x)) uint32."""
+    t = _text_tables()
+    a = np.abs(x)
+    fast = (a > 1e-6) & (a < 1e15)
+    d, k = _decimal17(np.where(fast, a, 1.0), t)
+    row = k - _K_MIN
+    groups = []  # d0, d1-d4, ..., d13-d16 as numbers
+    rest = d
+    for div in (10**16, 10**12, 10**8, 10**4):
+        groups.append(rest // div)
+        rest -= groups[-1] * div
+    groups.append(rest)
+    zeros = t.zeros[groups[1]]  # trailing zeros of d
+    for g in groups[2:]:
+        zeros = np.where(g == 0, zeros + 4, t.zeros[g])
+    kept = row * 17 + zeros
+    for j, g in enumerate(groups):
+        digits = t.quad[g]  # word 0 reads "000" d0; the masks blank the "000"
+        np.bitwise_and(digits, t.integer[j][row], out=out[j])
+        np.bitwise_and(digits, t.fraction[j][kept], out=out[7 + j])
+    out[0] |= np.signbit(x) * t.minus
+    has_fraction = zeros < t.fraction_digits[row]
+    np.multiply(t.point[0][row], has_fraction, out=out[5])
+    np.multiply(t.point[1][row], has_fraction, out=out[6])
+    np.take(t.exponent, row, out=out[12])
+    slow = np.flatnonzero(~fast)
+    text = np.array(["%.17g" % v for v in x[slow].tolist()], dtype=f"S{4 * VALUE_WORDS}")
+    out[:, slow] = text.view(np.uint32).reshape(-1, VALUE_WORDS).T
+
+
+def _csv_rows(values: np.ndarray, prefix: np.ndarray | None = None) -> bytes:
+    """CSV lines of the "%.17g" text of values (rows, columns), CRLF-ended.
+
+    prefix, if given, is (words, rows) NUL-padded text put before each line.
+    """
+    t = _text_tables()
+    rows, cols = values.shape
+    if prefix is None:
+        prefix = np.empty((0, rows), dtype=np.uint32)
+    head = len(prefix)
+    stage = np.empty((head + cols * (VALUE_WORDS + 1), rows), dtype=np.uint32)
+    stage[:head] = prefix
+    for c in range(cols):
+        at = head + c * (VALUE_WORDS + 1)
+        _text_words(values[:, c], stage[at : at + VALUE_WORDS])
+        stage[at + VALUE_WORDS] = t.comma if c < cols - 1 else t.crlf
+    return stage.T.tobytes().translate(None, b"\0")
 
 
 def save_field(field: DiskField, csv_path) -> None:
@@ -435,24 +590,20 @@ def save_field(field: DiskField, csv_path) -> None:
         "seam": field.seam.value,
     }
     csv_path.with_suffix(".json").write_text(json.dumps(header, indent=2) + "\n")
-    starts = range(0, field.grid.n_theta, DUMP_CHUNK)
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(",".join(DUMP_COLUMNS) + "\r\n")
+    cols = field.grid.n_theta
+    rings = _label_words(f"{i}," for i in range(field.grid.n_r + 1))
+    with open(csv_path, "wb") as fh:
+        fh.write(",".join(DUMP_COLUMNS).encode() + b"\r\n")
         for sheet_id, arr in ((1, field.sheet1), (2, field.sheet2)):
-            # one row template per chunk of angles; each ring fills in {ring},
-            # so only the values go through % formatting
-            templates = [
-                "".join(
-                    f"{{ring}},{j},{sheet_id},%.17g,%.17g\r\n"
-                    for j in range(lo, min(lo + DUMP_CHUNK, field.grid.n_theta))
-                )
-                for lo in starts
-            ]
-            for i, ring in enumerate(arr):
-                text = str(i)
-                for lo, template in zip(starts, templates):
-                    values = ring[lo : lo + DUMP_CHUNK].ravel().tolist()
-                    fh.write(template.replace("{ring}", text) % tuple(values))
+            angles = _label_words(f"{j},{sheet_id}," for j in range(cols))
+            for lo in range(0, len(arr), DUMP_BLOCK):
+                block = arr[lo : lo + DUMP_BLOCK]
+                n = len(block)
+                prefix = np.concatenate([
+                    np.broadcast_to(rings[:, lo : lo + n, None], (len(rings), n, cols)),
+                    np.broadcast_to(angles[:, None, :], (len(angles), n, cols)),
+                ])
+                fh.write(_csv_rows(block.reshape(n * cols, 2), prefix.reshape(-1, n * cols)))
 
 
 def load_field(csv_path) -> DiskField:

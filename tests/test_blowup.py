@@ -135,7 +135,7 @@ def test_boundary_mass_identity_values(grid64):
 def test_identify_catalog_branched_minimizer(grid64):
     field = minimize(single_mode_trace(1.5), grid64).field
     limit = blowup_sequence(field, [0.4, 0.2, 0.1]).fields[-1]
-    entry, residual = identify_catalog(limit, 0.05)
+    entry, _fitted, residual = identify_catalog(limit, 0.05)
     assert entry.N == 1.5
     assert entry.continuation is Continuation.SWAP
     assert residual <= 0.01
@@ -145,7 +145,7 @@ def test_identify_catalog_branched_minimizer(grid64):
 
 def test_identify_catalog_doubled_z(grid64):
     g = rescale_normalize(sample_field(DOUBLED_Z, grid64), 1.0)
-    entry, residual = identify_catalog(g, 1e-6)
+    entry, _fitted, residual = identify_catalog(g, 1e-6)
     assert entry.N == 1.0
     assert entry.continuation is Continuation.IDENTITY
     assert residual <= 1e-9

@@ -260,7 +260,7 @@ def test_folded_modes_reported_on_stderr(tmp_path, capsys, n, folds):
         assert len(warnings) == int(folds)
         assert "Nyquist" not in captured.out
         if folds:
-            assert warnings[0].startswith("warning: folded modes: 1 above")
+            assert warnings[0].startswith("warning: folded modes: 1 at or above")
 
 
 def test_nyquist_sine_reported_on_stderr(tmp_path, capsys):
@@ -278,6 +278,6 @@ def test_nyquist_sine_reported_on_stderr(tmp_path, capsys):
     captured = capsys.readouterr()
     warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
     assert warnings == [
-        "warning: folded modes: 1 above the grid's angular Nyquist carry 2.597e-02 "
+        "warning: folded modes: 1 at or above the grid's angular Nyquist carry 2.597e-02 "
         "of the spectral energy"
     ]

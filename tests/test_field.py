@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -6,7 +8,9 @@ import pytest
 from qdisk.errors import DegenerateField, GridTooCoarse, ZeroBoundaryMass
 from qdisk.field import (
     DiskField,
+    FrequencyProfile,
     PolarGrid,
+    _csv_rows,
     _ring_energy,
     boundary_mass,
     branch_report,
@@ -248,6 +252,20 @@ def test_values_at_matches_nodes(grid64):
     np.testing.assert_allclose(v1b[0], f.sheet2[-1, 0], atol=1e-6)
 
 
+@pytest.mark.parametrize("seam", [Continuation.IDENTITY, Continuation.SWAP])
+def test_values_at_reads_nodes_exactly(seam):
+    """theta / dtheta can land a few ulps off node j; every node angle of
+    ring 128 of a random 256x1024 field must read the stored values."""
+    grid = PolarGrid(256, 1024)
+    rng = np.random.default_rng(128)
+    s1, s2 = rng.standard_normal((2, grid.n_r + 1, grid.n_theta, 2))
+    s1[0], s2[0] = s1[0, 0], s2[0, 0]
+    f = DiskField(grid, s1, s2, seam)
+    v1, v2 = values_at(f, np.full(grid.n_theta, 0.5), grid.thetas)
+    assert v1.tobytes() == f.sheet1[128].tobytes()
+    assert v2.tobytes() == f.sheet2[128].tobytes()
+
+
 def test_holder_fit_exponents():
     rng = np.random.default_rng(0)
     f = make_field(BRANCHED_HALF)
@@ -325,6 +343,103 @@ def test_field_dump_golden_bytes(tmp_path, seam):
     assert g.seam is seam
     assert g.sheet1.tobytes() == f.sheet1.tobytes()
     assert g.sheet2.tobytes() == f.sheet2.tobytes()
+
+
+def _row_template_dump(field, csv_path):
+    """Reference writer: the dump as 64-node chunks of row templates, one
+    %-format per chunk, as save_field wrote it before _csv_rows."""
+    chunk = 64
+    starts = range(0, field.grid.n_theta, chunk)
+    with open(csv_path, "w", newline="") as fh:
+        fh.write("ring_index,angle_index,sheet,x,y\r\n")
+        for sheet_id, arr in ((1, field.sheet1), (2, field.sheet2)):
+            templates = [
+                "".join(
+                    f"{{ring}},{j},{sheet_id},%.17g,%.17g\r\n"
+                    for j in range(lo, min(lo + chunk, field.grid.n_theta))
+                )
+                for lo in starts
+            ]
+            for i, ring in enumerate(arr):
+                for lo, template in zip(starts, templates):
+                    values = ring[lo : lo + chunk].ravel().tolist()
+                    fh.write(template.replace("{ring}", str(i)) % tuple(values))
+
+
+@pytest.mark.parametrize("seam", [Continuation.IDENTITY, Continuation.SWAP])
+@pytest.mark.parametrize("n_r, n_theta", [(16, 32), (64, 256)])
+def test_field_dump_matches_row_template_writer(tmp_path, seam, n_r, n_theta):
+    """Random fields with magnitudes from 1e-9 to 1e17: both notations,
+    integers, and values the float64 path leaves to %.17g."""
+    grid = PolarGrid(n_r, n_theta)
+    rng = np.random.default_rng(n_r + n_theta)
+    shape = (2, n_r + 1, n_theta, 2)
+    s1, s2 = rng.standard_normal(shape) * 10.0 ** rng.uniform(-9, 17, shape)
+    s1[3, :8, 0] = np.arange(8) * 100.0  # integers, zeros among them
+    s1[0], s2[0] = s1[0, 0], s2[0, 0]
+    f = DiskField(grid, s1, s2, seam)
+    save_field(f, tmp_path / "field.csv")
+    _row_template_dump(f, tmp_path / "reference.csv")
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def _printf(x) -> bytes:
+    return (("%.17g\r\n" * len(x)) % tuple(x.tolist())).encode()
+
+
+def assert_printf_text(x):
+    """_csv_rows writes every value of x as "%.17g" % value would."""
+    got, want = _csv_rows(x.reshape(-1, 1)), _printf(x)
+    if got != want:
+        lines = zip(x.tolist(), got.split(b"\r\n"), want.split(b"\r\n"))
+        bad = [line for line in lines if line[1] != line[2]]
+        raise AssertionError(f"{len(bad)} values differ from %.17g, e.g. {bad[:5]}")
+
+
+def test_text_matches_printf_on_random_bit_patterns():
+    """1e6 random doubles with exponents over the float64 path's range
+    (1e-6, 1e15) and a decade past each end, both signs; and 1e5 random
+    bit patterns of any exponent (subnormals, huge values, inf, nan)."""
+    rng = np.random.default_rng(17)
+    n = 1_000_000
+    lo, hi = np.array([1e-7, 1e16]).view(np.uint64) >> np.uint64(52)
+    bits = (
+        (rng.integers(lo, hi, n, endpoint=True, dtype=np.uint64) << np.uint64(52))
+        | rng.integers(0, 2**52, n, dtype=np.uint64)
+        | (rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63))
+    )
+    wild = rng.integers(0, 2**64, 100_000, dtype=np.uint64)
+    assert_printf_text(np.concatenate([bits, wild]).view(np.float64))
+
+
+def test_text_matches_printf_on_edge_values():
+    powers = 10.0 ** np.arange(-12, 18)
+    edges = np.array([1e-6, 1e15])  # ends of the float64 path
+    # near 1e15 the spacing is 1/8: x.125, x.375, ... are ties at 17 digits
+    ties = (1e15 - np.arange(1, 1001))[:, None] + np.arange(8) / 8
+    x = np.concatenate([
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf),
+        ties.ravel(), np.arange(1, 2001) * 50.0, [0.5, 0.1 + 0.2, 2.0 / 3.0, 1.5e-5],
+        [0.0, 5e-324, 2.2250738585072014e-308, 1e300, np.inf, np.nan],
+    ])
+    assert_printf_text(np.concatenate([x, -x]))
+
+
+def test_profile_csv_matches_csv_writer(tmp_path):
+    values = np.array([
+        [0.25, -0.0, 5e-324, 1e300],
+        [0.5, 1.0 / 3.0, 2.5e-7, -1.5e-5],
+        [1.0, 100.0, 1e15 - 0.125, np.inf],
+    ])
+    prof = FrequencyProfile(*values.T, N0=0.0, monotonicity_defect=0.0)
+    prof.to_csv(tmp_path / "profile.csv")
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["r", "D", "H", "N"])
+    for row in values:
+        writer.writerow([format(x, ".17g") for x in row])
+    assert (tmp_path / "profile.csv").read_bytes() == expected.getvalue().encode()
 
 
 def test_profile_csv(tmp_path, grid64):
