@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import DegeneratePair, NoCatalogMatch, ZeroEnergy
 from .field import (
+    RING_BLOCK,
     DiskField,
-    _cumulative_energy,
+    _energy_ladder,
     boundary_mass,
-    dirichlet_energy,
     frequency_profile,
 )
 from .forms import (
@@ -50,23 +50,31 @@ def rescale_normalize(field: DiskField, r: float) -> DiskField:
     field's grid (exactly, by construction). Raises ZeroEnergy when there
     is nothing to normalize.
     """
-    return _rescale_normalize(field, r, _cumulative_energy(field))
-
-
-def _rescale_normalize(field: DiskField, r: float, energy: np.ndarray) -> DiskField:
-    """rescale_normalize, given the field's energy up to each ring."""
     grid = field.grid
-    if energy[grid.ring_of(r)] <= ENERGY_EPS:
+    if field._cumulative_energy[grid.ring_of(r)] <= ENERGY_EPS:
         raise ZeroEnergy(f"Dirichlet energy at r={r} is numerically zero")
     x = np.clip(r * grid.radii, 0.0, 1.0) * grid.n_r
     i0 = np.minimum(x.astype(int), grid.n_r - 1)
     fr = (x - i0)[:, None, None]
+    # s[i0] * (1 - fr) + s[i0 + 1] * fr, RING_BLOCK output rings at a time.
+    # The indices lie in [0, n_r], so mode="clip" changes nothing, but unlike
+    # the default it writes into out without a temporary copy.
+    low, i1 = 1 - fr, i0 + 1
+    upper = np.empty((RING_BLOCK,) + field.sheet1.shape[1:])
     sheets = []
     for sheet in (field.sheet1, field.sheet2):
-        lerp = sheet[i0] * (1 - fr)
-        lerp += sheet[i0 + 1] * fr
+        lerp = np.empty(sheet.shape)
+        for lo in range(0, grid.n_r + 1, RING_BLOCK):
+            rings = slice(lo, lo + RING_BLOCK)
+            out = lerp[rings]
+            high = upper[: len(out)]
+            np.take(sheet, i0[rings], axis=0, out=out, mode="clip")
+            out *= low[rings]
+            np.take(sheet, i1[rings], axis=0, out=high, mode="clip")
+            high *= fr[rings]
+            out += high
         sheets.append(lerp)
-    scale = dirichlet_energy(DiskField(grid, *sheets, field.seam), 1.0)
+    scale = _energy_ladder(grid, *sheets, field.seam)[grid.n_r]
     if scale <= ENERGY_EPS:
         raise ZeroEnergy("rescaled field has numerically zero energy")
     root = np.sqrt(scale)
@@ -88,6 +96,20 @@ class BlowupSequence:
     cauchy_defects: tuple
 
 
+def _cauchy_defect(f: DiskField, g: DiskField) -> float:
+    """Sup pair distance between f and g outside the center exclusion zone,
+    taken RING_BLOCK rings at a time."""
+    n = f.grid.n_r + 1
+    block_max = [
+        pair_distance_arrays(
+            f.sheet1[lo : lo + RING_BLOCK], f.sheet2[lo : lo + RING_BLOCK],
+            g.sheet1[lo : lo + RING_BLOCK], g.sheet2[lo : lo + RING_BLOCK],
+        ).max()
+        for lo in range(CENTER_EXCLUSION_RINGS, n, RING_BLOCK)
+    ]
+    return float(np.max(block_max))
+
+
 def blowup_sequence(field: DiskField, radii) -> BlowupSequence:
     radii = tuple(float(r) for r in radii)
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
@@ -96,13 +118,9 @@ def blowup_sequence(field: DiskField, radii) -> BlowupSequence:
     for r in radii:
         if r * n_r < CENTER_EXCLUSION_RINGS:
             raise ValueError(f"radius {r} is below {CENTER_EXCLUSION_RINGS} grid rings")
-    energy = _cumulative_energy(field)
-    fields = tuple(_rescale_normalize(field, r, energy) for r in radii)
-    defects = []
-    for f, g in zip(fields, fields[1:]):
-        d = pair_distance_arrays(f.sheet1, f.sheet2, g.sheet1, g.sheet2)
-        defects.append(float(d[CENTER_EXCLUSION_RINGS:].max()))
-    return BlowupSequence(radii, fields, tuple(defects))
+    fields = tuple(rescale_normalize(field, r) for r in radii)
+    defects = tuple(_cauchy_defect(f, g) for f, g in zip(fields, fields[1:]))
+    return BlowupSequence(radii, fields, defects)
 
 
 def homogeneity_defect(g: DiskField, N: float) -> float:

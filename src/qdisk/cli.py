@@ -8,8 +8,10 @@ Subcommands:
     blowup    TRACE.json  blow-up at given radii and catalog identification
 
 Exit codes: 0 success, 1 negative classification result, 2 invalid input,
-3 numerical-verification failure. Errors and warnings (such as trace modes
-folded at or above the grid's angular Nyquist) go to stderr.
+3 numerical-verification failure. Stdout carries only results; the detected
+class, errors and warnings (such as trace modes folded at or above the
+grid's angular Nyquist) go to stderr. No output may overwrite the input
+trace (exit 2).
 
 File formats:
     boundary trace  JSON array of {"theta": t, "p1": [x, y], "p2": [x, y]}
@@ -47,6 +49,7 @@ from .errors import (
 from .field import (
     PolarGrid,
     dirichlet_energy,
+    dump_files,
     frequency_profile,
     save_field,
 )
@@ -153,10 +156,18 @@ def _load_trace_checked(path: str):
     try:
         lift = lift_boundary(trace)
         print(f"detected class: {lift.kind.value} "
-              f"(separation {trace.separation():.3g})")
+              f"(separation {trace.separation():.3g})", file=sys.stderr)
     except AmbiguousClass:
-        print("detected class: ambiguous (sheets collide)")
+        print("detected class: ambiguous (sheets collide)", file=sys.stderr)
     return trace
+
+
+def _refuse_overwrite(trace: str, outputs) -> None:
+    """UsageError when an output path resolves to the input trace."""
+    source = Path(trace).resolve()
+    for out in outputs:
+        if Path(out).resolve() == source:
+            raise UsageError(f"output {out} would overwrite the input trace {trace}")
 
 
 def _report_folding(spectrum, grid: PolarGrid) -> None:
@@ -171,6 +182,9 @@ def _report_folding(spectrum, grid: PolarGrid) -> None:
 
 
 def cmd_minimize(args) -> int:
+    base = Path(args.out) if args.out else Path("minimized_field.csv")
+    profile_path = base.with_name(base.stem + "_profile.csv")
+    _refuse_overwrite(args.trace, (*dump_files(base), profile_path))
     trace = _load_trace_checked(args.trace)
     grid = PolarGrid(args.nr, args.ntheta)
     kind = Continuation(args.klass) if args.klass else None
@@ -185,9 +199,7 @@ def cmd_minimize(args) -> int:
     profile = frequency_profile(result.field, radii)
     print(f"N0: {profile.N0:.6g}  monotonicity defect: {profile.monotonicity_defect:.3g}")
 
-    base = Path(args.out) if args.out else Path("minimized_field.csv")
     save_field(result.field, base)
-    profile_path = base.with_name(base.stem + "_profile.csv")
     profile.to_csv(profile_path)
     print(f"field dump: {base}  profile: {profile_path}")
 
@@ -198,12 +210,14 @@ def cmd_minimize(args) -> int:
         )
         print(f"oracle gap: {gap:.3e}")
         if gap > args.oracle_tol:
-            print(f"oracle gap exceeds {args.oracle_tol:g}")
+            print(f"oracle gap exceeds {args.oracle_tol:g}", file=sys.stderr)
             return EXIT_NUMERICAL
     return EXIT_OK
 
 
 def cmd_blowup(args) -> int:
+    if args.out is not None:
+        _refuse_overwrite(args.trace, (args.out,))
     trace = _load_trace_checked(args.trace)
     grid = PolarGrid(args.nr, args.ntheta)
     kind = Continuation(args.klass) if args.klass else None
@@ -223,6 +237,8 @@ def cmd_blowup(args) -> int:
     radii = tuple(sorted(radii, reverse=True))
     if any(r * grid.n_r < 3 for r in radii):
         raise UsageError("blow-up radii below grid resolution (3 rings)")
+    dumps = [Path(f"{args.dump_fields}_r{r:g}.csv") for r in radii] if args.dump_fields else []
+    _refuse_overwrite(args.trace, [p for csv in dumps for p in dump_files(csv)])
 
     result = minimize(trace, grid, kind=kind)
     _report_folding(result.spectrum, grid)
@@ -231,9 +247,8 @@ def cmd_blowup(args) -> int:
     entry, fitted, residual = identify_catalog(limit, BLOWUP_FIT_TOL)
     report = blowup_report(limit, entry, fitted, residual)
     report["cauchy_defects"] = list(seq.cauchy_defects)
-    if args.dump_fields:
-        for r, rescaled in zip(seq.radii, seq.fields):
-            save_field(rescaled, Path(f"{args.dump_fields}_r{r:g}.csv"))
+    for path, rescaled in zip(dumps, seq.fields):
+        save_field(rescaled, path)
     _write_out(report_to_json(report), args.out)
     return EXIT_OK
 

@@ -67,12 +67,13 @@ class PolarGrid:
         return int(round(r * self.n_r))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiskField:
     """Two sheet arrays of shape (n_r + 1, n_theta, 2) plus the seam rule.
 
     Ring 0 duplicates the (logically single) center value of each sheet
-    across all angles. Treated as immutable after construction.
+    across all angles. The sheets are read-only views, so the energy up to
+    each ring, computed on first use, stays valid for the field's lifetime.
     """
 
     grid: PolarGrid
@@ -88,7 +89,16 @@ class DiskField:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {expected}")
             if not np.allclose(arr[0], arr[0, 0], atol=1e-9):
                 raise ValueError(f"{name} center ring is not angle independent")
-            setattr(self, name, arr)
+            view = arr.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    @functools.cached_property
+    def _cumulative_energy(self) -> np.ndarray:
+        """_energy_ladder of the sheets: computed once, read-only."""
+        ladder = _energy_ladder(self.grid, self.sheet1, self.sheet2, self.seam)
+        ladder.flags.writeable = False
+        return ladder
 
     def stacks(self) -> list[np.ndarray]:
         """Angularly periodic views of the field.
@@ -133,42 +143,56 @@ def _ring_sums(d: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->i", d, d)
 
 
-def _ring_energy(field: DiskField) -> np.ndarray:
+# Rings per block of _ring_energy and of the blow-up's Cauchy defects: a
+# difference array of a block is 512 KiB at n_theta = 1024.
+RING_BLOCK = 32
+
+
+def _ring_energy(
+    grid: PolarGrid, s1: np.ndarray, s2: np.ndarray, seam: Continuation
+) -> np.ndarray:
     """Angular integral of |grad|^2 * r per ring, summed over both sheets.
 
     Central differences in r and theta, one-sided in r at the outer
     boundary. The center ring contributes nothing: the polar Jacobian
     vanishes there. Angular differences wrap across the slit onto the same
     sheet (identity seam) or the other sheet (swap seam), as on the
-    periodic stacks, read here from slices without building them.
+    periodic stacks, read here from slices without building them. Rings
+    are taken RING_BLOCK at a time; each ring's sums do not depend on the
+    block.
     """
-    grid = field.grid
-    radial = np.zeros(grid.n_r + 1)
-    angular = np.zeros(grid.n_r + 1)
-    s1, s2 = field.sheet1, field.sheet2
-    swap = field.seam is Continuation.SWAP
+    n_r = grid.n_r
+    radial = np.zeros(n_r + 1)
+    angular = np.zeros(n_r + 1)
+    swap = seam is Continuation.SWAP
     for sheet, across in ((s1, s2 if swap else s1), (s2, s1 if swap else s2)):
-        radial[1:-1] += _ring_sums(sheet[2:] - sheet[:-2]) / (2 * grid.dr) ** 2
+        for lo in range(1, n_r + 1, RING_BLOCK):
+            hi = min(lo + RING_BLOCK, n_r + 1)
+            inner = min(hi, n_r)  # rings with a neighbour on both sides
+            d = sheet[lo + 1 : inner + 1] - sheet[lo - 1 : inner - 1]
+            radial[lo:inner] += _ring_sums(d) / (2 * grid.dr) ** 2
+            rings = sheet[lo:hi]
+            angular[lo:hi] += _ring_sums(rings[:, 2:] - rings[:, :-2])
+            # first and last angle: their neighbours lie across the slit
+            first = rings[:, 1] - across[lo:hi, -1]
+            last = across[lo:hi, 0] - rings[:, -2]
+            angular[lo:hi] += _ring_sums(np.stack([first, last], axis=1))
         radial[-1:] += _ring_sums(sheet[-1:] - sheet[-2:-1]) / grid.dr**2
-        rings = sheet[1:]
-        angular[1:] += _ring_sums(rings[:, 2:] - rings[:, :-2])
-        # first and last angle: their neighbours lie across the slit
-        first = rings[:, 1] - across[1:, -1]
-        last = across[1:, 0] - rings[:, -2]
-        angular[1:] += _ring_sums(np.stack([first, last], axis=1))
     angular[1:] /= (2 * grid.dtheta * grid.radii[1:]) ** 2
     return (radial + angular) * grid.dtheta * grid.radii
 
 
-def _cumulative_energy(field: DiskField) -> np.ndarray:
+def _energy_ladder(
+    grid: PolarGrid, s1: np.ndarray, s2: np.ndarray, seam: Continuation
+) -> np.ndarray:
     """Trapezoid-accumulated Dirichlet energy up to each ring (one sweep).
 
     An Euler-Maclaurin endpoint correction removes the trapezoid's O(h^2)
     bias, which otherwise reaches percents on the steep ring profiles
     (integrand ~ rho^(2N-1)) of high-degree fields at inner radii.
     """
-    g = _ring_energy(field)
-    h = field.grid.dr
+    g = _ring_energy(grid, s1, s2, seam)
+    h = grid.dr
     out = np.zeros_like(g)
     out[1:] = np.cumsum(0.5 * (g[:-1] + g[1:]) * h)
     slope = np.gradient(g, h)
@@ -184,7 +208,7 @@ def dirichlet_energy(field: DiskField, r: float) -> float:
     """
     if field.grid.n_r < 4:
         raise GridTooCoarse("need at least 4 radial cells")
-    return float(_cumulative_energy(field)[field.grid.ring_of(r)])
+    return float(field._cumulative_energy[field.grid.ring_of(r)])
 
 
 def boundary_mass(field: DiskField, r: float) -> float:
@@ -242,7 +266,7 @@ def frequency_profile(field: DiskField, radii) -> FrequencyProfile:
     """
     radii = np.asarray(sorted(radii), dtype=float)
     grid = field.grid
-    cum = _cumulative_energy(field)
+    cum = field._cumulative_energy
     D, H, N = [], [], []
     for r in radii:
         i = grid.ring_of(r)
@@ -577,19 +601,25 @@ def _csv_rows(values: np.ndarray, prefix: np.ndarray | None = None) -> bytes:
     return stage.T.tobytes().translate(None, b"\0")
 
 
+def dump_files(csv_path) -> tuple[Path, Path]:
+    """The two files of a field dump: the CSV and its JSON header sidecar."""
+    csv_path = Path(csv_path)
+    return csv_path, csv_path.with_suffix(".json")
+
+
 def save_field(field: DiskField, csv_path) -> None:
     """Write a field dump: CSV node rows plus a JSON header sidecar.
 
     One row per node, sheet 1 before sheet 2, ring by ring, angle by angle;
     values as %.17g (which round-trips every double), lines end in CRLF.
     """
-    csv_path = Path(csv_path)
+    csv_path, sidecar = dump_files(csv_path)
     header = {
         "n_r": field.grid.n_r,
         "n_theta": field.grid.n_theta,
         "seam": field.seam.value,
     }
-    csv_path.with_suffix(".json").write_text(json.dumps(header, indent=2) + "\n")
+    sidecar.write_text(json.dumps(header, indent=2) + "\n")
     cols = field.grid.n_theta
     rings = _label_words(f"{i}," for i in range(field.grid.n_r + 1))
     with open(csv_path, "wb") as fh:
@@ -613,8 +643,8 @@ def load_field(csv_path) -> DiskField:
     per (sheet, ring, angle) of the sidecar's grid, in the order save_field
     writes them; a truncated or edited dump never loads.
     """
-    csv_path = Path(csv_path)
-    header = json.loads(csv_path.with_suffix(".json").read_text())
+    csv_path, sidecar = dump_files(csv_path)
+    header = json.loads(sidecar.read_text())
     grid = PolarGrid(header["n_r"], header["n_theta"])
     seam = Continuation(header["seam"])
     rings, cols = grid.n_r + 1, grid.n_theta

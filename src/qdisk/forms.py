@@ -191,7 +191,8 @@ def classify_form(t: FourTuple, tol: float = 1e-9) -> FormClass:
         # not conformal rather than force a bad parameter fit.
         return NOT_CONFORMAL
     # The strict side conditions make the families disjoint on exact input.
-    assert len(candidates) == 1 or tol > 0, "ambiguous exact classification"
+    if len(candidates) > 1 and tol <= 0:
+        raise RuntimeError(f"ambiguous exact classification of {t}")
     return candidates[0]
 
 
@@ -334,8 +335,10 @@ class MatchOutcome:
     sum_admissible: FormClass | None
 
     def __post_init__(self):
-        if self.sum_admissible is None:
-            assert self.identity_class is None and self.swap_class is None
+        if self.sum_admissible is None and (
+            self.identity_class is not None or self.swap_class is not None
+        ):
+            raise ValueError("an inadmissible sum admits no closure class")
 
 
 def _swap_constraints(f1: FormClass, f2: FormClass, tol: float) -> tuple:
@@ -470,7 +473,7 @@ def build_match_table() -> list[TableRow]:
     doubled single-sheet cases.
 
     Sum admissibility is computed on generic witness parameters (three
-    independent sets, asserted to agree: the inadmissible pairs are
+    independent sets, checked to agree: the inadmissible pairs are
     inadmissible for every admissible parameter choice). Identity closures
     are solved numerically on the witnesses; swap closures and their forced
     sign relations come from the exact slit-value analysis.
@@ -488,7 +491,8 @@ def build_match_table() -> list[TableRow]:
                     _witness_form(i, w1).to_tuple(), _witness_form(j, w2).to_tuple()
                 )
                 verdicts.append(s.is_conformal)
-            assert verdicts[0] == verdicts[1], f"witness-dependent sum for ({i},{j})"
+            if verdicts[0] != verdicts[1]:
+                raise RuntimeError(f"witness-dependent sum for ({i},{j})")
             if not verdicts[0]:
                 note = "sum-not-admissible"
                 rows.append(TableRow(i, j, "identity", "none", note))
@@ -498,7 +502,8 @@ def build_match_table() -> list[TableRow]:
             t1 = _witness_form(i, _WITNESS_1).to_tuple()
             t2 = _witness_form(j, _WITNESS_2).to_tuple()
             identity = seam_solutions(t1, t2, Continuation.IDENTITY)
-            assert identity == FREQ_INTEGERS
+            if identity != FREQ_INTEGERS:
+                raise RuntimeError(f"identity closure of ({i},{j}) is {identity}")
             rows.append(TableRow(i, j, "identity", identity, ""))
 
             swap, relations = _symbolic_swap(i, j)
@@ -511,7 +516,8 @@ def build_match_table() -> list[TableRow]:
     for tag in range(1, 7):
         t = _witness_form(tag, _WITNESS_1).to_tuple()
         klass = seam_solutions(t, t, Continuation.IDENTITY)
-        assert klass == FREQ_INTEGERS
+        if klass != FREQ_INTEGERS:
+            raise RuntimeError(f"doubled closure of F{tag} is {klass}")
         rows.append(TableRow(tag, tag, "doubled", klass, ""))
     return rows
 

@@ -83,10 +83,18 @@ def save_trace(trace: BoundaryTrace, path) -> None:
 
 
 def load_trace(path) -> BoundaryTrace:
+    """Read a save_trace file. Raises ValueError unless it is a JSON array
+    of row objects with numeric theta, p1 and p2 (KeyError for a row
+    without one of them)."""
     rows = json.loads(Path(path).read_text())
-    thetas = np.array([row["theta"] for row in rows], dtype=float)
-    p1 = np.array([row["p1"] for row in rows], dtype=float)
-    p2 = np.array([row["p2"] for row in rows], dtype=float)
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise ValueError("trace must be a JSON array of {theta, p1, p2} objects")
+    try:
+        thetas = np.array([row["theta"] for row in rows], dtype=float)
+        p1 = np.array([row["p1"] for row in rows], dtype=float)
+        p2 = np.array([row["p2"] for row in rows], dtype=float)
+    except TypeError as exc:  # a value that is neither a number nor a list
+        raise ValueError(f"trace values must be numbers: {exc}") from exc
     return BoundaryTrace(thetas, p1, p2)
 
 
@@ -284,18 +292,21 @@ def harmonic_extension(spectrum: Spectrum, grid: PolarGrid) -> DiskField:
     return DiskField.from_stacks(grid, _eval_modes(spectrum, grid, grid.radii), spectrum.kind)
 
 
-def spectral_energy(spectrum: Spectrum) -> float:
-    """Closed-form Dirichlet energy of the spectral extension.
+def spectral_energy(spectrum: Spectrum, r: float = 1.0) -> float:
+    """Closed-form Dirichlet energy of the spectral extension over the disk
+    of radius r.
 
-    Per loop: sum_k pi * k * (|A_k|^2 + |B_k|^2). The same index formula
-    covers both classes: an unbranched mode k has frequency k over one
-    period 2*pi, a branched mode k has frequency k/2 integrated over the
-    double cover.
+    Per loop: sum_k pi * k * (|A_k|^2 + |B_k|^2) * r^(2 * k * unit). The
+    same index formula covers both classes: an unbranched mode k has
+    frequency k over one period 2*pi, a branched mode k has frequency k/2
+    integrated over the double cover. Modes are orthogonal on every circle,
+    so no cross terms appear.
     """
     total = 0.0
     for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs):
         k = np.arange(cos.shape[0])
-        total += np.pi * np.sum(k * (np.sum(cos**2, axis=1) + np.sum(sin**2, axis=1)))
+        weight = k * np.power(float(r), 2 * k * spectrum.frequency_unit)
+        total += np.pi * np.sum(weight * (np.sum(cos**2, axis=1) + np.sum(sin**2, axis=1)))
     return float(total)
 
 

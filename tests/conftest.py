@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qdisk.field import PolarGrid
+from qdisk.field import DiskField, PolarGrid
 from qdisk.forms import Continuation
 from qdisk.minimizer import BoundaryTrace
 
@@ -83,3 +83,11 @@ def random_trace(rng, kind, n=256, kmax=4, mode0=False, min_sep=0.05, odd_only=F
         if trace.separation() > min_sep:
             return trace
     raise RuntimeError("could not draw a separated trace")
+
+
+def random_field(grid, seam, rng):
+    """Field of independent normal nodes (one value on the center ring), so
+    every difference, the seam wrap included, counts."""
+    sheets = rng.normal(size=(2, grid.n_r + 1, grid.n_theta, 2))
+    sheets[:, 0] = sheets[:, 0, :1]
+    return DiskField(grid, sheets[0], sheets[1], seam)

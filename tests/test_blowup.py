@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import random_trace, single_mode_trace
+from conftest import random_field, random_trace, single_mode_trace
 
+from qdisk import field as field_module
 from qdisk.blowup import (
     CENTER_EXCLUSION_RINGS,
     BlowupSequence,
+    _cauchy_defect,
     blowup_sequence,
     boundary_mass_identity,
     homogeneity_defect,
@@ -13,7 +15,14 @@ from qdisk.blowup import (
     rescale_normalize,
 )
 from qdisk.errors import NoCatalogMatch, ZeroEnergy
-from qdisk.field import DiskField, PolarGrid, dirichlet_energy, sample_field, values_at
+from qdisk.field import (
+    DiskField,
+    PolarGrid,
+    dirichlet_energy,
+    frequency_profile,
+    sample_field,
+    values_at,
+)
 from qdisk.forms import (
     Continuation,
     FormClass,
@@ -234,13 +243,32 @@ def _bilinear_rescale_normalize(field: DiskField, r: float) -> DiskField:
     return DiskField(grid, rescaled.sheet1 / root, rescaled.sheet2 / root, field.seam)
 
 
+def _full_grid_cauchy_defect(f: DiskField, g: DiskField) -> float:
+    """The Cauchy defect before it took rings in blocks."""
+    d = pair_distance_arrays(f.sheet1, f.sheet2, g.sheet1, g.sheet2)
+    return float(d[CENTER_EXCLUSION_RINGS:].max())
+
+
 def _bilinear_blowup_sequence(field: DiskField, radii) -> BlowupSequence:
     fields = tuple(_bilinear_rescale_normalize(field, r) for r in radii)
-    defects = []
-    for f, g in zip(fields, fields[1:]):
-        d = pair_distance_arrays(f.sheet1, f.sheet2, g.sheet1, g.sheet2)
-        defects.append(float(d[CENTER_EXCLUSION_RINGS:].max()))
-    return BlowupSequence(tuple(radii), fields, tuple(defects))
+    defects = tuple(_full_grid_cauchy_defect(f, g) for f, g in zip(fields, fields[1:]))
+    return BlowupSequence(tuple(radii), fields, defects)
+
+
+def _fancy_index_rescale_normalize(field: DiskField, r: float) -> DiskField:
+    """The rescale before its in-place blocked lerp: fancy-indexed rings and
+    a throwaway field for the energy; kept as its bit-exact reference."""
+    grid = field.grid
+    x = np.clip(r * grid.radii, 0.0, 1.0) * grid.n_r
+    i0 = np.minimum(x.astype(int), grid.n_r - 1)
+    fr = (x - i0)[:, None, None]
+    sheets = []
+    for sheet in (field.sheet1, field.sheet2):
+        lerp = sheet[i0] * (1 - fr)
+        lerp += sheet[i0 + 1] * fr
+        sheets.append(lerp)
+    root = np.sqrt(dirichlet_energy(DiskField(grid, *sheets, field.seam), 1.0))
+    return DiskField(grid, sheets[0] / root, sheets[1] / root, field.seam)
 
 
 def _assert_fields_close(got: DiskField, want: DiskField, rtol: float) -> None:
@@ -286,3 +314,57 @@ def test_blowup_sequence_zero_energy_raises(grid64):
     field = DiskField(grid64, zero, zero, Continuation.SWAP)
     with pytest.raises(ZeroEnergy):
         blowup_sequence(field, [0.5, 0.25])
+
+
+@pytest.mark.parametrize("seam", [Continuation.IDENTITY, Continuation.SWAP])
+@pytest.mark.parametrize("n_r, n_theta", [(16, 32), (64, 256), (40, 64)])
+def test_blowup_sequence_matches_fancy_index_reference_bitwise(seam, n_r, n_theta):
+    """Blocked in-place rescale and blocked Cauchy defects give the same
+    bits as the whole-grid formulas, also when the last block is partial."""
+    grid = PolarGrid(n_r, n_theta)
+    field = random_field(grid, seam, np.random.default_rng(n_theta))
+    radii = (1.0, 0.5, 0.37, 0.2)
+    seq = blowup_sequence(field, radii)
+    want = [_fancy_index_rescale_normalize(field, r) for r in radii]
+    for got, ref in zip(seq.fields, want):
+        assert got.sheet1.tobytes() == ref.sheet1.tobytes()
+        assert got.sheet2.tobytes() == ref.sheet2.tobytes()
+    assert seq.cauchy_defects == tuple(
+        _full_grid_cauchy_defect(f, g) for f, g in zip(want, want[1:])
+    )
+
+
+@pytest.mark.parametrize("seam", [Continuation.IDENTITY, Continuation.SWAP])
+def test_cauchy_defect_blocks_match_full_grid(seam):
+    """A node moved far off on one ring sets the sup exactly when the ring
+    lies outside the center exclusion zone, in any block."""
+    grid = PolarGrid(64, 32)
+    rng = np.random.default_rng(3)
+    f = random_field(grid, seam, rng)
+    for ring in (0, 2, 3, 31, 32, 33, 34, 63, 64):
+        moved = [f.sheet1.copy(), f.sheet2.copy()]
+        nodes = slice(5, 6) if ring else slice(None)  # the center is one node
+        moved[ring % 2][ring, nodes] += 100.0
+        g = DiskField(grid, *moved, seam)
+        got = _cauchy_defect(f, g)
+        assert got == _full_grid_cauchy_defect(f, g)
+        assert (got > 50.0) == (ring >= CENTER_EXCLUSION_RINGS)
+
+
+def test_energy_ladder_computed_once_per_field(grid64, monkeypatch):
+    """minimize, the profile, the blow-up and further energies of one field
+    share one ring quadrature; each rescaled field adds one of its own."""
+    calls = []
+    ring_energy = field_module._ring_energy
+
+    def counting(grid, s1, s2, seam):
+        calls.append(s1)
+        return ring_energy(grid, s1, s2, seam)
+
+    monkeypatch.setattr(field_module, "_ring_energy", counting)
+    field = minimize(single_mode_trace(1.5), grid64).field
+    frequency_profile(field, np.linspace(0.25, 1.0, 8))
+    blowup_sequence(field, (0.4, 0.2, 0.1))
+    dirichlet_energy(field, 0.5)
+    assert sum(s1 is field.sheet1 for s1 in calls) == 1
+    assert len(calls) == 1 + 3

@@ -8,7 +8,7 @@ from conftest import single_mode_trace
 from qdisk.cli import main
 from qdisk.field import load_field
 from qdisk.forms import Continuation
-from qdisk.minimizer import BoundaryTrace, save_trace
+from qdisk.minimizer import BoundaryTrace, load_trace, save_trace
 
 
 @pytest.fixture
@@ -281,3 +281,55 @@ def test_nyquist_sine_reported_on_stderr(tmp_path, capsys):
         "warning: folded modes: 1 at or above the grid's angular Nyquist carry 2.597e-02 "
         "of the spectral energy"
     ]
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("t.json", ["minimize", "{trace}", "--out", "{dir}/t.csv"]),  # the sidecar
+        ("t.csv", ["minimize", "{trace}", "--out", "{trace}"]),
+        ("f_profile.csv", ["minimize", "{trace}", "--out", "{dir}/f.csv"]),
+        ("t.json", ["minimize", "{trace}", "--out", "{dir}/./t"]),
+        ("t.json", ["blowup", "{trace}", "--out", "{trace}"]),
+        ("d_r0.2.csv", ["blowup", "{trace}", "--dump-fields", "{dir}/d"]),
+        ("d_r0.1.json", ["blowup", "{trace}", "--out", "{dir}/report.json",
+                         "--dump-fields", "{dir}/d"]),
+    ],
+)
+def test_outputs_never_overwrite_the_trace(perturbed_trace_file, tmp_path, capsys,
+                                           name, argv):
+    trace = tmp_path / name
+    trace.write_bytes(open(perturbed_trace_file, "rb").read())
+    before = sorted(tmp_path.iterdir())
+    argv = [a.format(trace=trace, dir=tmp_path) for a in argv]
+    assert main(argv) == 2
+    assert "would overwrite the input trace" in capsys.readouterr().err
+    assert trace.read_bytes() == open(perturbed_trace_file, "rb").read()
+    assert sorted(tmp_path.iterdir()) == before  # nothing written
+
+
+@pytest.mark.parametrize(
+    "content", ['{"theta": 1}', "[1, 2, 3]", '[{"theta": 0, "p1": {"x": 1}, "p2": [0, 1]}]']
+)
+def test_trace_that_is_not_an_array_of_rows(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    with pytest.raises(ValueError):
+        load_trace(path)
+    for command in ("minimize", "blowup"):
+        assert main([command, str(path), "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot load trace {path}")
+
+
+def test_stdout_carries_only_data(perturbed_trace_file, branched_trace_file, tmp_path, capsys):
+    assert main(["blowup", perturbed_trace_file, "--radii", "0.4,0.2,0.1"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["rounded_N"] == 1.5
+    assert captured.err.startswith("detected class: swap")
+    argv = ["minimize", branched_trace_file, "--out", str(tmp_path / "f.csv"), "--oracle"]
+    assert main([*argv, "--oracle-tol", "1e-12"]) == 3
+    captured = capsys.readouterr()
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == [
+        "class", "energy", "N0", "field dump", "oracle gap"]
+    assert captured.err.splitlines() == [
+        "detected class: swap (separation 2)", "oracle gap exceeds 1e-12"]

@@ -1,9 +1,12 @@
 import csv
+import dataclasses
 import hashlib
 import io
 
 import numpy as np
 import pytest
+
+from conftest import random_field
 
 from qdisk.errors import DegenerateField, GridTooCoarse, ZeroBoundaryMass
 from qdisk.field import (
@@ -12,6 +15,7 @@ from qdisk.field import (
     PolarGrid,
     _csv_rows,
     _ring_energy,
+    _ring_sums,
     boundary_mass,
     branch_report,
     dirichlet_energy,
@@ -179,15 +183,58 @@ def test_ring_energy_matches_node_density(seam, n_r, n_theta):
 
     Random nodes make every difference, the seam wrap included, count."""
     grid = PolarGrid(n_r, n_theta)
-    rng = np.random.default_rng(n_theta)
-    sheets = rng.normal(size=(2, n_r + 1, n_theta, 2))
-    sheets[:, 0] = sheets[:, 0, :1]
-    field = DiskField(grid, sheets[0], sheets[1], seam)
+    field = random_field(grid, seam, np.random.default_rng(n_theta))
     want = sum(_stack_density_reference(s, grid).sum(axis=1) for s in field.stacks())
     want = want * grid.dtheta * grid.radii
-    got = _ring_energy(field)
+    got = _ring_energy(grid, field.sheet1, field.sheet2, seam)
     assert got[0] == want[0] == 0.0
     np.testing.assert_allclose(got[1:], want[1:], rtol=1e-13, atol=0)
+
+
+def _unblocked_ring_energy(field: DiskField) -> np.ndarray:
+    """_ring_energy before it took rings in blocks (whole-grid difference
+    arrays), kept as its bit-exact reference."""
+    grid = field.grid
+    radial = np.zeros(grid.n_r + 1)
+    angular = np.zeros(grid.n_r + 1)
+    s1, s2 = field.sheet1, field.sheet2
+    swap = field.seam is Continuation.SWAP
+    for sheet, across in ((s1, s2 if swap else s1), (s2, s1 if swap else s2)):
+        radial[1:-1] += _ring_sums(sheet[2:] - sheet[:-2]) / (2 * grid.dr) ** 2
+        radial[-1:] += _ring_sums(sheet[-1:] - sheet[-2:-1]) / grid.dr**2
+        rings = sheet[1:]
+        angular[1:] += _ring_sums(rings[:, 2:] - rings[:, :-2])
+        first = rings[:, 1] - across[1:, -1]
+        last = across[1:, 0] - rings[:, -2]
+        angular[1:] += _ring_sums(np.stack([first, last], axis=1))
+    angular[1:] /= (2 * grid.dtheta * grid.radii[1:]) ** 2
+    return (radial + angular) * grid.dtheta * grid.radii
+
+
+@pytest.mark.parametrize("seam", [Continuation.IDENTITY, Continuation.SWAP])
+@pytest.mark.parametrize("n_r, n_theta", [(16, 32), (64, 256), (33, 64), (40, 64)])
+def test_ring_energy_blocks_match_unblocked(seam, n_r, n_theta):
+    """Blocks of RING_BLOCK rings give every ring the same bits as whole-grid
+    differences; 33 rings leave the boundary ring alone in its block."""
+    grid = PolarGrid(n_r, n_theta)
+    field = random_field(grid, seam, np.random.default_rng(n_r))
+    got = _ring_energy(grid, field.sheet1, field.sheet2, seam)
+    assert got.tobytes() == _unblocked_ring_energy(field).tobytes()
+
+
+def test_sheets_and_energy_ladder_are_read_only(grid32):
+    field = random_field(grid32, Continuation.SWAP, np.random.default_rng(1))
+    with pytest.raises(ValueError):
+        field.sheet1[1, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        field.sheet2 *= 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        field.sheet1 = field.sheet2
+    ladder = field._cumulative_energy
+    assert field._cumulative_energy is ladder
+    with pytest.raises(ValueError):
+        ladder[-1] = 1.0
+    assert dirichlet_energy(field, 1.0) == ladder[-1]
 
 
 def test_branch_report_swap_entry(grid64):

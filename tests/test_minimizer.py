@@ -266,6 +266,76 @@ def test_spectral_energy_closed_form():
     )
 
 
+def _old_spectral_energy(spectrum: Spectrum) -> float:
+    """spectral_energy before it took a radius."""
+    total = 0.0
+    for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs):
+        k = np.arange(cos.shape[0])
+        total += np.pi * np.sum(k * (np.sum(cos**2, axis=1) + np.sum(sin**2, axis=1)))
+    return float(total)
+
+
+@pytest.mark.parametrize("kind", [Continuation.IDENTITY, Continuation.SWAP])
+def test_spectral_energy_at_radius(kind):
+    """D(r) weights mode k by r^(2 k unit); at r = 1 it keeps its bits."""
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        spectrum = analyze_spectrum(lift_boundary(random_trace(rng, kind, n=64, mode0=True)))
+        assert spectral_energy(spectrum) == _old_spectral_energy(spectrum)
+        assert spectral_energy(spectrum, 1.0) == _old_spectral_energy(spectrum)
+    half = analyze_spectrum(lift_boundary(single_mode_trace(1.5)))
+    for r in (0.5, 0.1):
+        np.testing.assert_allclose(spectral_energy(half, r), 6 * np.pi * r**3, rtol=1e-12)
+
+
+def _closed_form_mass(spectrum: Spectrum, r: float) -> float:
+    """H(r) of the spectral extension: a loop of period L carries L |A_0|^2
+    in mode 0 and L/2 (|A_k|^2 + |B_k|^2) r^(2 k unit) in mode k."""
+    unit = spectrum.frequency_unit
+    period = 2 * np.pi / unit
+    total = 0.0
+    for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs):
+        k = np.arange(cos.shape[0])
+        weight = np.where(k == 0, period, period / 2) * r ** (2 * k * unit)
+        total += np.sum(weight * (np.sum(cos**2, axis=1) + np.sum(sin**2, axis=1)))
+    return r * total
+
+
+# Quadrature errors measured on the 3/2 + 0.1 * 7/2 trace: the relative
+# error of D(1), the largest relative error of D over the profile radii, and
+# the largest absolute error of N there. They shrink about 16x from 64 to
+# 256 rings, as second-order quadrature should.
+QUADRATURE_ERRORS = {
+    (64, 256): (3.656e-4, 6.543e-4, 9.815e-4),
+    (256, 1024): (2.299e-5, 4.369e-5, 6.554e-5),
+}
+
+
+@pytest.mark.parametrize("n_r, n_theta", sorted(QUADRATURE_ERRORS))
+def test_quadrature_error_against_closed_form(n_r, n_theta):
+    """Pins the quadrature's error against closed-form D(r), H(r), N(r)
+    within 2% of the measured value either way; H is exact to rounding,
+    since the ring sum integrates trigonometric polynomials exactly."""
+    th = 2 * np.pi * np.arange(n_theta) / n_theta
+    cover = np.concatenate([th, th + 2 * np.pi])
+    loop = np.stack([np.cos(1.5 * cover) + 0.1 * np.cos(3.5 * cover),
+                     np.sin(1.5 * cover) + 0.1 * np.sin(3.5 * cover)], axis=1)
+    grid = PolarGrid(n_r, n_theta)
+    result = minimize(BoundaryTrace.from_values(loop[:n_theta], loop[n_theta:]), grid)
+    spectrum = result.spectrum
+    profile = frequency_profile(result.field, np.linspace(0.25, 1.0, 16))
+    radii = grid.radii[[grid.ring_of(r) for r in profile.radii]]
+    D = np.array([spectral_energy(spectrum, r) for r in radii])
+    H = np.array([_closed_form_mass(spectrum, r) for r in radii])
+    np.testing.assert_allclose(profile.H, H, rtol=1e-14)
+    errors = (
+        abs(result.energy - spectral_energy(spectrum)) / spectral_energy(spectrum),
+        np.max(np.abs(profile.D - D) / D),
+        np.max(np.abs(profile.N - radii * D / H)),
+    )
+    np.testing.assert_allclose(errors, QUADRATURE_ERRORS[n_r, n_theta], rtol=0.02)
+
+
 def test_double_cover_energy_identity(grid64):
     """Branched 2-valued energy equals the unfolded single-loop energy.
 
