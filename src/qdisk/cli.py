@@ -62,6 +62,7 @@ from .forms import (
     table_to_csv,
     table_to_json,
 )
+# unused here; perfbench/tracing.py wraps them: analyze_spectrum, forced_lift, lift_boundary
 from .minimizer import (
     analyze_spectrum,
     folded_modes,
@@ -150,16 +151,27 @@ def cmd_table(args) -> int:
 
 def _load_trace_checked(path: str):
     try:
-        trace = load_trace(path)
+        return load_trace(path)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot load trace {path}: {exc}") from exc
-    try:
-        lift = lift_boundary(trace)
-        print(f"detected class: {lift.kind.value} "
-              f"(separation {trace.separation():.3g})", file=sys.stderr)
-    except AmbiguousClass:
-        print("detected class: ambiguous (sheets collide)", file=sys.stderr)
-    return trace
+
+
+def _minimize_trace(args):
+    """Load the trace and minimize it: the run's one class decision, which
+    the rest of the command reads from the result. Unless --class forced
+    the class, the decision goes to stderr."""
+    trace = _load_trace_checked(args.trace)
+    grid = PolarGrid(args.nr, args.ntheta)
+    kind = Continuation(args.klass) if args.klass else None
+    result = minimize(trace, grid, kind=kind)
+    if kind is None:
+        detected = (
+            f"{result.kind.value} (separation {trace.separation():.3g})"
+            if result.alt_energy is None
+            else "ambiguous (sheets collide)"
+        )
+        print(f"detected class: {detected}", file=sys.stderr)
+    return grid, result
 
 
 def _refuse_overwrite(trace: str, outputs) -> None:
@@ -185,10 +197,7 @@ def cmd_minimize(args) -> int:
     base = Path(args.out) if args.out else Path("minimized_field.csv")
     profile_path = base.with_name(base.stem + "_profile.csv")
     _refuse_overwrite(args.trace, (*dump_files(base), profile_path))
-    trace = _load_trace_checked(args.trace)
-    grid = PolarGrid(args.nr, args.ntheta)
-    kind = Continuation(args.klass) if args.klass else None
-    result = minimize(trace, grid, kind=kind)
+    grid, result = _minimize_trace(args)
     _report_folding(result.spectrum, grid)
     print(f"class: {result.kind.value}")
     print(f"energy: {result.energy:.12g}")
@@ -204,7 +213,7 @@ def cmd_minimize(args) -> int:
     print(f"field dump: {base}  profile: {profile_path}")
 
     if args.oracle:
-        relaxed = relax_oracle(trace, grid, kind=result.kind)
+        relaxed = relax_oracle(result.spectrum, grid)
         gap = abs(dirichlet_energy(relaxed, 1.0) - result.energy) / max(
             result.energy, 1e-30
         )
@@ -218,14 +227,8 @@ def cmd_minimize(args) -> int:
 def cmd_blowup(args) -> int:
     if args.out is not None:
         _refuse_overwrite(args.trace, (args.out,))
-    trace = _load_trace_checked(args.trace)
-    grid = PolarGrid(args.nr, args.ntheta)
-    kind = Continuation(args.klass) if args.klass else None
-
-    lift = forced_lift(trace, kind) if kind else lift_boundary(trace)
-    spectrum = analyze_spectrum(lift)
-    n0 = frequency_from_spectrum(spectrum)
-    if n0 == 0.0:
+    grid, result = _minimize_trace(args)
+    if frequency_from_spectrum(result.spectrum) == 0.0:
         # nonzero value at the origin: frequency zero, nothing to blow up
         report = {"fitted_N": 0.0, "rounded_N": 0.0, "continuation": None,
                   "residual": None, "boundary_mass": None, "1/N": None,
@@ -240,7 +243,6 @@ def cmd_blowup(args) -> int:
     dumps = [Path(f"{args.dump_fields}_r{r:g}.csv") for r in radii] if args.dump_fields else []
     _refuse_overwrite(args.trace, [p for csv in dumps for p in dump_files(csv)])
 
-    result = minimize(trace, grid, kind=kind)
     _report_folding(result.spectrum, grid)
     seq = blowup_sequence(result.field, radii)
     limit = seq.fields[-1]

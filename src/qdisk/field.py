@@ -114,16 +114,16 @@ class DiskField:
 
     @classmethod
     def from_stacks(cls, grid: PolarGrid, stacks, seam: Continuation) -> "DiskField":
+        """Field from periodic stacks (the inverse of ``stacks``). Takes the
+        arrays: identity-class stacks become the sheets without a copy, so
+        the caller must not write to them afterwards."""
         if seam is Continuation.IDENTITY:
             sheet1, sheet2 = stacks
         else:
             (cover,) = stacks
             sheet1 = cover[:, : grid.n_theta]
             sheet2 = cover[:, grid.n_theta :]
-        return cls(grid, sheet1.copy(), sheet2.copy(), seam)
-
-    def pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.sheet1, self.sheet2
+        return cls(grid, sheet1, sheet2, seam)
 
 
 def sample_field(entry: HomogeneousPair, grid: PolarGrid) -> DiskField:
@@ -219,21 +219,10 @@ def boundary_mass(field: DiskField, r: float) -> float:
     return total * grid.dtheta * grid.radii[i]
 
 
-def frequency(field: DiskField, r: float, eps_h: float = EPS_BOUNDARY_MASS) -> float:
-    """Frequency N(r) = r * D(r) / H(r) at a grid-aligned radius.
-
-    Radii under 3 grid rings are refused rather than extrapolated from
-    noise; a vanishing boundary circle raises ZeroBoundaryMass.
-    """
-    grid = field.grid
-    i = grid.ring_of(r)
-    if i < 3:
-        raise GridTooCoarse(f"radius {r} is below 3 grid rings")
-    H = boundary_mass(field, r)
-    if H <= eps_h:
-        raise ZeroBoundaryMass(f"boundary mass {H:.3e} at r={r}")
-    D = dirichlet_energy(field, r)
-    return float(grid.radii[i] * D / H)
+def frequency(field: DiskField, r: float) -> float:
+    """Frequency N(r) = r * D(r) / H(r) at the grid ring nearest r: the
+    one-radius ``frequency_profile``, with its errors."""
+    return float(frequency_profile(field, [r]).N[0])
 
 
 @dataclass(frozen=True)
@@ -313,8 +302,7 @@ def branch_report(field: DiskField, tol: float = 1e-9) -> BranchReport:
     whose neighbors are the whole first ring). J is the number of distinct
     sheets over the slit disk.
     """
-    s1, s2 = field.pair_arrays()
-    gap = np.linalg.norm(s1 - s2, axis=-1)
+    gap = np.linalg.norm(field.sheet1 - field.sheet2, axis=-1)
     sigma = np.where(gap <= tol, 1, 2).astype(np.int8)
     J = 2 if float(gap.max()) > tol else 1
 
@@ -352,7 +340,7 @@ def seam_defect(field: DiskField) -> float:
     Vanishes (to quadrature order) for fields sampled from admissible
     entries and stays bounded away from zero for forced invalid seams.
     """
-    s1, s2 = field.pair_arrays()
+    s1, s2 = field.sheet1, field.sheet2
     e1 = 2.0 * s1[:, -1] - s1[:, -2]
     e2 = 2.0 * s2[:, -1] - s2[:, -2]
     dists = pair_distance_arrays(e1, e2, s1[:, 0], s2[:, 0])

@@ -310,15 +310,6 @@ def seam_solutions(
     return None
 
 
-def sum_form_admissible(t1: FourTuple, t2: FourTuple, tol: float = 1e-9):
-    """Classify the componentwise sum; NOT_CONFORMAL means inadmissible.
-
-    The average of the two sheets must itself be an energy minimizer, so the
-    summed tuple has to land in one of the seven families.
-    """
-    return classify_form(FourTuple(*t1).plus(FourTuple(*t2)), tol)
-
-
 @dataclass(frozen=True)
 class MatchOutcome:
     """Matching result for an ordered pair of sheets.
@@ -367,7 +358,8 @@ def match_pair(t1: FourTuple, t2: FourTuple, tol: float = 1e-9) -> MatchOutcome:
     if all(abs(x) <= tol * scale for x in t1 + t2):
         raise DegeneratePair("both sheets are the zero form")
 
-    sum_cls = sum_form_admissible(t1, t2, tol)
+    # the sheets' average must itself be a minimizer: their sum is conformal
+    sum_cls = classify_form(t1.plus(t2), tol)
     if not sum_cls.is_conformal:
         return MatchOutcome(None, None, (), None)
 
@@ -487,8 +479,8 @@ def build_match_table() -> list[TableRow]:
                 continue
             verdicts = []
             for w1, w2 in ((_WITNESS_1, _WITNESS_2), (_WITNESS_2, _WITNESS_3)):
-                s = sum_form_admissible(
-                    _witness_form(i, w1).to_tuple(), _witness_form(j, w2).to_tuple()
+                s = classify_form(
+                    _witness_form(i, w1).to_tuple().plus(_witness_form(j, w2).to_tuple())
                 )
                 verdicts.append(s.is_conformal)
             if verdicts[0] != verdicts[1]:

@@ -11,10 +11,11 @@ branched pair through w -> w^2 preserves Dirichlet energy in two
 dimensions); the identity is enforced by a property test rather than
 assumed silently.
 
-The verification oracle is independent of this spectral route: it
-minimizes the discrete five-point polar Dirichlet energy with the boundary
-ring fixed, exactly, by an FFT in angle and one tridiagonal solve in r per
-mode (``qdisk._kernels``). The two agree up to discretization error.
+The verification oracle is independent of the spectral extension: given
+the same spectrum (the boundary data), it minimizes the discrete
+five-point polar Dirichlet energy with the boundary ring fixed, exactly,
+by an FFT in angle and one tridiagonal solve in r per mode
+(``qdisk._kernels``). The two agree up to discretization error.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ from .field import DiskField, PolarGrid, dirichlet_energy
 from .forms import Continuation
 
 COEFF_EPS = 1e-12
+# Sheets closer than this at a sample collide there; a trace with a collision
+# admits both continuation classes.
+SEP_TOL = 1e-9
 # Largest relative energy decrease one reference Gauss-Seidel sweep may find
 # in the oracle's solution; rounding leaves about 1e-16.
 STATIONARY_TOL = 1e-10
@@ -137,15 +141,20 @@ def _track_selection(trace: BoundaryTrace) -> tuple[np.ndarray, np.ndarray, bool
     return sel, comp, nearer_first(0, x, y)
 
 
-def lift_boundary(trace: BoundaryTrace, sep_tol: float = 1e-9) -> BoundaryLift:
+def _collisions(trace: BoundaryTrace) -> np.ndarray:
+    """Indices of the samples where the sheets collide."""
+    return np.nonzero(np.linalg.norm(trace.p1 - trace.p2, axis=1) < SEP_TOL)[0]
+
+
+def lift_boundary(trace: BoundaryTrace) -> BoundaryLift:
     """Decide the continuation class by tracking values around the circle.
 
-    Raises AmbiguousClass when the sheets collide anywhere within sep_tol;
+    Raises AmbiguousClass when the sheets collide anywhere (within SEP_TOL);
     colliding data admits both classes and the caller must choose.
     """
-    if trace.separation() < sep_tol:
+    if trace.separation() < SEP_TOL:
         raise AmbiguousClass(
-            f"sheet separation {trace.separation():.3e} below {sep_tol:.3e}"
+            f"sheet separation {trace.separation():.3e} below {SEP_TOL:.3e}"
         )
     sel, comp, closes = _track_selection(trace)
     if closes:
@@ -164,20 +173,17 @@ def forced_lift(trace: BoundaryTrace, kind: Continuation) -> BoundaryLift:
     sel, comp, _ = _track_selection(trace)
     if kind is Continuation.IDENTITY:
         return BoundaryLift(kind, (sel, comp))
-    gaps = np.linalg.norm(trace.p1 - trace.p2, axis=1)
-    collisions = np.nonzero(gaps < 1e-9)[0]
+    collisions = _collisions(trace)
     j = int(collisions[0]) if len(collisions) else 0
     loop = np.concatenate([sel[:j], comp[j:], comp[:j], sel[j:]])
     return BoundaryLift(kind, (loop,))
 
 
-def _collision_events(trace: BoundaryTrace, sep_tol: float) -> list[np.ndarray]:
+def _collision_events(trace: BoundaryTrace) -> list[np.ndarray]:
     """Maximal runs of consecutive sample indices where the sheets collide."""
-    gaps = np.linalg.norm(trace.p1 - trace.p2, axis=1)
-    hit = gaps < sep_tol
-    if not hit.any():
+    idx = _collisions(trace)
+    if not len(idx):
         return []
-    idx = np.nonzero(hit)[0]
     events = [[idx[0]]]
     for a in idx[1:]:
         if a == events[-1][-1] + 1:
@@ -375,10 +381,7 @@ class MinimizeResult:
 
 
 def minimize(
-    trace: BoundaryTrace,
-    grid: PolarGrid,
-    sep_tol: float = 1e-9,
-    kind: Continuation | None = None,
+    trace: BoundaryTrace, grid: PolarGrid, kind: Continuation | None = None
 ) -> MinimizeResult:
     """Spectral minimizer of the Dirichlet energy for the trace.
 
@@ -387,7 +390,8 @@ def minimize(
     both are built and the lower-energy one returned with alt_energy set.
     More collision events admit further resplittings, which are not
     enumerated: AmbiguousClass propagates. An explicit ``kind`` skips
-    detection.
+    detection. The result's ``kind`` and ``spectrum`` are what the rest of
+    a run reads: the trace is lifted here and nowhere else.
     """
 
     def build(l: BoundaryLift) -> MinimizeResult:
@@ -399,9 +403,9 @@ def minimize(
         return build(forced_lift(trace, kind))
 
     try:
-        lift = lift_boundary(trace, sep_tol)
+        lift = lift_boundary(trace)
     except AmbiguousClass:
-        events = _collision_events(trace, sep_tol)
+        events = _collision_events(trace)
         if len(events) != 1:
             raise AmbiguousClass(
                 f"{len(events)} collision events admit more than the two "
@@ -434,25 +438,19 @@ def _sweep_decrease(u: np.ndarray, dtheta: float) -> float:
     return (energy - _kernels.gs_energy(swept, dtheta)) / max(energy, 1e-30)
 
 
-def relax_oracle(
-    trace: BoundaryTrace,
-    grid: PolarGrid,
-    kind: Continuation | None = None,
-    sep_tol: float = 1e-9,
-) -> DiskField:
+def relax_oracle(spectrum: Spectrum, grid: PolarGrid) -> DiskField:
     """Independent minimizer of the discrete polar Dirichlet energy.
 
-    Fixes the boundary ring to the band-limited resample of each loop and
-    minimizes the five-point polar energy exactly (``_kernels.solve``: an
-    FFT in angle and one tridiagonal solve in r per mode). One reference
+    Fixes the boundary ring to the band-limited resample of each loop of
+    ``spectrum``, in its class, and minimizes the five-point polar energy
+    exactly (``_kernels.solve``: an FFT in angle and one tridiagonal solve
+    in r per mode). One reference
     Gauss-Seidel sweep then checks the result: it must not lower the
     discrete energy by more than ``STATIONARY_TOL`` relative, else
     NotStationary is raised.
     """
-    lift = lift_boundary(trace, sep_tol) if kind is None else forced_lift(trace, kind)
     stacks = [
-        _kernels.solve(bnd, grid.n_r, grid.dtheta)
-        for bnd in _boundary_rows(analyze_spectrum(lift), grid)
+        _kernels.solve(bnd, grid.n_r, grid.dtheta) for bnd in _boundary_rows(spectrum, grid)
     ]
     for u in stacks:
         decrease = _sweep_decrease(u, grid.dtheta)
@@ -460,4 +458,4 @@ def relax_oracle(
             raise NotStationary(
                 f"a reference sweep lowers the discrete energy by {decrease:.3e}"
             )
-    return DiskField.from_stacks(grid, stacks, lift.kind)
+    return DiskField.from_stacks(grid, stacks, spectrum.kind)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import single_mode_trace
 
+from qdisk import minimizer
 from qdisk.cli import main
 from qdisk.field import load_field
 from qdisk.forms import Continuation
@@ -333,3 +334,70 @@ def test_stdout_carries_only_data(perturbed_trace_file, branched_trace_file, tmp
         "class", "energy", "N0", "field dump", "oracle gap"]
     assert captured.err.splitlines() == [
         "detected class: swap (separation 2)", "oracle gap exceeds 1e-12"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["minimize", "--out", "{dir}/f.csv"], ["minimize", "--oracle", "--out", "{dir}/f.csv"],
+     ["blowup", "--out", "{dir}/report.json"]],
+    ids=["minimize", "minimize-oracle", "blowup"],
+)
+def test_each_command_lifts_once(perturbed_trace_file, tmp_path, monkeypatch, argv):
+    """minimize decides the class; the class line, the dichotomy check and
+    the oracle read its result instead of tracking the trace again."""
+    calls = []
+    track = minimizer._track_selection
+
+    def counted(trace):
+        calls.append(trace)
+        return track(trace)
+
+    monkeypatch.setattr(minimizer, "_track_selection", counted)
+    command, *rest = argv
+    assert main([command, perturbed_trace_file, *(a.format(dir=tmp_path) for a in rest)]) == 0
+    assert len(calls) == 1
+
+
+def test_blowup_follows_minimize_on_one_collision(tmp_path, capsys):
+    """Double loop e^(3it/2) + e^(5it/2): the sheets meet at theta = pi only,
+    so minimize compares both classes and blowup takes its choice."""
+    n = 256
+    th = 2 * np.pi * np.arange(n) / n
+    cover = np.concatenate([th, th + 2 * np.pi])
+    loop = sum(np.stack([np.cos(nu * cover), np.sin(nu * cover)], axis=1) for nu in (1.5, 2.5))
+    path = str(tmp_path / "one_collision.json")
+    save_trace(BoundaryTrace.from_values(loop[:n], loop[n:]), path)
+    assert main(["minimize", path, "--out", str(tmp_path / "f.csv")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "class: swap"
+    assert captured.out.splitlines()[2].startswith("alt-energy: ")
+    assert captured.err == "detected class: ambiguous (sheets collide)\n"
+
+    out = tmp_path / "report.json"
+    assert main(["blowup", path, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "detected class: ambiguous (sheets collide)\n"
+    report = json.loads(out.read_text())
+    assert report["continuation"] == "swap"
+    assert report["rounded_N"] == 1.5
+
+
+def test_detected_class_only_when_minimize_detects_it(perturbed_trace_file, tmp_path, capsys):
+    for command, out in (("minimize", "f.csv"), ("blowup", "report.json")):
+        argv = [command, perturbed_trace_file, "--out", str(tmp_path / out)]
+        assert main([*argv, "--class", "swap"]) == 0
+        assert capsys.readouterr().err == ""
+        # a run that fails before minimize decides prints only the error
+        assert main([*argv, "--nr", "2"]) == 2
+        assert capsys.readouterr().err == "error: GridTooCoarse: n_r must be >= 4, got 2\n"
+
+    n = 128
+    th = 2 * np.pi * np.arange(n) / n
+    p1 = np.stack([np.cos(th), np.sin(th)], axis=1)
+    path = tmp_path / "collide.json"
+    save_trace(BoundaryTrace.from_values(p1, p1 * [1, -1]), path)  # collides twice
+    for command in ("minimize", "blowup"):
+        assert main([command, str(path), "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: AmbiguousClass: 2 collision events admit more than the two canonical "
+            "splittings; pass the class explicitly\n"
+        )

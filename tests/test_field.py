@@ -237,6 +237,21 @@ def test_sheets_and_energy_ladder_are_read_only(grid32):
     assert dirichlet_energy(field, 1.0) == ladder[-1]
 
 
+@pytest.mark.parametrize("seam", list(Continuation))
+def test_from_stacks_takes_the_arrays(grid32, seam):
+    """Identity stacks become the sheets without a copy; the halves of the
+    swap cover are copied into contiguous sheets. Both round-trip."""
+    field = random_field(grid32, seam, np.random.default_rng(3))
+    stacks = field.stacks()
+    rebuilt = DiskField.from_stacks(grid32, stacks, seam)
+    assert np.array_equal(rebuilt.sheet1, field.sheet1)
+    assert np.array_equal(rebuilt.sheet2, field.sheet2)
+    shared = [np.shares_memory(s, stack) for s in (rebuilt.sheet1, rebuilt.sheet2)
+              for stack in stacks]
+    assert any(shared) == (seam is Continuation.IDENTITY)
+    assert rebuilt.sheet1.flags.c_contiguous and not rebuilt.sheet1.flags.writeable
+
+
 def test_branch_report_swap_entry(grid64):
     rep = branch_report(make_field(BRANCHED_HALF))
     assert rep.J == 2

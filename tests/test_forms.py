@@ -18,7 +18,6 @@ from qdisk.forms import (
     seam_solutions,
     sheet_eval,
     sheet_gradient,
-    sum_form_admissible,
 )
 from qdisk.qpoint import QPoint, pair_distance
 
@@ -162,10 +161,10 @@ def test_seam_solutions_degenerate_pair():
 
 
 def test_sum_form_examples():
-    assert not sum_form_admissible(F1, FormClass(2, (0.5,)).to_tuple()).is_conformal
-    got = sum_form_admissible(F1, F4B)
+    assert not classify_form(F1.plus(FormClass(2, (0.5,)).to_tuple())).is_conformal
+    got = classify_form(F1.plus(F4B))
     assert got.tag == 5
-    got = sum_form_admissible(F1, F7T)
+    got = classify_form(F1.plus(F7T))
     assert got == FormClass(1, (0.8,))
 
 

@@ -384,7 +384,7 @@ def test_relax_matches_spectral_branched(grid64):
              (single_mode_trace(1.0, n=32), PolarGrid(16, 32))]
     for trace, grid in cases:
         spectral = minimize(trace, grid)
-        relaxed = relax_oracle(trace, grid)
+        relaxed = relax_oracle(spectral.spectrum, grid)
         gap = abs(dirichlet_energy(relaxed, 1.0) - spectral.energy) / spectral.energy
         assert gap <= 0.01
 
@@ -392,10 +392,10 @@ def test_relax_matches_spectral_branched(grid64):
 def test_relax_recovers_harmonic_boundary(grid64):
     """Boundary data already harmonic: relaxation reproduces it."""
     trace = single_mode_trace(1.0)
-    relaxed = relax_oracle(trace, grid64)
-    ref = minimize(trace, grid64).field
+    ref = minimize(trace, grid64)
+    relaxed = relax_oracle(ref.spectrum, grid64)
     err = pair_distance_arrays(
-        relaxed.sheet1, relaxed.sheet2, ref.sheet1, ref.sheet2
+        relaxed.sheet1, relaxed.sheet2, ref.field.sheet1, ref.field.sheet2
     )
     assert err.max() <= 5e-4
 
@@ -403,7 +403,7 @@ def test_relax_recovers_harmonic_boundary(grid64):
 def test_relax_plain_gauss_seidel_small_grid():
     """The oracle's discrete energy is that of a long plain Gauss-Seidel run."""
     grid = PolarGrid(16, 32)
-    relaxed = relax_oracle(single_mode_trace(1.0, n=32), grid)
+    relaxed = relax_oracle(analyze_spectrum(lift_boundary(single_mode_trace(1.0, n=32))), grid)
     rho = grid.radii[:, None, None]
     for sheet in (relaxed.sheet1, relaxed.sheet2):
         boundary = sheet[-1]
@@ -430,7 +430,7 @@ def test_relax_rejects_non_stationary_solution(grid64, monkeypatch):
 
     monkeypatch.setattr(_kernels, "solve", perturbed)
     with pytest.raises(NotStationary):
-        relax_oracle(single_mode_trace(0.5), grid64)
+        relax_oracle(analyze_spectrum(lift_boundary(single_mode_trace(0.5))), grid64)
 
 
 def test_minimality_within_class(grid64):
@@ -498,7 +498,7 @@ def test_relax_doubled_boundary(grid64):
     th = 2 * np.pi * np.arange(n) / n
     z = np.stack([np.cos(th), np.sin(th)], axis=1)
     trace = BoundaryTrace.from_values(z, z.copy())
-    relaxed = relax_oracle(trace, grid64, kind=Continuation.IDENTITY)
+    relaxed = relax_oracle(analyze_spectrum(forced_lift(trace, Continuation.IDENTITY)), grid64)
     r = grid64.radii[:, None]
     expected = np.stack(
         [r * np.cos(grid64.thetas)[None, :], r * np.sin(grid64.thetas)[None, :]],
