@@ -157,7 +157,7 @@ def _fit_sheet_tuple(values: np.ndarray, thetas: np.ndarray, N: float) -> FourTu
     """Least-squares coefficients of one sheet's boundary ring at degree N."""
     basis = np.stack([np.cos(N * thetas), np.sin(N * thetas)], axis=1)
     sol, *_ = np.linalg.lstsq(basis, values, rcond=None)
-    return FourTuple(sol[0, 0], sol[1, 0], sol[0, 1], sol[1, 1])
+    return FourTuple(*sol.T.ravel().tolist())
 
 
 def identify_catalog(

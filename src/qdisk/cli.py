@@ -83,6 +83,7 @@ EXIT_NUMERICAL = 3
 # limits; the exact-input tolerance (--tol) is far below fit noise.
 BLOWUP_FIT_TOL = 0.05
 
+DEFAULT_ORACLE_TOL = 0.01
 DEFAULT_PROFILE_RADII = tuple(np.linspace(0.25, 1.0, 16))
 DEFAULT_BLOWUP_RADII = (0.4, 0.2, 0.1)
 
@@ -194,6 +195,9 @@ def _report_folding(spectrum, grid: PolarGrid) -> None:
 
 
 def cmd_minimize(args) -> int:
+    if args.oracle_tol is not None and not args.oracle:
+        raise UsageError("--oracle-tol requires --oracle")
+    oracle_tol = DEFAULT_ORACLE_TOL if args.oracle_tol is None else args.oracle_tol
     base = Path(args.out) if args.out else Path("minimized_field.csv")
     profile_path = base.with_name(base.stem + "_profile.csv")
     _refuse_overwrite(args.trace, (*dump_files(base), profile_path))
@@ -206,7 +210,8 @@ def cmd_minimize(args) -> int:
 
     radii = _parse_radii(args.radii, DEFAULT_PROFILE_RADII)
     profile = frequency_profile(result.field, radii)
-    print(f"N0: {profile.N0:.6g}  monotonicity defect: {profile.monotonicity_defect:.3g}")
+    N0 = frequency_from_spectrum(result.spectrum)
+    print(f"N0: {N0:.6g}  monotonicity defect: {profile.monotonicity_defect:.3g}")
 
     save_field(result.field, base)
     profile.to_csv(profile_path)
@@ -218,8 +223,8 @@ def cmd_minimize(args) -> int:
             result.energy, 1e-30
         )
         print(f"oracle gap: {gap:.3e}")
-        if gap > args.oracle_tol:
-            print(f"oracle gap exceeds {args.oracle_tol:g}", file=sys.stderr)
+        if gap > oracle_tol:
+            print(f"oracle gap exceeds {oracle_tol:g}", file=sys.stderr)
             return EXIT_NUMERICAL
     return EXIT_OK
 
@@ -227,7 +232,17 @@ def cmd_minimize(args) -> int:
 def cmd_blowup(args) -> int:
     if args.out is not None:
         _refuse_overwrite(args.trace, (args.out,))
-    grid, result = _minimize_trace(args)
+    # every argument check runs before minimize, whatever the data
+    grid = PolarGrid(args.nr, args.ntheta)
+    radii = tuple(sorted(_parse_radii(args.radii, DEFAULT_BLOWUP_RADII), reverse=True))
+    if any(r * grid.n_r < 3 for r in radii):
+        raise UsageError("blow-up radii below grid resolution (3 rings)")
+    if len(set(radii)) < len(radii):
+        raise UsageError("radii must be strictly decreasing")
+    dumps = [Path(f"{args.dump_fields}_r{r:g}.csv") for r in radii] if args.dump_fields else []
+    _refuse_overwrite(args.trace, [p for csv in dumps for p in dump_files(csv)])
+
+    _, result = _minimize_trace(args)
     if frequency_from_spectrum(result.spectrum) == 0.0:
         # nonzero value at the origin: frequency zero, nothing to blow up
         report = {"fitted_N": 0.0, "rounded_N": 0.0, "continuation": None,
@@ -235,13 +250,6 @@ def cmd_blowup(args) -> int:
                   "note": "value at origin is nonzero; frequency 0"}
         _write_out(report_to_json(report), args.out)
         return EXIT_OK
-
-    radii = _parse_radii(args.radii, DEFAULT_BLOWUP_RADII)
-    radii = tuple(sorted(radii, reverse=True))
-    if any(r * grid.n_r < 3 for r in radii):
-        raise UsageError("blow-up radii below grid resolution (3 rings)")
-    dumps = [Path(f"{args.dump_fields}_r{r:g}.csv") for r in radii] if args.dump_fields else []
-    _refuse_overwrite(args.trace, [p for csv in dumps for p in dump_files(csv)])
 
     _report_folding(result.spectrum, grid)
     seq = blowup_sequence(result.field, radii)
@@ -275,7 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minimize", help="minimize boundary data")
     _add_trace_args(p)
     p.add_argument("--oracle", action="store_true", help="run the relaxation oracle")
-    p.add_argument("--oracle-tol", type=float, default=0.01, help="max relative oracle gap")
+    p.add_argument(
+        "--oracle-tol",
+        type=float,
+        default=None,
+        help=f"max relative oracle gap (default {DEFAULT_ORACLE_TOL:g}; needs --oracle)",
+    )
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("blowup", help="blow-up analysis of a minimizer")

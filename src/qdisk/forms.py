@@ -12,14 +12,13 @@ The real solutions of this pair fall into exactly seven parametric families
 addition close up across the slit at theta = 0 vs theta = 2*pi, either
 sheet-to-same-sheet (identity continuation) or sheet-to-other-sheet (swap
 continuation), and the average of the two sheets must itself be one of the
-seven families. This module classifies tuples, solves the seam systems,
+seven families. This module classifies tuples, decides seam closure,
 builds the full matching table, and enumerates concrete admissible entries.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -57,7 +56,8 @@ class FourTuple(NamedTuple):
         )
 
     def negated(self) -> "FourTuple":
-        return FourTuple(-self.a, -self.b, -self.c, -self.d)
+        # 0.0 - x rather than -x keeps structural zeros +0.0
+        return FourTuple(*(0.0 - x for x in self))
 
 
 class Continuation(enum.Enum):
@@ -238,75 +238,31 @@ def sheet_gradient(t: FourTuple, N: float, r, theta):
     return np.stack([row1, row2], axis=-2)
 
 
-def _seam_system(t1: FourTuple, t2: FourTuple, cont: Continuation):
-    """Linear system M @ (cos psi, sin psi) = v for the seam condition.
-
-    Each sheet contributes two rows: its value at theta = 2*pi, which is
-    (a cos psi + b sin psi, c cos psi + d sin psi) with psi = 2*pi*N, must
-    equal the value at theta = 0 of its continuation partner, which is
-    simply (a, c) of that partner.
-    """
-    a1, b1, c1, d1 = t1
-    a2, b2, c2, d2 = t2
-    M = np.array([[a1, b1], [c1, d1], [a2, b2], [c2, d2]], dtype=float)
-    if cont is Continuation.IDENTITY:
-        v = np.array([a1, c1, a2, c2], dtype=float)
-    else:
-        v = np.array([a2, c2, a1, c1], dtype=float)
-    return M, v
-
-
-_CANDIDATES = ((1.0, 0.0), (-1.0, 0.0))
-
-
 def seam_solutions(
     t1: FourTuple, t2: FourTuple, cont: Continuation, tol: float = 1e-9
 ):
-    """Solve the seam-matching system for one continuation.
+    """Frequency class at which the two sheets close across the slit.
 
-    Returns FREQ_INTEGERS when the system forces (cos psi, sin psi) = (1, 0)
-    (so N is any positive integer), FREQ_ODD_HALVES for (-1, 0) (N = k/2
-    with k odd), and None when the system has no solution on the unit
-    circle. A nondegenerate 2x2 subsystem is eliminated first and the
-    remaining rows checked for consistency; rank-deficient systems fall back
-    to testing the two candidate solutions directly, so an inconsistent
-    residual always yields None rather than a spurious class.
+    At degree N a sheet's value at theta = 2*pi is (a cos psi + b sin psi,
+    c cos psi + d sin psi) with the seam angle psi = 2*pi*N. At N = k/2
+    that angle is k*pi, so the value is (-1)^k (a, c), the sheet's slit
+    value (its value at theta = 0) times (-1)^k. Identity closure
+    holds at every integer N: FREQ_INTEGERS. Swap closure holds at integers
+    when the two slit values agree (FREQ_INTEGERS), at odd halves when they
+    are opposite (FREQ_ODD_HALVES), and otherwise at no half-integer (None).
+    Both comparisons are within tol * max(1, largest |coefficient|).
     """
     t1 = FourTuple(*map(float, t1))
     t2 = FourTuple(*map(float, t2))
-    scale = max(1.0, max(abs(x) for x in t1 + t2))
-    atol = tol * scale
-    if all(abs(x) <= atol for x in t1) and all(abs(x) <= atol for x in t2):
+    atol = tol * max(1.0, max(abs(x) for x in t1 + t2))
+    if all(abs(x) <= atol for x in t1 + t2):
         raise DegeneratePair("both sheets are the zero form")
-
-    M, v = _seam_system(t1, t2, cont)
-
-    best = None
-    for i, j in itertools.combinations(range(4), 2):
-        det = M[i, 0] * M[j, 1] - M[i, 1] * M[j, 0]
-        if best is None or abs(det) > abs(best[0]):
-            best = (det, i, j)
-    det, i, j = best
-
-    if abs(det) > atol:
-        rhs = np.array([v[i], v[j]])
-        sub = np.array([[M[i, 0], M[i, 1]], [M[j, 0], M[j, 1]]])
-        cos_psi, sin_psi = np.linalg.solve(sub, rhs)
-        residual = float(np.max(np.abs(M @ (cos_psi, sin_psi) - v)))
-        on_circle = abs(cos_psi**2 + sin_psi**2 - 1.0) <= 100 * atol
-        if residual > 100 * atol or not on_circle:
-            return None
-        for (cs, sn), klass in zip(_CANDIDATES, (FREQ_INTEGERS, FREQ_ODD_HALVES)):
-            if abs(cos_psi - cs) <= 1e-6 and abs(sin_psi - sn) <= 1e-6:
-                return klass
-        # Solvable, but not at one of the two closure points every conformal
-        # pairing lands on; report as unmatchable.
-        return None
-
-    for (cs, sn), klass in zip(_CANDIDATES, (FREQ_INTEGERS, FREQ_ODD_HALVES)):
-        residual = float(np.max(np.abs(M @ (cs, sn) - v)))
-        if residual <= 100 * atol:
-            return klass
+    if cont is Continuation.IDENTITY:
+        return FREQ_INTEGERS
+    if max(abs(t2.a - t1.a), abs(t2.c - t1.c)) <= atol:
+        return FREQ_INTEGERS
+    if max(abs(t2.a + t1.a), abs(t2.c + t1.c)) <= atol:
+        return FREQ_ODD_HALVES
     return None
 
 
@@ -335,9 +291,9 @@ class MatchOutcome:
 def _swap_constraints(f1: FormClass, f2: FormClass, tol: float) -> tuple:
     """Forced parameter relations when a swap closure exists.
 
-    With sin psi = 0 the seam equations reduce to relations between the two
-    parameter sets; for same-family pairs these are sign relations, read off
-    here by comparing the recovered parameters.
+    Swap closure ties the second sheet's slit value to the first's; for
+    same-family pairs that is a sign relation between the parameter sets,
+    read off here by comparing the recovered parameters.
     """
     if f1.tag != f2.tag or not f1.is_conformal or f1.tag == 7:
         return ()
@@ -351,7 +307,7 @@ def _swap_constraints(f1: FormClass, f2: FormClass, tol: float) -> tuple:
 
 
 def match_pair(t1: FourTuple, t2: FourTuple, tol: float = 1e-9) -> MatchOutcome:
-    """Combine sum admissibility with the seam systems for both continuations."""
+    """Combine sum admissibility with the seam rule for both continuations."""
     t1 = FourTuple(*map(float, t1))
     t2 = FourTuple(*map(float, t2))
     scale = max(1.0, max(abs(x) for x in t1 + t2))
@@ -387,12 +343,6 @@ def _witness_form(tag: int, values: dict) -> FormClass:
     return FormClass(tag, tuple(values[n] for n in _FORM_PARAM_NAMES[tag]))
 
 
-def _value_at_slit(tag: int, params: tuple) -> tuple[float, float]:
-    """Sheet value at theta=0 (components (a, c) of the tuple)."""
-    t = FormClass(tag, params).to_tuple()
-    return (t.a, t.c)
-
-
 def _params_from_slit_value(tag: int, value: tuple[float, float]):
     """Invert the value-at-the-slit map for one family, if possible.
 
@@ -417,29 +367,6 @@ def _params_from_slit_value(tag: int, value: tuple[float, float]):
     raise ValueError(tag)
 
 
-def _symbolic_swap(tag_i: int, tag_j: int):
-    """Generic swap closure for a form pair, with forced relations.
-
-    With sin psi = 0 the swap seam system says the second sheet's value at
-    the slit is cos psi times the first sheet's. cos psi = -1 gives the
-    odd-half class; solvability is checked by inverting the slit-value map
-    of family j on the negated generic value of family i. (cos psi = +1
-    would force the two sheets equal, i.e. the doubled single-sheet case
-    handled separately, so it is not reported as a swap class.)
-    """
-    params_i = tuple(_WITNESS_1[n] for n in _FORM_PARAM_NAMES[tag_i])
-    a0, c0 = _value_at_slit(tag_i, params_i)
-    params_j = _params_from_slit_value(tag_j, (-a0, -c0))
-    if params_j is None:
-        return None, ()
-    if tag_i != tag_j:
-        return FREQ_ODD_HALVES, ()
-    relations = []
-    for name, p, q in zip(_FORM_PARAM_NAMES[tag_i], params_i, params_j):
-        relations.append(f"{name}'=-{name}" if q == -p else f"{name}'={name}")
-    return FREQ_ODD_HALVES, tuple(relations)
-
-
 @dataclass(frozen=True)
 class TableRow:
     """One matching-table row: a form pair under one continuation."""
@@ -462,13 +389,13 @@ class TableRow:
 
 def build_match_table() -> list[TableRow]:
     """Matching outcomes for all 28 unordered form pairs plus the six
-    doubled single-sheet cases.
+    doubled single-sheet cases, each class read from match_pair.
 
     Sum admissibility is computed on generic witness parameters (three
-    independent sets, checked to agree: the inadmissible pairs are
-    inadmissible for every admissible parameter choice). Identity closures
-    are solved numerically on the witnesses; swap closures and their forced
-    sign relations come from the exact slit-value analysis.
+    independent sets, paired twice and checked to agree: the inadmissible
+    pairs are inadmissible for every admissible parameter choice). The swap row
+    matches the first witness sheet with the family-j sheet whose slit value
+    is its negative, and is "none" when family j has no such sheet.
     """
     rows: list[TableRow] = []
     for i in range(1, 8):
@@ -477,59 +404,42 @@ def build_match_table() -> list[TableRow]:
                 rows.append(TableRow(7, 7, "identity", "excluded", "degenerate-pair"))
                 rows.append(TableRow(7, 7, "swap", "excluded", "degenerate-pair"))
                 continue
-            verdicts = []
-            for w1, w2 in ((_WITNESS_1, _WITNESS_2), (_WITNESS_2, _WITNESS_3)):
-                s = classify_form(
-                    _witness_form(i, w1).to_tuple().plus(_witness_form(j, w2).to_tuple())
-                )
-                verdicts.append(s.is_conformal)
-            if verdicts[0] != verdicts[1]:
+            t_i = _witness_form(i, _WITNESS_1).to_tuple()
+            outcome = match_pair(t_i, _witness_form(j, _WITNESS_2).to_tuple())
+            check = match_pair(
+                _witness_form(i, _WITNESS_2).to_tuple(),
+                _witness_form(j, _WITNESS_3).to_tuple(),
+            )
+            if (outcome.sum_admissible is None) != (check.sum_admissible is None):
                 raise RuntimeError(f"witness-dependent sum for ({i},{j})")
-            if not verdicts[0]:
+            if outcome.sum_admissible is None:
                 note = "sum-not-admissible"
                 rows.append(TableRow(i, j, "identity", "none", note))
                 rows.append(TableRow(i, j, "swap", "none", note))
                 continue
+            rows.append(TableRow(i, j, "identity", outcome.identity_class, ""))
 
-            t1 = _witness_form(i, _WITNESS_1).to_tuple()
-            t2 = _witness_form(j, _WITNESS_2).to_tuple()
-            identity = seam_solutions(t1, t2, Continuation.IDENTITY)
-            if identity != FREQ_INTEGERS:
-                raise RuntimeError(f"identity closure of ({i},{j}) is {identity}")
-            rows.append(TableRow(i, j, "identity", identity, ""))
-
-            swap, relations = _symbolic_swap(i, j)
+            params_j = _params_from_slit_value(j, (-t_i.a, -t_i.c))
+            swap = (
+                MatchOutcome(None, None, (), None)
+                if params_j is None
+                else match_pair(t_i, FormClass(j, params_j).to_tuple())
+            )
             rows.append(
-                TableRow(i, j, "swap", swap if swap else "none", ";".join(relations))
+                TableRow(i, j, "swap", swap.swap_class or "none", ";".join(swap.constraints))
             )
 
     # Doubled single-sheet cases g = 2[[g1]]: one family, identity closure
     # only, integer homogeneity.
     for tag in range(1, 7):
         t = _witness_form(tag, _WITNESS_1).to_tuple()
-        klass = seam_solutions(t, t, Continuation.IDENTITY)
-        if klass != FREQ_INTEGERS:
-            raise RuntimeError(f"doubled closure of F{tag} is {klass}")
-        rows.append(TableRow(tag, tag, "doubled", klass, ""))
+        rows.append(TableRow(tag, tag, "doubled", match_pair(t, t).identity_class, ""))
     return rows
 
 
 def table_to_csv(rows: list[TableRow]) -> str:
     lines = ["form_i,form_j,continuation,frequency_class,constraints"]
-    for row in rows:
-        rec = row.as_record()
-        lines.append(
-            ",".join(
-                rec[k]
-                for k in (
-                    "form_i",
-                    "form_j",
-                    "continuation",
-                    "frequency_class",
-                    "constraints",
-                )
-            )
-        )
+    lines += [",".join(row.as_record().values()) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -570,17 +480,6 @@ class HomogeneousPair:
                 raise ValueError("sheet pair does not close under identity")
 
 
-def _negated_params(tag: int, params: tuple) -> tuple:
-    # The swap sign relations: primary parameter negated, l preserved.
-    if tag in (5, 6):
-        l, c = params
-        return (l, -c)
-    return tuple(-p for p in params)
-
-
-_CROSS_IDENTITY_PAIRS = ((1, 4), (1, 5), (2, 3), (2, 6), (3, 6), (4, 5))
-
-
 def _draw_params(rng, tag: int) -> tuple:
     """Parameters uniform on +-[0.1, 2], respecting the nonzero conditions."""
     out = []
@@ -606,18 +505,20 @@ def enumerate_entries(k_max: int, parameter_seed=0) -> list[HomogeneousPair]:
         if isinstance(parameter_seed, np.random.Generator)
         else np.random.default_rng(parameter_seed)
     )
+    cross_pairs = [
+        (row.form_i, row.form_j)
+        for row in build_match_table()
+        if row.continuation == "identity"
+        and row.frequency_class == FREQ_INTEGERS
+        and row.form_i < row.form_j < 7
+    ]
     entries: list[HomogeneousPair] = []
     for k in range(1, k_max + 1):
         N = k / 2.0
         if k % 2 == 1:
             for tag in range(1, 7):
-                params = _draw_params(rng, tag)
-                entry = HomogeneousPair(
-                    N,
-                    FormClass(tag, params).to_tuple(),
-                    FormClass(tag, _negated_params(tag, params)).to_tuple(),
-                    Continuation.SWAP,
-                )
+                t = FormClass(tag, _draw_params(rng, tag)).to_tuple()
+                entry = HomogeneousPair(N, t, t.negated(), Continuation.SWAP)
                 entry.validate()
                 entries.append(entry)
         else:
@@ -630,7 +531,7 @@ def enumerate_entries(k_max: int, parameter_seed=0) -> list[HomogeneousPair]:
                 )
                 entry.validate()
                 entries.append(entry)
-            for tag_i, tag_j in _CROSS_IDENTITY_PAIRS:
+            for tag_i, tag_j in cross_pairs:
                 entry = HomogeneousPair(
                     N,
                     FormClass(tag_i, _draw_params(rng, tag_i)).to_tuple(),

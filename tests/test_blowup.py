@@ -177,6 +177,18 @@ def test_identify_catalog_rejects_offgrid_frequency(grid64):
         identify_catalog(g, 0.05)
 
 
+def test_no_catalog_match_reports_plain_floats(grid64):
+    """A non-conformal fit, r (cos theta, 0), is reported with float reprs."""
+    r = grid64.radii[:, None]
+    th = grid64.thetas[None, :]
+    sheet = np.stack([r * np.cos(th), np.zeros_like(r * th)], axis=-1)
+    f = DiskField(grid64, sheet, -sheet, Continuation.IDENTITY)
+    with pytest.raises(NoCatalogMatch, match="not conformal") as exc:
+        identify_catalog(rescale_normalize(f, 1.0), 0.05)
+    assert "FourTuple(a=" in str(exc.value)
+    assert "np.float64" not in str(exc.value)
+
+
 def test_identify_catalog_rejects_slit_jump_field(grid64):
     """A degree-0.7 angular profile cannot close across the slit; the
     seam-aware energy blows up and the fitted sheets carry no content at

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from conftest import single_mode_trace
 
-from qdisk import minimizer
+from qdisk import cli, minimizer
 from qdisk.cli import main
 from qdisk.field import load_field
 from qdisk.forms import Continuation
@@ -66,6 +67,19 @@ def test_table_unwritable_path(tmp_path):
     target = tmp_path / "no" / "such" / "dir" / "t.csv"
     rc = main(["table", "--out", str(target)])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [("csv", "18b313aa8d36d67db7c37dc9ccfbfc7e7c62ad1658324ec961a233eeb9c8b1d8"),
+     ("json", "e60bf11b04200bd496674437d96c17e0eda7d0ac0176639570a4a4b49e22e3dd")],
+)
+def test_table_bytes_pinned(tmp_path, fmt, digest):
+    """Every class of the table comes from match_pair; the bytes stay those
+    of the exact slit-value derivation it replaced."""
+    out = tmp_path / f"table.{fmt}"
+    assert main(["table", "--out", str(out), "--format", fmt]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_table_deterministic(tmp_path):
@@ -176,6 +190,16 @@ def test_subcommands_reject_flags_they_do_not_read():
     assert main(["blowup", "t.json", "--oracle"]) == 2
     assert main(["minimize", "t.json", "--dump-fields", "x"]) == 2
     assert main(["minimize", "t.json", "--seed", "1"]) == 2
+    assert main(["minimize", "t.json", "--oracle-tol", "0.1"]) == 2
+
+
+def test_oracle_tol_requires_oracle(branched_trace_file, tmp_path, capsys):
+    out = str(tmp_path / "f.csv")
+    assert main(["minimize", branched_trace_file, "--out", out, "--oracle-tol", "0.1"]) == 2
+    assert capsys.readouterr().err == "error: --oracle-tol requires --oracle\n"
+    assert not (tmp_path / "f.csv").exists()
+    assert main(["minimize", branched_trace_file, "--out", out, "--oracle",
+                 "--oracle-tol", "0.1"]) == 0
 
 
 def test_blowup_bad_radii(perturbed_trace_file):
@@ -401,3 +425,69 @@ def test_detected_class_only_when_minimize_detects_it(perturbed_trace_file, tmp_
             "error: AmbiguousClass: 2 collision events admit more than the two canonical "
             "splittings; pass the class explicitly\n"
         )
+
+
+def _n0_line(capsys):
+    return next(line for line in capsys.readouterr().out.splitlines() if line.startswith("N0:"))
+
+
+def test_minimize_prints_n0_from_the_spectrum(tmp_path, capsys):
+    """N0 is 0 when the constant mode is present, else the lowest present
+    mode; the profile's linear extrapolation is not printed."""
+    n = 256
+    th = 2 * np.pi * np.arange(n) / n
+    z = np.stack([np.cos(th), np.sin(th)], axis=1)
+    center = np.array([0.8, -0.3])
+    offset = tmp_path / "offset.json"
+    save_trace(BoundaryTrace.from_values(center + 0.4 * z, center - 0.4 * z), offset)
+    assert main(["minimize", str(offset), "--out", str(tmp_path / "a.csv")]) == 0
+    assert _n0_line(capsys).startswith("N0: 0  monotonicity defect: ")
+
+    cover = np.concatenate([th, th + 2 * np.pi])
+    loop = sum(a * np.stack([np.cos(nu * cover), np.sin(nu * cover)], axis=1)
+               for nu, a in ((1.5, 1.0), (3.5, 0.1)))
+    branched = tmp_path / "branched.json"
+    save_trace(BoundaryTrace.from_values(loop[:n], loop[n:]), branched)
+    assert main(["minimize", str(branched), "--out", str(tmp_path / "b.csv")]) == 0
+    assert _n0_line(capsys).startswith("N0: 1.5  monotonicity defect: ")
+
+
+def test_blowup_accepts_sheets_within_fit_tolerance(tmp_path, capsys):
+    """3/2 sheet plus a 1e-3 degree-3 sheet: the fitted slit values are
+    opposite within the fit tolerance, so the swap seam closes at 3/2."""
+    path = tmp_path / "trace.json"
+    save_trace(_branched_trace_with_mode(256, 6), path)
+    out = tmp_path / "report.json"
+    assert main(["blowup", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "detected class: swap (separation 2)\n"
+    report = json.loads(out.read_text())
+    assert report["rounded_N"] == 1.5
+    assert report["continuation"] == "swap"
+    assert report["residual"] < 1e-4
+
+
+@pytest.mark.parametrize("radii", ["0.001", "0.4,0.01", "0.4,nope", "1.5", "0.4,0.4"])
+def test_blowup_checks_radii_before_minimize(perturbed_trace_file, tmp_path, monkeypatch,
+                                            capsys, radii):
+    """Invalid radii exit 2 before minimize runs, on frequency-0 data too."""
+    calls = []
+    real = cli.minimize
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "minimize", counted)
+    n = 128
+    th = 2 * np.pi * np.arange(n) / n
+    z = np.stack([np.cos(th), np.sin(th)], axis=1)
+    const = tmp_path / "const.json"
+    save_trace(BoundaryTrace.from_values([1.0, 0.0] + 0.3 * z, [1.0, 0.0] - 0.3 * z), const)
+    for trace in (perturbed_trace_file, str(const)):
+        out = tmp_path / "report.json"
+        assert main(["blowup", trace, "--radii", radii, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+    assert calls == []
+    assert main(["blowup", str(const), "--out", str(tmp_path / "report.json")]) == 0
+    assert len(calls) == 1

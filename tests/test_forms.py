@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -153,6 +156,21 @@ def test_seam_solutions_examples():
     assert seam_solutions(F1, F4B, Continuation.SWAP) is None
     assert seam_solutions(F1, F5B, Continuation.IDENTITY) == FREQ_INTEGERS
     assert seam_solutions(F1, F5B, Continuation.SWAP) is None
+    # noisy slit values: compared within tol * max(1, largest |coefficient|)
+    for da, dc in ((0.01, 0.0), (0.0, -0.01)):
+        noisy = FourTuple(neg.a + da, neg.b, neg.c + dc, neg.d)
+        assert seam_solutions(F1, noisy, Continuation.SWAP, 0.05) == FREQ_ODD_HALVES
+    for da, dc in ((0.1, 0.0), (0.0, -0.1)):
+        noisy = FourTuple(neg.a + da, neg.b, neg.c + dc, neg.d)
+        assert seam_solutions(F1, noisy, Continuation.SWAP, 0.05) is None
+    big = FormClass(1, (8.0,)).to_tuple()  # tolerance scales with the coefficients
+    noisy = FourTuple(-8.3, 0.0, 0.0, -8.0)
+    assert seam_solutions(big, noisy, Continuation.SWAP, 0.05) == FREQ_ODD_HALVES
+    noisy = FourTuple(neg.a + 1e-8, neg.b, neg.c, neg.d)
+    assert seam_solutions(F1, noisy, Continuation.SWAP, 1e-9) is None
+    assert seam_solutions(F1, FourTuple(0.81, 0.0, 0.0, 0.8), Continuation.SWAP, 0.05) == (
+        FREQ_INTEGERS
+    )
 
 
 def test_seam_solutions_degenerate_pair():
@@ -227,6 +245,21 @@ def test_enumerate_entries_examples():
         e.N == 1.5 and classify_form(e.t1).tag == 5 for e in entries
     )
     assert all(e.N == 1.0 for e in entries if e.continuation is Continuation.IDENTITY)
+
+
+def test_enumerate_entries_bits_pinned():
+    """Swap partners by negation and cross pairs read from the table give
+    the same entries, bit for bit, as the hand-written lists they replaced."""
+    entries = enumerate_entries(2, 0)
+    cross = [(classify_form(e.t1).tag, classify_form(e.t2).tag) for e in entries[12:18]]
+    assert cross == [(1, 4), (1, 5), (2, 3), (2, 6), (3, 6), (4, 5)]
+    digest = hashlib.sha256()
+    for e in enumerate_entries(8, 0):
+        digest.update(struct.pack("<9d", e.N, *e.t1, *e.t2))
+        digest.update(e.continuation.value.encode())
+    assert digest.hexdigest() == (
+        "2df6a65a06e11de919ed85cc534e7ec207d1a893280d4a2b6b2f74d278ed58f8"
+    )
 
 
 def test_enumerated_entries_validate_and_half_integer():
