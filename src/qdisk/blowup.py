@@ -4,8 +4,8 @@ Rescaling a field to the disk of radius r and normalizing to unit Dirichlet
 energy produces, along shrinking radii, approximations of the blow-up limit
 at the origin. For minimizers vanishing at the origin the limit is
 homogeneous of degree N(0), its boundary mass equals 1/N(0), and its sheets
-belong to the conformal catalog; this module measures all three statements
-at grid scale and fits the concrete catalog entry.
+belong to the conformal catalog. ``identify_catalog`` checks the first and
+the last by fitting a catalog entry; ``boundary_mass_identity`` the second.
 """
 
 from __future__ import annotations
@@ -110,37 +110,22 @@ def _cauchy_defect(f: DiskField, g: DiskField) -> float:
     return float(np.max(block_max))
 
 
-def blowup_sequence(field: DiskField, radii) -> BlowupSequence:
+def check_radii(radii, n_r: int) -> tuple:
+    """The radii as floats; ValueError unless all lie CENTER_EXCLUSION_RINGS
+    rings out on an n_r-ring grid and strictly decrease."""
     radii = tuple(float(r) for r in radii)
+    if any(r * n_r < CENTER_EXCLUSION_RINGS for r in radii):
+        raise ValueError(f"blow-up radii below grid resolution ({CENTER_EXCLUSION_RINGS} rings)")
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
-    n_r = field.grid.n_r
-    for r in radii:
-        if r * n_r < CENTER_EXCLUSION_RINGS:
-            raise ValueError(f"radius {r} is below {CENTER_EXCLUSION_RINGS} grid rings")
+    return radii
+
+
+def blowup_sequence(field: DiskField, radii) -> BlowupSequence:
+    radii = check_radii(radii, field.grid.n_r)
     fields = tuple(rescale_normalize(field, r) for r in radii)
     defects = tuple(_cauchy_defect(f, g) for f, g in zip(fields, fields[1:]))
     return BlowupSequence(radii, fields, defects)
-
-
-def homogeneity_defect(g: DiskField, N: float) -> float:
-    """Sup distance between g and its degree-N homogeneous extension.
-
-    Compares g at each interior node with the boundary-ring value at the
-    same angle scaled by r^N; zero exactly when g is homogeneous of
-    degree N.
-    """
-    if N <= 0:
-        raise ValueError("N must be positive")
-    radii = g.grid.radii[:-1]
-    scale = np.power(radii, N)[:, None]
-    d = pair_distance_arrays(
-        g.sheet1[:-1],
-        g.sheet2[:-1],
-        scale[..., None] * g.sheet1[-1][None, :, :],
-        scale[..., None] * g.sheet2[-1][None, :, :],
-    )
-    return float(d.max())
 
 
 def boundary_mass_identity(g: DiskField, N0: float) -> tuple[float, float]:

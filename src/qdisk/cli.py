@@ -9,9 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 negative classification result, 2 invalid input,
 3 numerical-verification failure. Stdout carries only results; the detected
-class, errors and warnings (such as trace modes folded at or above the
-grid's angular Nyquist) go to stderr. No output may overwrite the input
-trace (exit 2).
+class, errors and warnings (trace modes folded at or above the grid's
+angular Nyquist, a blow-up limit whose boundary mass misses 1/N) go to
+stderr. No output may overwrite the input trace (exit 2).
 
 File formats:
     boundary trace  JSON array of {"theta": t, "p1": [x, y], "p2": [x, y]}
@@ -37,6 +37,7 @@ import numpy as np
 from .blowup import (
     blowup_report,
     blowup_sequence,
+    check_radii,
     identify_catalog,
     report_to_json,
 )
@@ -82,6 +83,8 @@ EXIT_NUMERICAL = 3
 # Classification tolerance for tuples fitted from finite-resolution blow-up
 # limits; the exact-input tolerance (--tol) is far below fit noise.
 BLOWUP_FIT_TOL = 0.05
+# |H(1) N - 1| above criterion 5's tolerance: the blow-up limit is not converged
+MASS_IDENTITY_TOL = 0.02
 
 DEFAULT_ORACLE_TOL = 0.01
 DEFAULT_PROFILE_RADII = tuple(np.linspace(0.25, 1.0, 16))
@@ -160,7 +163,7 @@ def _load_trace_checked(path: str):
 def _minimize_trace(args):
     """Load the trace and minimize it: the run's one class decision, which
     the rest of the command reads from the result. Unless --class forced
-    the class, the decision goes to stderr."""
+    the class, the decision goes to stderr, followed by any folded modes."""
     trace = _load_trace_checked(args.trace)
     grid = PolarGrid(args.nr, args.ntheta)
     kind = Continuation(args.klass) if args.klass else None
@@ -172,6 +175,7 @@ def _minimize_trace(args):
             else "ambiguous (sheets collide)"
         )
         print(f"detected class: {detected}", file=sys.stderr)
+    _report_folding(result.spectrum, grid)
     return grid, result
 
 
@@ -202,7 +206,6 @@ def cmd_minimize(args) -> int:
     profile_path = base.with_name(base.stem + "_profile.csv")
     _refuse_overwrite(args.trace, (*dump_files(base), profile_path))
     grid, result = _minimize_trace(args)
-    _report_folding(result.spectrum, grid)
     print(f"class: {result.kind.value}")
     print(f"energy: {result.energy:.12g}")
     if result.alt_energy is not None:
@@ -234,11 +237,9 @@ def cmd_blowup(args) -> int:
         _refuse_overwrite(args.trace, (args.out,))
     # every argument check runs before minimize, whatever the data
     grid = PolarGrid(args.nr, args.ntheta)
-    radii = tuple(sorted(_parse_radii(args.radii, DEFAULT_BLOWUP_RADII), reverse=True))
-    if any(r * grid.n_r < 3 for r in radii):
-        raise UsageError("blow-up radii below grid resolution (3 rings)")
-    if len(set(radii)) < len(radii):
-        raise UsageError("radii must be strictly decreasing")
+    radii = check_radii(
+        sorted(_parse_radii(args.radii, DEFAULT_BLOWUP_RADII), reverse=True), grid.n_r
+    )
     dumps = [Path(f"{args.dump_fields}_r{r:g}.csv") for r in radii] if args.dump_fields else []
     _refuse_overwrite(args.trace, [p for csv in dumps for p in dump_files(csv)])
 
@@ -251,11 +252,14 @@ def cmd_blowup(args) -> int:
         _write_out(report_to_json(report), args.out)
         return EXIT_OK
 
-    _report_folding(result.spectrum, grid)
     seq = blowup_sequence(result.field, radii)
     limit = seq.fields[-1]
     entry, fitted, residual = identify_catalog(limit, BLOWUP_FIT_TOL)
     report = blowup_report(limit, entry, fitted, residual)
+    mass_error = abs(report["boundary_mass"] * entry.N - 1.0)
+    if mass_error > MASS_IDENTITY_TOL:
+        print(f"warning: boundary mass {report['boundary_mass']:.4g} differs from "
+              f"1/N {report['1/N']:.4g} by {mass_error:.1%}", file=sys.stderr)
     report["cauchy_defects"] = list(seq.cauchy_defects)
     for path, rescaled in zip(dumps, seq.fields):
         save_field(rescaled, path)

@@ -206,8 +206,6 @@ def dirichlet_energy(field: DiskField, r: float) -> float:
     r snaps to the nearest grid ring; quadrature is trapezoidal in both
     polar variables with the Jacobian rho.
     """
-    if field.grid.n_r < 4:
-        raise GridTooCoarse("need at least 4 radial cells")
     return float(field._cumulative_energy[field.grid.ring_of(r)])
 
 
@@ -277,74 +275,6 @@ def frequency_profile(field: DiskField, radii) -> FrequencyProfile:
         n0 = float(N[0])
     defect = float(np.max(N[:-1] - N[1:])) if len(N) > 1 else 0.0
     return FrequencyProfile(radii, D, H, N, n0, defect)
-
-
-@dataclass(frozen=True)
-class BranchReport:
-    """Support cardinality map and branch-point candidates."""
-
-    sigma_map: np.ndarray
-    sigma_min: int
-    J: int
-    branch_at_origin: bool
-    sigma_candidates: tuple
-
-    @property
-    def has_origin_candidate(self) -> bool:
-        return (0, 0) in self.sigma_candidates
-
-
-def branch_report(field: DiskField, tol: float = 1e-9) -> BranchReport:
-    """Per-node support counts, sheet multiplicity, and sigma jump points.
-
-    sigma(x) counts the distinct values at x; the candidates are nodes
-    whose sigma differs from every grid neighbor (the center is one node
-    whose neighbors are the whole first ring). J is the number of distinct
-    sheets over the slit disk.
-    """
-    gap = np.linalg.norm(field.sheet1 - field.sheet2, axis=-1)
-    sigma = np.where(gap <= tol, 1, 2).astype(np.int8)
-    J = 2 if float(gap.max()) > tol else 1
-
-    candidates = []
-    center = sigma[0, 0]
-    if np.all(sigma[1] != center):
-        candidates.append((0, 0))
-
-    n_r = field.grid.n_r
-    left = np.roll(sigma, 1, axis=1)
-    right = np.roll(sigma, -1, axis=1)
-    for i in range(1, n_r + 1):
-        ring_neighbors = [left[i], right[i], sigma[i - 1]]
-        if i < n_r:
-            ring_neighbors.append(sigma[i + 1])
-        differs = np.ones(sigma.shape[1], dtype=bool)
-        for nb in ring_neighbors:
-            differs &= sigma[i] != nb
-        for j in np.nonzero(differs)[0]:
-            candidates.append((i, int(j)))
-
-    return BranchReport(
-        sigma_map=sigma,
-        sigma_min=int(sigma.min()),
-        J=J,
-        branch_at_origin=field.seam is Continuation.SWAP,
-        sigma_candidates=tuple(candidates),
-    )
-
-
-def seam_defect(field: DiskField) -> float:
-    """Mismatch across the slit: extrapolate each sheet to theta = 2*pi and
-    compare, as an unordered pair, with the stored values at theta = 0.
-
-    Vanishes (to quadrature order) for fields sampled from admissible
-    entries and stays bounded away from zero for forced invalid seams.
-    """
-    s1, s2 = field.sheet1, field.sheet2
-    e1 = 2.0 * s1[:, -1] - s1[:, -2]
-    e2 = 2.0 * s2[:, -1] - s2[:, -2]
-    dists = pair_distance_arrays(e1, e2, s1[:, 0], s2[:, 0])
-    return float(dists.max())
 
 
 def values_at(field: DiskField, r, theta) -> tuple[np.ndarray, np.ndarray]:

@@ -213,13 +213,6 @@ class Spectrum:
     def frequency_unit(self) -> float:
         return 1.0 if self.kind is Continuation.IDENTITY else 0.5
 
-    def frequencies(self) -> np.ndarray:
-        m = self.cos_coeffs[0].shape[0]
-        return np.arange(m) * self.frequency_unit
-
-    def loop_count(self) -> int:
-        return len(self.cos_coeffs)
-
 
 def analyze_spectrum(lift: BoundaryLift) -> Spectrum:
     """Discrete Fourier analysis of each loop; exact on band-limited data."""
@@ -371,7 +364,6 @@ class MinimizeResult:
     spectrum: Spectrum
     energy: float
     alt_energy: float | None = None
-    oracle_gap: float | None = None
 
     def __post_init__(self):
         if self.alt_energy is not None and not self.energy <= self.alt_energy + 1e-12:

@@ -10,7 +10,7 @@ from qdisk.blowup import (
     _cauchy_defect,
     blowup_sequence,
     boundary_mass_identity,
-    homogeneity_defect,
+    check_radii,
     identify_catalog,
     rescale_normalize,
 )
@@ -106,14 +106,14 @@ def test_blowup_sequence_validates_radii(grid64):
         blowup_sequence(f, [0.5, 0.01])
 
 
-def test_homogeneity_defect_cases(grid64):
-    f = sample_field(DOUBLED_Z, grid64)
-    assert homogeneity_defect(f, 1.0) <= 1e-12
-    # wrong degree: gap |x| - |x|^2 = 1/4 per sheet at the half-radius ring
-    assert homogeneity_defect(f, 2.0) >= 0.2
-    entry = enumerate_entries(3, 7)[0]
-    g = sample_field(entry, grid64)
-    assert homogeneity_defect(g, entry.N) <= 1e-12
+def test_check_radii_ring_rule():
+    """Each radius lies at least CENTER_EXCLUSION_RINGS rings out (three rings
+    of 30 pass, 2.88 of 32 fail); the radii strictly decrease."""
+    assert check_radii([0.4, 0.1], 30) == (0.4, 0.1)
+    with pytest.raises(ValueError, match=r"grid resolution \(3 rings\)"):
+        check_radii([0.4, 0.09], 32)
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        check_radii([0.4, 0.4], 64)
 
 
 def test_boundary_mass_identity_values(grid64):

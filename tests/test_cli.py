@@ -1,5 +1,8 @@
 import hashlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -491,3 +494,56 @@ def test_blowup_checks_radii_before_minimize(perturbed_trace_file, tmp_path, mon
     assert calls == []
     assert main(["blowup", str(const), "--out", str(tmp_path / "report.json")]) == 0
     assert len(calls) == 1
+
+
+def _perfbench_inputs(monkeypatch):
+    """perfbench/inputs.py, loaded by path with bytecode writing off."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look it up
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+def test_blowup_warns_when_mass_identity_misses(perturbed_trace_file, tmp_path, monkeypatch,
+                                                capsys):
+    """A broadband trace at 64x256 has an unconverged limit at r = 0.1: H(1)
+    misses 1/N by 3.6%, one stderr line says so, the report is unchanged.
+    The criterion-5 trace meets the identity and gets no warning."""
+    path = tmp_path / "broadband.json"
+    _perfbench_inputs(monkeypatch).make_traces("broadband", 1, 256, 2)[0].write(path)
+    out = tmp_path / "report.json"
+    assert main(["blowup", str(path), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "detected class: swap (separation 2.95)",
+        "warning: boundary mass 1.927 differs from 1/N 2 by 3.6%",
+    ]
+    report = json.loads(out.read_text())
+    assert (report["rounded_N"], report["1/N"]) == (0.5, 2.0)
+    assert abs(report["boundary_mass"] - 1.9270927807466325) <= 1e-12
+    assert main(["blowup", perturbed_trace_file, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "detected class: swap (separation 1.6)\n"
+
+
+def test_blowup_reports_folded_modes_at_frequency_zero(tmp_path, capsys):
+    """N0 = 0 data: blowup writes the frequency-0 note, and mode 40 of each
+    sheet's loop (128 samples), above the Nyquist mode 32 of a 64-angle
+    grid, is still reported."""
+    n = 128
+    th = 2 * np.pi * np.arange(n) / n
+    z = np.stack([np.cos(th), np.sin(th)], axis=1)
+    wiggle = 1e-3 * np.stack([np.cos(40 * th), np.sin(40 * th)], axis=1)
+    path = tmp_path / "const.json"
+    save_trace(BoundaryTrace.from_values([1.0, 0.0] + 0.3 * z + wiggle,
+                                         [1.0, 0.0] - 0.3 * z + wiggle), path)
+    out = tmp_path / "report.json"
+    assert main(["blowup", str(path), "--nr", "32", "--ntheta", "64", "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "detected class: identity (separation 0.6)"
+    assert err[1].startswith("warning: folded modes: 2 at or above the grid's angular Nyquist")
+    assert len(err) == 2
+    assert json.loads(out.read_text())["note"] == "value at origin is nonzero; frequency 0"

@@ -17,7 +17,6 @@ from qdisk.field import (
     _ring_energy,
     _ring_sums,
     boundary_mass,
-    branch_report,
     dirichlet_energy,
     energy_decay_check,
     frequency,
@@ -26,10 +25,9 @@ from qdisk.field import (
     load_field,
     sample_field,
     save_field,
-    seam_defect,
     values_at,
 )
-from qdisk.forms import Continuation, FormClass, FourTuple, HomogeneousPair, sheet_eval
+from qdisk.forms import Continuation, FormClass, FourTuple, HomogeneousPair
 
 DOUBLED_Z = HomogeneousPair(
     1.0, FourTuple(1, 0, 0, 1), FourTuple(1, 0, 0, 1), Continuation.IDENTITY
@@ -250,57 +248,6 @@ def test_from_stacks_takes_the_arrays(grid32, seam):
               for stack in stacks]
     assert any(shared) == (seam is Continuation.IDENTITY)
     assert rebuilt.sheet1.flags.c_contiguous and not rebuilt.sheet1.flags.writeable
-
-
-def test_branch_report_swap_entry(grid64):
-    rep = branch_report(make_field(BRANCHED_HALF))
-    assert rep.J == 2
-    assert rep.branch_at_origin
-    assert rep.sigma_candidates == ((0, 0),)
-    assert rep.sigma_min == 1
-
-
-def test_branch_report_doubled(grid64):
-    rep = branch_report(make_field(DOUBLED_Z))
-    assert rep.J == 1
-    assert np.all(rep.sigma_map == 1)
-    assert not rep.branch_at_origin
-    assert rep.sigma_candidates == ()
-
-
-def test_branch_report_zero_sheet(grid64):
-    entry = HomogeneousPair(
-        1.0, FourTuple(1, 0, 0, 1), FourTuple(0, 0, 0, 0), Continuation.IDENTITY
-    )
-    rep = branch_report(make_field(entry))
-    assert rep.J == 2
-    assert np.all(rep.sigma_map[1:] == 2)
-    assert rep.sigma_candidates == ((0, 0),)
-
-
-def test_seam_defect_valid_entries_shrink():
-    from qdisk.forms import enumerate_entries
-
-    for entry in enumerate_entries(5, 12)[:10]:
-        coarse = seam_defect(sample_field(entry, PolarGrid(32, 64)))
-        fine = seam_defect(sample_field(entry, PolarGrid(64, 256)))
-        assert fine <= coarse / 2 + 1e-12
-        assert fine <= 0.05
-
-
-def test_seam_defect_invalid_seam_stays():
-    """Forced invalid branched seam: mismatch survives refinement."""
-    for n_r, n_t in ((32, 128), (64, 256), (128, 512)):
-        grid = PolarGrid(n_r, n_t)
-        r = grid.radii[:, None]
-        th = grid.thetas[None, :]
-        sheet = sheet_eval(FourTuple(1, 0, 0, 1), 0.5, r, th)
-        f = DiskField(grid, sheet, sheet.copy(), Continuation.SWAP)
-        assert seam_defect(f) >= 1.0
-
-
-def test_seam_defect_constant_zero(grid64):
-    assert seam_defect(constant_field(grid64)) == 0.0
 
 
 def test_values_at_matches_nodes(grid64):
