@@ -17,27 +17,17 @@ import numpy as np
 
 from .errors import DegeneratePair, NoCatalogMatch, ZeroEnergy
 from .field import (
+    CENTER_EXCLUSION_RINGS,
     RING_BLOCK,
     DiskField,
     _energy_ladder,
     boundary_mass,
     frequency_profile,
 )
-from .forms import (
-    FREQ_INTEGERS,
-    FREQ_ODD_HALVES,
-    Continuation,
-    FourTuple,
-    HomogeneousPair,
-    classify_form,
-    match_pair,
-    sheet_eval,
-)
+from .forms import Continuation, FourTuple, HomogeneousPair, classify_form, sheet_eval
 from .qpoint import pair_distance_arrays
 
 ENERGY_EPS = 1e-14
-# innermost rings skipped by sup norms; interpolation noise amplifies there
-CENTER_EXCLUSION_RINGS = 3
 
 
 def rescale_normalize(field: DiskField, r: float) -> DiskField:
@@ -181,19 +171,15 @@ def identify_catalog(
             f"fitted tuples not conformal at tol={tol:g}: {t1}, {t2}"
         )
 
+    entry = HomogeneousPair(rounded, t1, t2, g.seam)
     try:
-        outcome = match_pair(t1, t2, tol)
+        entry.validate(tol)
     except DegeneratePair as exc:
         raise NoCatalogMatch("fitted sheets are numerically zero") from exc
-    k = int(round(2.0 * rounded))
-    if g.seam is Continuation.SWAP:
-        if outcome.swap_class != FREQ_ODD_HALVES or k % 2 == 0:
-            raise NoCatalogMatch("swap seam incompatible with fitted sheets")
-    else:
-        if outcome.identity_class != FREQ_INTEGERS or k % 2 == 1:
-            raise NoCatalogMatch("identity seam requires integer degree")
-
-    entry = HomogeneousPair(rounded, t1, t2, g.seam)
+    except ValueError as exc:
+        if g.seam is Continuation.SWAP:
+            raise NoCatalogMatch("swap seam incompatible with fitted sheets") from exc
+        raise NoCatalogMatch("identity seam requires integer degree") from exc
     fit1 = sheet_eval(t1, rounded, 1.0, thetas)
     fit2 = sheet_eval(t2, rounded, 1.0, thetas)
     residual = float(

@@ -28,6 +28,10 @@ from .forms import Continuation, HomogeneousPair, sheet_eval
 from .qpoint import pair_distance_arrays
 
 EPS_BOUNDARY_MASS = 1e-14
+# innermost rings below grid resolution: the frequency profile and the
+# blow-up radii stay outside them and the blow-up's sup norms skip them,
+# since interpolation noise amplifies there
+CENTER_EXCLUSION_RINGS = 3
 
 
 @dataclass(frozen=True)
@@ -257,8 +261,8 @@ def frequency_profile(field: DiskField, radii) -> FrequencyProfile:
     D, H, N = [], [], []
     for r in radii:
         i = grid.ring_of(r)
-        if i < 3:
-            raise GridTooCoarse(f"radius {r} is below 3 grid rings")
+        if i < CENTER_EXCLUSION_RINGS:
+            raise GridTooCoarse(f"radius {r} is below {CENTER_EXCLUSION_RINGS} grid rings")
         h_val = boundary_mass(field, r)
         if h_val <= EPS_BOUNDARY_MASS:
             raise ZeroBoundaryMass(f"boundary mass {h_val:.3e} at r={r}")

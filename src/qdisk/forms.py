@@ -7,19 +7,23 @@ to be conformal, which pins the coefficients to
 
     a^2 + c^2 - b^2 - d^2 = 0   and   a*b + c*d = 0.
 
-The real solutions of this pair fall into exactly seven parametric families
-(F1..F7 below). A two-valued function made of two such sheets must in
-addition close up across the slit at theta = 0 vs theta = 2*pi, either
-sheet-to-same-sheet (identity continuation) or sheet-to-other-sheet (swap
-continuation), and the average of the two sheets must itself be one of the
-seven families. This module classifies tuples, decides seam closure,
-builds the full matching table, and enumerates concrete admissible entries.
+The real solutions of this pair fall into exactly seven linear families,
+F1..F7, each defined once in ``_FAMILIES`` by the rows that span it and the
+rows that vanish on it; classification, reconstruction and the inverse of
+the value at the slit all read that table. A two-valued function made of
+two such sheets must in addition close up across the slit at theta = 0 vs
+theta = 2*pi, either sheet-to-same-sheet (identity continuation) or
+sheet-to-other-sheet (swap continuation), and the average of the two sheets
+must itself be one of the seven families. This module classifies tuples,
+decides seam closure, builds the full matching table, and enumerates
+concrete admissible entries.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,15 +35,54 @@ from .errors import DegeneratePair
 FREQ_INTEGERS = "integers"  # N = k for positive integers k
 FREQ_ODD_HALVES = "odd-halves"  # N = k/2 for odd positive integers k
 
-_FORM_PARAM_NAMES = {
-    1: ("d",),
-    2: ("d",),
-    3: ("b",),
-    4: ("b",),
-    5: ("l", "c"),
-    6: ("l", "c"),
-    7: (),
+
+class _Family(NamedTuple):
+    """One conformal family: the span of ``basis`` (rows over (a, b, c, d)
+    with entries in {0, +-1} and exactly one nonzero among a and c), cut
+    out by the vanishing of ``residuals``. The coordinates of a tuple are
+    half its dot products with the basis rows; two-coordinate families
+    carry the parameters (l, c) for the coordinates (l*c, c)."""
+
+    names: tuple
+    basis: tuple
+    residuals: tuple
+
+
+_FAMILIES = {
+    1: _Family(("d",), ((1, 0, 0, 1),), ((1, 0, 0, -1), (0, 1, 0, 0), (0, 0, 1, 0))),
+    2: _Family(("d",), ((-1, 0, 0, 1),), ((1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0))),
+    3: _Family(("b",), ((0, 1, 1, 0),), ((1, 0, 0, 0), (0, 0, 0, 1), (0, 1, -1, 0))),
+    4: _Family(("b",), ((0, 1, -1, 0),), ((1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 1, 0))),
+    5: _Family(("l", "c"), ((1, 0, 0, 1), (0, -1, 1, 0)), ((0, 1, 1, 0), (1, 0, 0, -1))),
+    6: _Family(("l", "c"), ((1, 0, 0, -1), (0, 1, 1, 0)), ((0, 1, -1, 0), (1, 0, 0, 1))),
+    7: _Family((), (), ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
 }
+
+
+def _dot(row, values):
+    """Dot product summing only the terms of nonzero entries, negated for
+    -1: no 0*x term turns -0.0 into +0.0, so results are bitwise those of
+    the written-out sums (d - a == -a + d, -(l*c) == (-l)*c)."""
+    total = None
+    for w, x in zip(row, values):
+        if w:
+            term = x if w > 0 else -x
+            total = term if total is None else total + term
+    return 0.0 if total is None else total
+
+
+def _params_of(coords) -> tuple:
+    """Family parameters of basis coordinates: (l, c) for (l*c, c)."""
+    if len(coords) == 2:
+        return (coords[0] / coords[1], coords[1])
+    return tuple(coords)
+
+
+def _coords_of(params) -> tuple:
+    """Inverse of _params_of."""
+    if len(params) == 2:
+        return (params[0] * params[1], params[1])
+    return tuple(params)
 
 
 class FourTuple(NamedTuple):
@@ -72,7 +115,7 @@ class FormClass:
     """A conformal family tag (1..7) with its free parameters.
 
     tag 0 is the non-conformal sentinel NOT_CONFORMAL. Parameter order:
-    F1/F2 -> (d,), F3/F4 -> (b,), F5/F6 -> (l, c), F7 -> ().
+    F1/F2 -> (d,), F3/F4 -> (b,), F5/F6 -> (l, c), F7 -> (), as in _FAMILIES.
     """
 
     tag: int
@@ -87,30 +130,15 @@ class FormClass:
         return f"F{self.tag}" if self.tag else "not-conformal"
 
     def param_names(self) -> tuple:
-        return _FORM_PARAM_NAMES.get(self.tag, ())
+        family = _FAMILIES.get(self.tag)
+        return family.names if family else ()
 
     def to_tuple(self) -> FourTuple:
-        if self.tag == 1:
-            (d,) = self.params
-            return FourTuple(d, 0.0, 0.0, d)
-        if self.tag == 2:
-            (d,) = self.params
-            return FourTuple(-d, 0.0, 0.0, d)
-        if self.tag == 3:
-            (b,) = self.params
-            return FourTuple(0.0, b, b, 0.0)
-        if self.tag == 4:
-            (b,) = self.params
-            return FourTuple(0.0, b, -b, 0.0)
-        if self.tag == 5:
-            l, c = self.params
-            return FourTuple(l * c, -c, c, l * c)
-        if self.tag == 6:
-            l, c = self.params
-            return FourTuple(l * c, c, c, -l * c)
-        if self.tag == 7:
-            return FourTuple(0.0, 0.0, 0.0, 0.0)
-        raise ValueError(f"cannot reconstruct from {self!r}")
+        family = _FAMILIES.get(self.tag)
+        if family is None or len(self.params) != len(family.names):
+            raise ValueError(f"cannot reconstruct from {self!r}")
+        coords = _coords_of(self.params)
+        return FourTuple(*(_dot([row[k] for row in family.basis], coords) for k in range(4)))
 
     def __str__(self):
         if not self.is_conformal:
@@ -139,61 +167,37 @@ def classify_form(t: FourTuple, tol: float = 1e-9) -> FormClass:
     (absolute, on both constraints). Family side conditions (nonzero
     parameters) are enforced strictly at the same tolerance, so tuples on a
     family boundary are tagged with the lower-parameter family; candidates
-    are tried in the order F1..F7.
+    are tried in the order F1..F7. Raises ValueError for a non-finite entry
+    or a ``tol`` that is not a number >= 0.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not tol >= 0:
+        raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
     t = FourTuple(*map(float, t))
+    if not all(map(math.isfinite, t)):
+        raise ValueError(f"non-finite coefficient in {t}")
     d1, d2 = conformal_defect(t)
     if max(abs(d1), abs(d2)) > tol:
         return NOT_CONFORMAL
-    a, b, c, d = t
 
-    candidates = []
-    # F1: (d, 0, 0, d)
-    p = 0.5 * (a + d)
-    res = max(abs(a - d), abs(b), abs(c))
-    if res <= tol and abs(p) > tol:
-        candidates.append(FormClass(1, (p,)))
-    # F2: (-d, 0, 0, d)
-    p = 0.5 * (d - a)
-    res = max(abs(a + d), abs(b), abs(c))
-    if res <= tol and abs(p) > tol:
-        candidates.append(FormClass(2, (p,)))
-    # F3: (0, b, b, 0)
-    p = 0.5 * (b + c)
-    res = max(abs(a), abs(d), abs(b - c))
-    if res <= tol and abs(p) > tol:
-        candidates.append(FormClass(3, (p,)))
-    # F4: (0, b, -b, 0)
-    p = 0.5 * (b - c)
-    res = max(abs(a), abs(d), abs(b + c))
-    if res <= tol and abs(p) > tol:
-        candidates.append(FormClass(4, (p,)))
-    # F5: (l*c, -c, c, l*c)
-    cc = 0.5 * (c - b)
-    aa = 0.5 * (a + d)
-    res = max(abs(b + c), abs(a - d))
-    if res <= tol and abs(cc) > tol and abs(aa) > tol:
-        candidates.append(FormClass(5, (aa / cc, cc)))
-    # F6: (l*c, c, c, -l*c)
-    cc = 0.5 * (b + c)
-    aa = 0.5 * (a - d)
-    res = max(abs(b - c), abs(a + d))
-    if res <= tol and abs(cc) > tol and abs(aa) > tol:
-        candidates.append(FormClass(6, (aa / cc, cc)))
-    # F7: the zero tuple
-    if max(abs(a), abs(b), abs(c), abs(d)) <= tol:
-        candidates.append(FormClass(7))
-
-    if not candidates:
-        # Defect within tol but no family within tol of the tuple; treat as
-        # not conformal rather than force a bad parameter fit.
-        return NOT_CONFORMAL
+    candidates = _on_families(t, tol)
+    # Defect within tol but no family within tol of the tuple is treated as
+    # not conformal rather than forced into a bad parameter fit.
+    first = next(candidates, NOT_CONFORMAL)
     # The strict side conditions make the families disjoint on exact input.
-    if len(candidates) > 1 and tol <= 0:
+    if tol <= 0 and next(candidates, None) is not None:
         raise RuntimeError(f"ambiguous exact classification of {t}")
-    return candidates[0]
+    return first
+
+
+def _on_families(t: FourTuple, tol: float):
+    """Yield, in the order F1..F7, the form of each family whose residuals
+    vanish on t and whose coordinates are nonzero, both within tol."""
+    for tag, family in _FAMILIES.items():
+        if any(abs(_dot(row, t)) > tol for row in family.residuals):
+            continue
+        coords = [0.5 * _dot(row, t) for row in family.basis]
+        if all(abs(x) > tol for x in coords):
+            yield FormClass(tag, _params_of(coords))
 
 
 def sheet_eval(t: FourTuple, N: float, r, theta):
@@ -270,21 +274,20 @@ def seam_solutions(
 class MatchOutcome:
     """Matching result for an ordered pair of sheets.
 
-    identity_class / swap_class are FREQ_INTEGERS, FREQ_ODD_HALVES or None;
-    both are forced to None when the summed tuple is inadmissible.
-    ``constraints`` records forced parameter relations of the swap closure
-    (second-sheet parameters primed), e.g. ("d'=-d",).
+    ``sum_admissible`` is the family of the summed tuple, or None when the
+    sum is not conformal. An admissible pair closes under identity at the
+    integers; ``swap_class`` is FREQ_INTEGERS, FREQ_ODD_HALVES or None, and
+    None whenever the sum is inadmissible. ``constraints`` records forced
+    parameter relations of the swap closure (second-sheet parameters
+    primed), e.g. ("d'=-d",).
     """
 
-    identity_class: str | None
     swap_class: str | None
     constraints: tuple
     sum_admissible: FormClass | None
 
     def __post_init__(self):
-        if self.sum_admissible is None and (
-            self.identity_class is not None or self.swap_class is not None
-        ):
+        if self.sum_admissible is None and self.swap_class is not None:
             raise ValueError("an inadmissible sum admits no closure class")
 
 
@@ -307,7 +310,7 @@ def _swap_constraints(f1: FormClass, f2: FormClass, tol: float) -> tuple:
 
 
 def match_pair(t1: FourTuple, t2: FourTuple, tol: float = 1e-9) -> MatchOutcome:
-    """Combine sum admissibility with the seam rule for both continuations."""
+    """Combine sum admissibility with the swap seam rule."""
     t1 = FourTuple(*map(float, t1))
     t2 = FourTuple(*map(float, t2))
     scale = max(1.0, max(abs(x) for x in t1 + t2))
@@ -317,16 +320,15 @@ def match_pair(t1: FourTuple, t2: FourTuple, tol: float = 1e-9) -> MatchOutcome:
     # the sheets' average must itself be a minimizer: their sum is conformal
     sum_cls = classify_form(t1.plus(t2), tol)
     if not sum_cls.is_conformal:
-        return MatchOutcome(None, None, (), None)
+        return MatchOutcome(None, (), None)
 
-    identity = seam_solutions(t1, t2, Continuation.IDENTITY, tol)
     swap = seam_solutions(t1, t2, Continuation.SWAP, tol)
     constraints = ()
     if swap is not None:
         constraints = _swap_constraints(
             classify_form(t1, tol), classify_form(t2, tol), tol
         )
-    return MatchOutcome(identity, swap, constraints, sum_cls)
+    return MatchOutcome(swap, constraints, sum_cls)
 
 
 # --- matching table over all form pairs -----------------------------------
@@ -340,31 +342,24 @@ _WITNESS_3 = {"d": 1.37, "b": 0.41, "l": 0.52, "c": 1.93}
 
 
 def _witness_form(tag: int, values: dict) -> FormClass:
-    return FormClass(tag, tuple(values[n] for n in _FORM_PARAM_NAMES[tag]))
+    return FormClass(tag, tuple(values[n] for n in _FAMILIES[tag].names))
 
 
 def _params_from_slit_value(tag: int, value: tuple[float, float]):
     """Invert the value-at-the-slit map for one family, if possible.
 
     Returns the parameter tuple of family ``tag`` whose sheet takes the
-    given value at theta=0, or None when the value is off the family's
-    locus (respecting the nonzero side conditions exactly; witness values
-    keep structural zeros exact).
+    given value (a, c) at theta=0, or None when the value is off the
+    family's locus (respecting the nonzero side conditions exactly; witness
+    values keep structural zeros exact). Each basis row reads one of a and
+    c, so its coordinate is that slit value, negated for a -1 entry.
     """
-    a0, c0 = value
-    if tag == 1:
-        return (a0,) if c0 == 0.0 and a0 != 0.0 else None
-    if tag == 2:
-        return (-a0,) if c0 == 0.0 and a0 != 0.0 else None
-    if tag == 3:
-        return (c0,) if a0 == 0.0 and c0 != 0.0 else None
-    if tag == 4:
-        return (-c0,) if a0 == 0.0 and c0 != 0.0 else None
-    if tag in (5, 6):
-        return (a0 / c0, c0) if c0 != 0.0 and a0 != 0.0 else None
-    if tag == 7:
-        return () if a0 == 0.0 and c0 == 0.0 else None
-    raise ValueError(tag)
+    rows = [(row[0], row[2]) for row in _FAMILIES[tag].basis]
+    coords = [_dot(row, value) for row in rows]
+    unread = [v for k, v in enumerate(value) if not any(row[k] for row in rows)]
+    if any(unread) or 0.0 in coords:
+        return None
+    return _params_of(coords)
 
 
 @dataclass(frozen=True)
@@ -417,11 +412,11 @@ def build_match_table() -> list[TableRow]:
                 rows.append(TableRow(i, j, "identity", "none", note))
                 rows.append(TableRow(i, j, "swap", "none", note))
                 continue
-            rows.append(TableRow(i, j, "identity", outcome.identity_class, ""))
+            rows.append(TableRow(i, j, "identity", FREQ_INTEGERS, ""))
 
             params_j = _params_from_slit_value(j, (-t_i.a, -t_i.c))
             swap = (
-                MatchOutcome(None, None, (), None)
+                MatchOutcome(None, (), None)
                 if params_j is None
                 else match_pair(t_i, FormClass(j, params_j).to_tuple())
             )
@@ -431,9 +426,7 @@ def build_match_table() -> list[TableRow]:
 
     # Doubled single-sheet cases g = 2[[g1]]: one family, identity closure
     # only, integer homogeneity.
-    for tag in range(1, 7):
-        t = _witness_form(tag, _WITNESS_1).to_tuple()
-        rows.append(TableRow(tag, tag, "doubled", match_pair(t, t).identity_class, ""))
+    rows += [TableRow(tag, tag, "doubled", FREQ_INTEGERS, "") for tag in range(1, 7)]
     return rows
 
 
@@ -476,17 +469,17 @@ class HomogeneousPair:
         else:
             if abs(self.N - round(self.N)) > tol:
                 raise ValueError("identity continuation requires integer N")
-            if outcome.identity_class != FREQ_INTEGERS:
+            if outcome.sum_admissible is None:
                 raise ValueError("sheet pair does not close under identity")
 
 
-def _draw_params(rng, tag: int) -> tuple:
-    """Parameters uniform on +-[0.1, 2], respecting the nonzero conditions."""
-    out = []
-    for _ in _FORM_PARAM_NAMES[tag]:
+def _draw_sheet(rng, tag: int) -> FourTuple:
+    """A family-``tag`` sheet with parameters uniform on +-[0.1, 2]."""
+    params = []
+    for _ in _FAMILIES[tag].names:
         sign = 1.0 if rng.random() < 0.5 else -1.0
-        out.append(sign * rng.uniform(0.1, 2.0))
-    return tuple(out)
+        params.append(sign * rng.uniform(0.1, 2.0))
+    return FormClass(tag, tuple(params)).to_tuple()
 
 
 def enumerate_entries(k_max: int, parameter_seed=0) -> list[HomogeneousPair]:
@@ -495,8 +488,8 @@ def enumerate_entries(k_max: int, parameter_seed=0) -> list[HomogeneousPair]:
     Odd k: one swap entry per family F1..F6 with the forced sign relations.
     Even k: identity entries from each same-family pair with independent
     parameters, the six admissible cross-family pairs, and two pairs with a
-    zero sheet. Every entry passes match_pair; parameters are drawn from
-    the given seed (or numpy Generator).
+    zero sheet. Every entry passes validate; parameters are drawn from the
+    given seed (or numpy Generator).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -505,48 +498,27 @@ def enumerate_entries(k_max: int, parameter_seed=0) -> list[HomogeneousPair]:
         if isinstance(parameter_seed, np.random.Generator)
         else np.random.default_rng(parameter_seed)
     )
-    cross_pairs = [
+    identity_pairs = [(tag, tag) for tag in range(1, 7)]
+    identity_pairs += [
         (row.form_i, row.form_j)
         for row in build_match_table()
         if row.continuation == "identity"
         and row.frequency_class == FREQ_INTEGERS
         and row.form_i < row.form_j < 7
     ]
+    identity_pairs += [(1, 7), (3, 7)]
     entries: list[HomogeneousPair] = []
     for k in range(1, k_max + 1):
         N = k / 2.0
         if k % 2 == 1:
             for tag in range(1, 7):
-                t = FormClass(tag, _draw_params(rng, tag)).to_tuple()
-                entry = HomogeneousPair(N, t, t.negated(), Continuation.SWAP)
-                entry.validate()
-                entries.append(entry)
+                t = _draw_sheet(rng, tag)
+                entries.append(HomogeneousPair(N, t, t.negated(), Continuation.SWAP))
         else:
-            for tag in range(1, 7):
-                entry = HomogeneousPair(
-                    N,
-                    FormClass(tag, _draw_params(rng, tag)).to_tuple(),
-                    FormClass(tag, _draw_params(rng, tag)).to_tuple(),
-                    Continuation.IDENTITY,
-                )
-                entry.validate()
-                entries.append(entry)
-            for tag_i, tag_j in cross_pairs:
-                entry = HomogeneousPair(
-                    N,
-                    FormClass(tag_i, _draw_params(rng, tag_i)).to_tuple(),
-                    FormClass(tag_j, _draw_params(rng, tag_j)).to_tuple(),
-                    Continuation.IDENTITY,
-                )
-                entry.validate()
-                entries.append(entry)
-            for tag in (1, 3):
-                entry = HomogeneousPair(
-                    N,
-                    FormClass(tag, _draw_params(rng, tag)).to_tuple(),
-                    FormClass(7).to_tuple(),
-                    Continuation.IDENTITY,
-                )
-                entry.validate()
-                entries.append(entry)
+            for i, j in identity_pairs:
+                t1 = _draw_sheet(rng, i)
+                t2 = _draw_sheet(rng, j)
+                entries.append(HomogeneousPair(N, t1, t2, Continuation.IDENTITY))
+    for entry in entries:
+        entry.validate()
     return entries

@@ -142,8 +142,8 @@ def _track_selection(trace: BoundaryTrace) -> tuple[np.ndarray, np.ndarray, bool
 
 
 def _collisions(trace: BoundaryTrace) -> np.ndarray:
-    """Indices of the samples where the sheets collide."""
-    return np.nonzero(np.linalg.norm(trace.p1 - trace.p2, axis=1) < SEP_TOL)[0]
+    """Mask of the samples where the sheets collide."""
+    return np.linalg.norm(trace.p1 - trace.p2, axis=1) < SEP_TOL
 
 
 def lift_boundary(trace: BoundaryTrace) -> BoundaryLift:
@@ -173,27 +173,9 @@ def forced_lift(trace: BoundaryTrace, kind: Continuation) -> BoundaryLift:
     sel, comp, _ = _track_selection(trace)
     if kind is Continuation.IDENTITY:
         return BoundaryLift(kind, (sel, comp))
-    collisions = _collisions(trace)
-    j = int(collisions[0]) if len(collisions) else 0
+    j = int(np.argmax(_collisions(trace)))  # the first collision, 0 if none
     loop = np.concatenate([sel[:j], comp[j:], comp[:j], sel[j:]])
     return BoundaryLift(kind, (loop,))
-
-
-def _collision_events(trace: BoundaryTrace) -> list[np.ndarray]:
-    """Maximal runs of consecutive sample indices where the sheets collide."""
-    idx = _collisions(trace)
-    if not len(idx):
-        return []
-    events = [[idx[0]]]
-    for a in idx[1:]:
-        if a == events[-1][-1] + 1:
-            events[-1].append(a)
-        else:
-            events.append([a])
-    # wraparound: last run touching the end merges with one starting at 0
-    if len(events) > 1 and events[0][0] == 0 and events[-1][-1] == trace.n - 1:
-        events[0] = events.pop() + events[0]
-    return [np.asarray(e) for e in events]
 
 
 @dataclass(frozen=True)
@@ -397,10 +379,13 @@ def minimize(
     try:
         lift = lift_boundary(trace)
     except AmbiguousClass:
-        events = _collision_events(trace)
-        if len(events) != 1:
+        # collision events are the circular runs of the mask: count their
+        # starts, or one when every sample collides
+        hits = _collisions(trace)
+        events = int(np.count_nonzero(hits & ~np.roll(hits, 1))) or int(hits.all())
+        if events != 1:
             raise AmbiguousClass(
-                f"{len(events)} collision events admit more than the two "
+                f"{events} collision events admit more than the two "
                 "canonical splittings; pass the class explicitly"
             )
         identity, swap = (

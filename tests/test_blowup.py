@@ -189,6 +189,25 @@ def test_no_catalog_match_reports_plain_floats(grid64):
     assert "np.float64" not in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "t2, seam, message",
+    [
+        # N = 1 under swap: the sheets agree at the slit but 2N is even
+        ((1.0, 0.0, 0.0, 1.0), Continuation.SWAP, "swap seam incompatible with fitted sheets"),
+        # N = 1 under identity: z and -conj(z)/2 sum to a non-conformal tuple
+        ((-0.5, 0.0, 0.0, 0.5), Continuation.IDENTITY, "identity seam requires integer degree"),
+    ],
+)
+def test_identify_catalog_seam_messages(grid64, t2, seam, message):
+    """Conformal fitted sheets that fail HomogeneousPair.validate under the
+    field's seam keep the seam's own message."""
+    entry = HomogeneousPair(1.0, FourTuple(1.0, 0.0, 0.0, 1.0), FourTuple(*t2), seam)
+    g = rescale_normalize(sample_field(entry, grid64), 1.0)
+    with pytest.raises(NoCatalogMatch) as exc:
+        identify_catalog(g, 0.05)
+    assert str(exc.value) == message
+
+
 def test_identify_catalog_rejects_slit_jump_field(grid64):
     """A degree-0.7 angular profile cannot close across the slit; the
     seam-aware energy blows up and the fitted sheets carry no content at

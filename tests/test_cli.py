@@ -47,6 +47,27 @@ def test_classify_exit_codes(capsys):
     assert main(["classify", "1,1,1,1"]) == 1
     assert "not-conformal" in capsys.readouterr().out
     assert main(["classify", "1,0,0"]) == 2
+    # the defect overflows to NaN, but the tuple is finite and in F1
+    assert main(["classify", "1e200,0,0,1e200"]) == 0
+    assert "classification: F1(d=1e+200)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "nan,0,0,0"],
+        ["classify", "1,0,0,inf"],
+        ["classify", "1,0,0,1", "--tol", "nan"],
+        ["classify", "1,0,0,1", "--tol=-1"],
+    ],
+)
+def test_classify_rejects_non_finite_input(argv, capsys):
+    """NaN slipped past the defect gate (nan > tol is False) and printed
+    not-conformal with exit 1."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_table_csv_and_json(tmp_path):
@@ -236,14 +257,20 @@ def test_blowup_duplicate_radii(perturbed_trace_file):
 
 def test_cli_subprocess_entry(tmp_path, branched_trace_file):
     """Exit codes and artifacts hold through a real subprocess boundary."""
+    import os
     import subprocess
     import sys
 
+    # the child imports the package the tests import, installed or not
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     out = tmp_path / "t.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "qdisk.cli", "table", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert out.read_text().startswith("form_i,form_j,")
@@ -251,6 +278,7 @@ def test_cli_subprocess_entry(tmp_path, branched_trace_file):
         [sys.executable, "-m", "qdisk.cli", "classify", "0,2,-2,0"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "F4(b=2)" in proc.stdout

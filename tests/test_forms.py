@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import struct
 
 import numpy as np
@@ -13,6 +14,8 @@ from qdisk.forms import (
     FourTuple,
     HomogeneousPair,
     NOT_CONFORMAL,
+    _FAMILIES,
+    _params_from_slit_value,
     build_match_table,
     classify_form,
     conformal_defect,
@@ -65,6 +68,55 @@ def test_constraint_form_equivalence_random():
     assert not defect_ok.any()  # the conformal variety has measure zero
     for row, ok in zip(tuples, defect_ok):
         assert classify_form(FourTuple(*row)).is_conformal == bool(ok)
+
+
+def test_family_table_invariants():
+    """Each family is the span of its basis rows and the null space of its
+    residual rows; each basis row reads exactly one of a and c (the slit
+    value); every combination of basis rows is conformal."""
+    assert list(_FAMILIES) == list(range(1, 8))
+    for family in _FAMILIES.values():
+        basis = np.array(family.basis, dtype=float).reshape(-1, 4)
+        residuals = np.array(family.residuals, dtype=float).reshape(-1, 4)
+        assert len(basis) == len(family.names)
+        assert set(np.concatenate([basis, residuals]).ravel()) <= {-1.0, 0.0, 1.0}
+        assert not (residuals @ basis.T).any()
+        assert np.linalg.matrix_rank(np.vstack([basis, residuals])) == 4
+        assert all(np.count_nonzero(row[[0, 2]]) == 1 for row in basis)
+        # a quadratic form that vanishes on a 5-point grid in each coordinate
+        # vanishes identically; small integers keep the arithmetic exact
+        for coords in itertools.product(range(-2, 3), repeat=len(basis)):
+            t = FourTuple(*(np.array(coords, dtype=float) @ basis))
+            assert conformal_defect(t) == (0, 0)
+
+
+def test_to_tuple_signed_zeros():
+    """Structural zeros are +0.0 and negated coordinates keep their sign
+    bit: no 0*x term enters a reconstructed entry."""
+
+    def bits(t):
+        return struct.pack("<4d", *t)
+
+    assert bits(FormClass(2, (0.0,)).to_tuple()) == bits((-0.0, 0.0, 0.0, 0.0))
+    assert bits(FormClass(4, (-0.0,)).to_tuple()) == bits((0.0, -0.0, 0.0, 0.0))
+    assert bits(FormClass(6, (-1.5, 0.0)).to_tuple()) == bits((-0.0, 0.0, 0.0, 0.0))
+    assert bits(FormClass(7).to_tuple()) == bits((0.0, 0.0, 0.0, 0.0))
+
+
+def test_params_from_slit_value():
+    """The inverse of the value at the slit, (a, c), per family: exact on
+    the family's locus, None off it or where a parameter would vanish."""
+    forms = [FormClass(1, (0.75,)), FormClass(2, (0.75,)), FormClass(3, (-0.5,)),
+             FormClass(4, (0.5,)), FormClass(5, (1.5, 0.5)), FormClass(6, (-1.25, 0.25)),
+             FormClass(7)]
+    for form in forms:
+        t = form.to_tuple()
+        assert _params_from_slit_value(form.tag, (t.a, t.c)) == form.params
+    assert _params_from_slit_value(1, (0.75, 0.125)) is None  # F1 has c = 0
+    assert _params_from_slit_value(4, (0.125, 0.5)) is None  # F4 has a = 0
+    assert _params_from_slit_value(2, (0.0, 0.0)) is None  # d != 0
+    assert _params_from_slit_value(6, (0.0, 0.5)) is None  # l*c != 0
+    assert _params_from_slit_value(7, (0.0, 1e-300)) is None
 
 
 def test_sheet_eval_examples():
@@ -190,7 +242,7 @@ def test_match_pair_same_form_swap():
     t1 = FormClass(3, (1.1,)).to_tuple()
     t2 = FormClass(3, (-1.1,)).to_tuple()
     outcome = match_pair(t1, t2)
-    assert outcome.identity_class == FREQ_INTEGERS
+    assert outcome.sum_admissible == FormClass(7)
     assert outcome.swap_class == FREQ_ODD_HALVES
     assert outcome.constraints == ("b'=-b",)
 
@@ -200,7 +252,7 @@ def test_match_pair_inadmissible_sum():
         FormClass(2, (0.7,)).to_tuple(), FormClass(4, (0.9,)).to_tuple()
     )
     assert outcome.sum_admissible is None
-    assert outcome.identity_class is None and outcome.swap_class is None
+    assert outcome.swap_class is None
 
 
 def test_match_pair_f5_relations():
@@ -339,3 +391,39 @@ def test_seam_solutions_against_brute_force():
             else:
                 # no canonical class: no half-integer degree may close
                 assert closing == set()
+
+
+def _noisy_family_tuples(count, seed):
+    """Family tuples with parameters of magnitude 1e-10..2, three in four
+    perturbed by noise of size 1e-12..1e-6: they straddle the defect gate,
+    the residual gate and the nonzero side conditions at every tolerance."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        tag = int(rng.integers(1, 8))
+        params = tuple(
+            float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-10, 0.3))
+            for _ in FormClass(tag).param_names()
+        )
+        noise = np.zeros(4)
+        if rng.random() < 0.75:
+            noise = 10 ** rng.uniform(-12, -6) * rng.normal(size=4)
+        yield FourTuple(*(np.asarray(FormClass(tag, params).to_tuple()) + noise).tolist())
+
+
+def test_classify_form_bits_pinned():
+    """Tag, parameter bits and printed form of noisy family tuples at four
+    tolerances, as computed by the per-family classifier the table replaced."""
+    tuples = list(_noisy_family_tuples(2500, 12))
+    digest = hashlib.sha256()
+    for tol in (0.0, 1e-9, 1e-7, 0.05):
+        for t in tuples:
+            try:
+                form = classify_form(t, tol)
+            except RuntimeError:
+                digest.update(b"ambiguous")
+                continue
+            digest.update(struct.pack(f"<b{len(form.params)}d", form.tag, *form.params))
+            digest.update(str(form).encode())
+    assert digest.hexdigest() == (
+        "17dfc57d2d28e3e707e80f9088ccb8602ba5dc202286c2d6fabc504f2e08c4c9"
+    )

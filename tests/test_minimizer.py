@@ -15,6 +15,7 @@ from qdisk.field import (
 from qdisk.forms import Continuation, FourTuple, HomogeneousPair
 from qdisk.minimizer import (
     COEFF_EPS,
+    SEP_TOL,
     BoundaryTrace,
     MinimizeResult,
     Spectrum,
@@ -234,6 +235,29 @@ def test_minimize_single_collision_compares_classes(grid64):
     assert res.energy <= res.alt_energy
     assert res.kind is Continuation.IDENTITY  # circle + constant: 2*pi beats swap
     np.testing.assert_allclose(res.energy, 2 * np.pi, rtol=0.02)
+
+
+def _one_collision_event(where, n=128):
+    """A circle against a second sheet that meets it on one circular run:
+    across the wrap (radius 1 + max(0, |theta| - 1.5 dtheta) with theta in
+    (-pi, pi]: samples n-1, 0 and 1) or everywhere (the same circle)."""
+    th = 2 * np.pi * np.arange(n) / n
+    p1 = np.stack([np.cos(th), np.sin(th)], axis=1)
+    if where == "everywhere":
+        return BoundaryTrace.from_values(p1, p1), list(range(n))
+    ang = np.angle(np.exp(1j * th))
+    p2 = p1 * (1.0 + np.maximum(0.0, np.abs(ang) - 1.5 * 2 * np.pi / n))[:, None]
+    return BoundaryTrace.from_values(p1, p2), [0, 1, n - 1]
+
+
+@pytest.mark.parametrize("where", ["wrap", "everywhere"])
+def test_minimize_one_collision_event(grid32, where):
+    """One circular run of collisions is one event: both classes are built."""
+    trace, expected = _one_collision_event(where)
+    hits = np.linalg.norm(trace.p1 - trace.p2, axis=1) < SEP_TOL
+    assert np.flatnonzero(hits).tolist() == expected
+    res = minimize(trace, grid32)
+    assert res.alt_energy is not None and res.energy <= res.alt_energy
 
 
 def test_minimize_two_collisions_ambiguous(grid64):
