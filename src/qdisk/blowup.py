@@ -24,7 +24,7 @@ from .field import (
     boundary_mass,
     frequency_profile,
 )
-from .forms import Continuation, FourTuple, HomogeneousPair, classify_form, sheet_eval
+from .forms import FourTuple, HomogeneousPair, sheet_eval
 from .qpoint import pair_distance_arrays
 
 ENERGY_EPS = 1e-14
@@ -142,16 +142,17 @@ def identify_catalog(
 
     Fits N as the median of the frequency profile at _FIT_RADII and rounds
     it to the nearest half-integer, fits each sheet's boundary trace to the
-    degree-N mode family, classifies the fitted tuples, and validates the
-    pair under the field's seam. Returns the entry, the fitted N and the
-    sup-norm boundary residual.
+    degree-N mode family, and asks HomogeneousPair.validate whether the
+    pair under the field's seam is a catalog entry. Returns the entry, the
+    fitted N and the sup-norm boundary residual.
     Raises NoCatalogMatch when the fitted degree is farther than 0.1 from a
-    half-integer or the tuples fail classification/matching at ``tol``.
+    half-integer, when the trace has almost no content at that degree, or
+    with validate's reason when the fitted entry fails it at ``tol``.
     """
     profile = frequency_profile(g, _FIT_RADII)
     fitted = float(np.median(profile.N))
     rounded = round(2.0 * fitted) / 2.0
-    if abs(fitted - rounded) > 0.1 or rounded < 0.5:
+    if abs(fitted - rounded) > 0.1:
         raise NoCatalogMatch(
             f"fitted degree {fitted:.4f} is not within 0.1 of a half-integer"
         )
@@ -164,12 +165,6 @@ def identify_catalog(
         raise NoCatalogMatch(
             "boundary trace has almost no content at the fitted degree"
         )
-    f1 = classify_form(t1, tol)
-    f2 = classify_form(t2, tol)
-    if not (f1.is_conformal and f2.is_conformal):
-        raise NoCatalogMatch(
-            f"fitted tuples not conformal at tol={tol:g}: {t1}, {t2}"
-        )
 
     entry = HomogeneousPair(rounded, t1, t2, g.seam)
     try:
@@ -177,9 +172,7 @@ def identify_catalog(
     except DegeneratePair as exc:
         raise NoCatalogMatch("fitted sheets are numerically zero") from exc
     except ValueError as exc:
-        if g.seam is Continuation.SWAP:
-            raise NoCatalogMatch("swap seam incompatible with fitted sheets") from exc
-        raise NoCatalogMatch("identity seam requires integer degree") from exc
+        raise NoCatalogMatch(f"fitted {exc}") from exc
     fit1 = sheet_eval(t1, rounded, 1.0, thetas)
     fit2 = sheet_eval(t2, rounded, 1.0, thetas)
     residual = float(

@@ -41,12 +41,7 @@ from .blowup import (
     identify_catalog,
     report_to_json,
 )
-from .errors import (
-    AmbiguousClass,
-    NoCatalogMatch,
-    NotStationary,
-    QdiskError,
-)
+from .errors import NoCatalogMatch, NotStationary, QdiskError
 from .field import (
     PolarGrid,
     dirichlet_energy,
@@ -318,9 +313,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except AmbiguousClass as exc:
-        print(f"error: AmbiguousClass: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NoCatalogMatch, NotStationary) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -155,9 +155,17 @@ NOT_CONFORMAL = FormClass(0)
 
 
 def conformal_defect(t: FourTuple) -> tuple[float, float]:
-    """Residuals of the two conformality constraints; (0, 0) iff conformal."""
-    a, b, c, d = t
-    return (a * a + c * c - b * b - d * d, a * b + c * d)
+    """Residuals of the two conformality constraints; (0, 0) iff conformal.
+
+    The tuple is scaled by 2^-k into [1, 2) before squaring and the
+    residuals by 2^k twice after, which is exact unless a product is
+    subnormal: a residual beyond the float range comes out infinite, never
+    NaN, for finite input.
+    """
+    k = math.frexp(max(map(abs, t)))[1] - 1
+    a, b, c, d = (math.ldexp(x, -k) for x in t)
+    s = 2.0**k
+    return ((a * a + c * c - b * b - d * d) * s * s, (a * b + c * d) * s * s)
 
 
 def classify_form(t: FourTuple, tol: float = 1e-9) -> FormClass:
@@ -242,27 +250,22 @@ def sheet_gradient(t: FourTuple, N: float, r, theta):
     return np.stack([row1, row2], axis=-2)
 
 
-def seam_solutions(
-    t1: FourTuple, t2: FourTuple, cont: Continuation, tol: float = 1e-9
-):
-    """Frequency class at which the two sheets close across the slit.
+def seam_solutions(t1: FourTuple, t2: FourTuple, tol: float = 1e-9):
+    """Frequency class at which the two sheets close across the slit under
+    the swap continuation.
 
     At degree N a sheet's value at theta = 2*pi is (a cos psi + b sin psi,
     c cos psi + d sin psi) with the seam angle psi = 2*pi*N. At N = k/2
     that angle is k*pi, so the value is (-1)^k (a, c), the sheet's slit
-    value (its value at theta = 0) times (-1)^k. Identity closure
-    holds at every integer N: FREQ_INTEGERS. Swap closure holds at integers
-    when the two slit values agree (FREQ_INTEGERS), at odd halves when they
-    are opposite (FREQ_ODD_HALVES), and otherwise at no half-integer (None).
-    Both comparisons are within tol * max(1, largest |coefficient|).
+    value (its value at theta = 0) times (-1)^k. Swap closure holds at
+    integers when the two slit values agree (FREQ_INTEGERS), at odd halves
+    when they are opposite (FREQ_ODD_HALVES), and otherwise at no
+    half-integer (None). Both comparisons are within
+    tol * max(1, largest |coefficient|). Identity closure, every sheet back
+    to itself, holds at every integer N; HomogeneousPair.validate states
+    it.
     """
-    t1 = FourTuple(*map(float, t1))
-    t2 = FourTuple(*map(float, t2))
     atol = tol * max(1.0, max(abs(x) for x in t1 + t2))
-    if all(abs(x) <= atol for x in t1 + t2):
-        raise DegeneratePair("both sheets are the zero form")
-    if cont is Continuation.IDENTITY:
-        return FREQ_INTEGERS
     if max(abs(t2.a - t1.a), abs(t2.c - t1.c)) <= atol:
         return FREQ_INTEGERS
     if max(abs(t2.a + t1.a), abs(t2.c + t1.c)) <= atol:
@@ -322,7 +325,7 @@ def match_pair(t1: FourTuple, t2: FourTuple, tol: float = 1e-9) -> MatchOutcome:
     if not sum_cls.is_conformal:
         return MatchOutcome(None, (), None)
 
-    swap = seam_solutions(t1, t2, Continuation.SWAP, tol)
+    swap = seam_solutions(t1, t2, tol)
     constraints = ()
     if swap is not None:
         constraints = _swap_constraints(
@@ -445,10 +448,12 @@ def table_to_json(rows: list[TableRow]) -> str:
 
 @dataclass(frozen=True)
 class HomogeneousPair:
-    """A concrete admissible candidate: degree N, two sheets, continuation.
+    """A concrete candidate: degree N, two sheets, continuation.
 
-    Valid entries have 2N a positive integer, and swap continuations
-    require 2N odd.
+    ``validate`` is the one statement of catalog membership: 2N a positive
+    integer, both sheets conformal, and the pair closing across the slit
+    under its continuation, which for swap means odd 2N and opposite slit
+    values, and for identity integer N and a conformal sum.
     """
 
     N: float
@@ -457,20 +462,25 @@ class HomogeneousPair:
     continuation: Continuation
 
     def validate(self, tol: float = 1e-9) -> None:
+        """Raise ValueError naming the first rule the pair breaks, or
+        DegeneratePair when both sheets are zero; return None for an entry."""
         k = 2.0 * self.N
         if abs(k - round(k)) > tol or round(k) < 1:
-            raise ValueError(f"2N must be a positive integer, got N={self.N}")
+            raise ValueError(f"degree N={self.N:g} is not a positive half-integer")
+        if not all(classify_form(t, tol).is_conformal for t in (self.t1, self.t2)):
+            raise ValueError(f"tuples not conformal at tol={tol:g}: {self.t1}, {self.t2}")
+        swap = self.continuation is Continuation.SWAP
+        name = self.continuation.value
+        if round(k) % 2 != swap:
+            raise ValueError(
+                f"degree N={self.N:g} does not suit {name} continuation, "
+                f"which requires {'odd' if swap else 'even'} 2N"
+            )
         outcome = match_pair(self.t1, self.t2, tol)
-        if self.continuation is Continuation.SWAP:
-            if int(round(k)) % 2 == 0:
-                raise ValueError("swap continuation requires odd 2N")
-            if outcome.swap_class != FREQ_ODD_HALVES:
-                raise ValueError("sheet pair does not close under swap")
-        else:
-            if abs(self.N - round(self.N)) > tol:
-                raise ValueError("identity continuation requires integer N")
-            if outcome.sum_admissible is None:
-                raise ValueError("sheet pair does not close under identity")
+        if outcome.sum_admissible is None:
+            raise ValueError(f"tuples do not close under {name}: their sum is not conformal")
+        if swap and outcome.swap_class != FREQ_ODD_HALVES:
+            raise ValueError("tuples do not close under swap: their slit values are not opposite")
 
 
 def _draw_sheet(rng, tag: int) -> FourTuple:

@@ -168,12 +168,14 @@ def forced_lift(trace: BoundaryTrace, kind: Continuation) -> BoundaryLift:
     Unbranched: the tracked selection and its complement (at collisions
     the two values agree, so either branch keeps the loops continuous).
     Branched: the double loop with the crossover at the first collision if
-    one exists, else at the wrap angle.
+    one exists, else at the wrap angle, where it is lift_boundary's double
+    loop: separated data keeps its detected sheet order.
     """
     sel, comp, _ = _track_selection(trace)
     if kind is Continuation.IDENTITY:
         return BoundaryLift(kind, (sel, comp))
-    j = int(np.argmax(_collisions(trace)))  # the first collision, 0 if none
+    hits = _collisions(trace)
+    j = int(np.argmax(hits)) if hits.any() else trace.n
     loop = np.concatenate([sel[:j], comp[j:], comp[:j], sel[j:]])
     return BoundaryLift(kind, (loop,))
 

@@ -192,15 +192,21 @@ def test_no_catalog_match_reports_plain_floats(grid64):
 @pytest.mark.parametrize(
     "t2, seam, message",
     [
-        # N = 1 under swap: the sheets agree at the slit but 2N is even
-        ((1.0, 0.0, 0.0, 1.0), Continuation.SWAP, "swap seam incompatible with fitted sheets"),
-        # N = 1 under identity: z and -conj(z)/2 sum to a non-conformal tuple
-        ((-0.5, 0.0, 0.0, 0.5), Continuation.IDENTITY, "identity seam requires integer degree"),
+        # the sheets agree at the slit, but 2N is even
+        ((1.0, 0.0, 0.0, 1.0), Continuation.SWAP,
+         "fitted degree N=1 does not suit swap continuation, which requires odd 2N"),
+        # z and -conj(z)/2 sum to a non-conformal tuple
+        ((-0.5, 0.0, 0.0, 0.5), Continuation.IDENTITY,
+         "fitted tuples do not close under identity: their sum is not conformal"),
+        # {z, conj(z)}: F1 + F2 is inadmissible, though N is an integer
+        ((1.0, 0.0, 0.0, -1.0), Continuation.IDENTITY,
+         "fitted tuples do not close under identity: their sum is not conformal"),
     ],
+    ids=["swap-even-2N", "identity-inadmissible-sum", "identity-z-conj-z"],
 )
 def test_identify_catalog_seam_messages(grid64, t2, seam, message):
     """Conformal fitted sheets that fail HomogeneousPair.validate under the
-    field's seam keep the seam's own message."""
+    field's seam report validate's reason."""
     entry = HomogeneousPair(1.0, FourTuple(1.0, 0.0, 0.0, 1.0), FourTuple(*t2), seam)
     g = rescale_normalize(sample_field(entry, grid64), 1.0)
     with pytest.raises(NoCatalogMatch) as exc:

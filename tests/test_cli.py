@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import single_mode_trace
+from conftest import random_trace, single_mode_trace
 
 from qdisk import cli, minimizer
 from qdisk.cli import main
@@ -47,9 +47,13 @@ def test_classify_exit_codes(capsys):
     assert main(["classify", "1,1,1,1"]) == 1
     assert "not-conformal" in capsys.readouterr().out
     assert main(["classify", "1,0,0"]) == 2
-    # the defect overflows to NaN, but the tuple is finite and in F1
+    # squares beyond the float range: the defect is exact, or infinite
     assert main(["classify", "1e200,0,0,1e200"]) == 0
-    assert "classification: F1(d=1e+200)" in capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == ["conformal defect: (0, 0)", "classification: F1(d=1e+200)"]
+    assert main(["classify", "1e200,0,0,0"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == ["conformal defect: (inf, 0)", "classification: not-conformal"]
 
 
 @pytest.mark.parametrize(
@@ -355,12 +359,12 @@ def test_nyquist_sine_reported_on_stderr(tmp_path, capsys):
 def test_outputs_never_overwrite_the_trace(perturbed_trace_file, tmp_path, capsys,
                                            name, argv):
     trace = tmp_path / name
-    trace.write_bytes(open(perturbed_trace_file, "rb").read())
+    trace.write_bytes(Path(perturbed_trace_file).read_bytes())
     before = sorted(tmp_path.iterdir())
     argv = [a.format(trace=trace, dir=tmp_path) for a in argv]
     assert main(argv) == 2
     assert "would overwrite the input trace" in capsys.readouterr().err
-    assert trace.read_bytes() == open(perturbed_trace_file, "rb").read()
+    assert trace.read_bytes() == Path(perturbed_trace_file).read_bytes()
     assert sorted(tmp_path.iterdir()) == before  # nothing written
 
 
@@ -575,3 +579,38 @@ def test_blowup_reports_folded_modes_at_frequency_zero(tmp_path, capsys):
     assert err[1].startswith("warning: folded modes: 2 at or above the grid's angular Nyquist")
     assert len(err) == 2
     assert json.loads(out.read_text())["note"] == "value at origin is nonzero; frequency 0"
+
+
+def test_forced_swap_keeps_the_detected_sheet_order(monkeypatch, tmp_path, capsys):
+    """On separated swap data --class swap builds the detected double loop:
+    the dump, its sidecar and the profile equal those of the run without
+    --class, and so does the energy."""
+    path = tmp_path / "band.json"
+    _perfbench_inputs(monkeypatch).make_traces("band", 101, 256, 8)[0].write(path)
+    outs = []
+    for name, extra in (("auto", []), ("forced", ["--class", "swap"])):
+        assert main(["minimize", str(path), "--out", str(tmp_path / f"{name}.csv"), *extra]) == 0
+        outs.append(capsys.readouterr().out.splitlines())
+    assert outs[0][:3] == outs[1][:3]  # class, energy, N0
+    for suffix in (".csv", ".json", "_profile.csv"):
+        auto, forced = (tmp_path / f"{name}{suffix}" for name in ("auto", "forced"))
+        assert auto.read_bytes() == forced.read_bytes()
+
+
+def test_blowup_reports_non_conformal_fit(tmp_path, capsys):
+    """The first criterion-4 trace: its limit at r = 0.1 on 64x256 fits
+    non-conformal tuples, and blowup says so on one line, exit 3."""
+    path = tmp_path / "crit4.json"
+    save_trace(random_trace(np.random.default_rng(2), Continuation.IDENTITY), path)
+    out = tmp_path / "report.json"
+    assert main(["blowup", str(path), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "detected class: identity (separation 0.473)\n"
+        "error: NoCatalogMatch: fitted tuples not conformal at tol=0.05: "
+        "FourTuple(a=0.23549591328727218, b=-0.08180858646566762, c=-0.10353203946177644, "
+        "d=-0.28548733214698546), FourTuple(a=-0.09005705818303715, b=0.02511867014819565, "
+        "c=-0.12025511479587704, d=-0.37477106652279446)\n"
+    )
+    assert not out.exists()

@@ -32,6 +32,12 @@ def test_conformal_defect_examples():
     assert conformal_defect(FourTuple(1, 0, 0, 1)) == (0, 0)
     assert conformal_defect(FourTuple(1, 1, 1, 1)) == (0, 2)
     assert conformal_defect(FourTuple(3, -1, 1, 3)) == (0, 0)
+    # squares beyond the float range: exact residuals, or infinite ones
+    assert conformal_defect(FourTuple(1e200, 0, 0, 1e200)) == (0, 0)
+    assert conformal_defect(FourTuple(1e160, 1e160, 1e160, -1e160)) == (0, 0)
+    assert conformal_defect(FourTuple(1e200, 0, 0, 0)) == (float("inf"), 0)
+    assert conformal_defect(FourTuple(0, 1e200, 0, 0)) == (float("-inf"), 0)
+    assert conformal_defect(FourTuple(1e200, 1e200, 0, 0)) == (0, float("inf"))
 
 
 def test_classify_form_examples():
@@ -200,34 +206,57 @@ F7T = FormClass(7).to_tuple()
 
 
 def test_seam_solutions_examples():
-    assert seam_solutions(F1, F1B, Continuation.IDENTITY) == FREQ_INTEGERS
     # swap closes only with the negated parameter
     neg = FormClass(1, (-0.8,)).to_tuple()
-    assert seam_solutions(F1, neg, Continuation.SWAP) == FREQ_ODD_HALVES
-    assert seam_solutions(F1, F1B, Continuation.SWAP) is None
-    assert seam_solutions(F1, F4B, Continuation.SWAP) is None
-    assert seam_solutions(F1, F5B, Continuation.IDENTITY) == FREQ_INTEGERS
-    assert seam_solutions(F1, F5B, Continuation.SWAP) is None
+    assert seam_solutions(F1, neg) == FREQ_ODD_HALVES
+    assert seam_solutions(F1, F1B) is None
+    assert seam_solutions(F1, F4B) is None
+    assert seam_solutions(F1, F5B) is None
     # noisy slit values: compared within tol * max(1, largest |coefficient|)
     for da, dc in ((0.01, 0.0), (0.0, -0.01)):
         noisy = FourTuple(neg.a + da, neg.b, neg.c + dc, neg.d)
-        assert seam_solutions(F1, noisy, Continuation.SWAP, 0.05) == FREQ_ODD_HALVES
+        assert seam_solutions(F1, noisy, 0.05) == FREQ_ODD_HALVES
     for da, dc in ((0.1, 0.0), (0.0, -0.1)):
         noisy = FourTuple(neg.a + da, neg.b, neg.c + dc, neg.d)
-        assert seam_solutions(F1, noisy, Continuation.SWAP, 0.05) is None
+        assert seam_solutions(F1, noisy, 0.05) is None
     big = FormClass(1, (8.0,)).to_tuple()  # tolerance scales with the coefficients
     noisy = FourTuple(-8.3, 0.0, 0.0, -8.0)
-    assert seam_solutions(big, noisy, Continuation.SWAP, 0.05) == FREQ_ODD_HALVES
+    assert seam_solutions(big, noisy, 0.05) == FREQ_ODD_HALVES
     noisy = FourTuple(neg.a + 1e-8, neg.b, neg.c, neg.d)
-    assert seam_solutions(F1, noisy, Continuation.SWAP, 1e-9) is None
-    assert seam_solutions(F1, FourTuple(0.81, 0.0, 0.0, 0.8), Continuation.SWAP, 0.05) == (
-        FREQ_INTEGERS
+    assert seam_solutions(F1, noisy, 1e-9) is None
+    assert seam_solutions(F1, FourTuple(0.81, 0.0, 0.0, 0.8), 0.05) == FREQ_INTEGERS
+    # identity closure is validate's: every integer N, admissible sums only
+    for t2 in (F1B, F5B):
+        for N in (1.0, 2.0, 3.0):
+            HomogeneousPair(N, F1, t2, Continuation.IDENTITY).validate()
+        with pytest.raises(ValueError, match="requires even 2N"):
+            HomogeneousPair(1.5, F1, t2, Continuation.IDENTITY).validate()
+
+
+def test_validate_degenerate_pair():
+    """Zero sheets are conformal (F7), so validate reaches match_pair's
+    zero-pair check."""
+    for cont, N in ((Continuation.IDENTITY, 1.0), (Continuation.SWAP, 0.5)):
+        with pytest.raises(DegeneratePair):
+            HomogeneousPair(N, F7T, F7T, cont).validate()
+
+
+@pytest.mark.parametrize("cont, N", [(Continuation.SWAP, 1.5), (Continuation.IDENTITY, 2.0)])
+def test_validate_rejects_non_conformal_sheet(cont, N):
+    """(1, 0, 0, 0.3) has conformal defect 0.91; paired with its negative
+    it passes the closure rules of both continuations, but is no entry."""
+    t = FourTuple(1.0, 0.0, 0.0, 0.3)
+    assert conformal_defect(t) == pytest.approx((0.91, 0.0))
+    entry = HomogeneousPair(N, t, t.negated(), cont)
+    with pytest.raises(ValueError) as exc:
+        entry.validate(0.05)
+    assert str(exc.value) == (
+        "tuples not conformal at tol=0.05: FourTuple(a=1.0, b=0.0, c=0.0, d=0.3), "
+        "FourTuple(a=-1.0, b=0.0, c=0.0, d=-0.3)"
     )
-
-
-def test_seam_solutions_degenerate_pair():
-    with pytest.raises(DegeneratePair):
-        seam_solutions(F7T, F7T, Continuation.IDENTITY)
+    outcome = match_pair(t, t.negated(), 0.05)  # the closure rules alone accept it
+    assert outcome.sum_admissible == FormClass(7)
+    assert outcome.swap_class == FREQ_ODD_HALVES
 
 
 def test_sum_form_examples():
@@ -362,7 +391,8 @@ def _closes_at(t1, t2, cont, N, tol=1e-9):
 
 
 def test_seam_solutions_against_brute_force():
-    """The predicted frequency class matches direct closure evaluation.
+    """The predicted swap class matches direct closure evaluation, and so
+    do validate's identity decisions.
 
     integers: every integer N closes, no strict half-integer does;
     odd-halves: odd k/2 close, integers do not; none: nothing closes.
@@ -379,18 +409,29 @@ def test_seam_solutions_against_brute_force():
             p2 = tuple(rng.choice([-1, 1]) * rng.uniform(0.1, 2) for _ in range(2 if tag2 in (5, 6) else 1))
         t1 = FormClass(int(tag1), p1).to_tuple()
         t2 = FormClass(int(tag2), p2).to_tuple()
-        for cont in (Continuation.IDENTITY, Continuation.SWAP):
-            predicted = seam_solutions(t1, t2, cont)
-            closing = {N for N in degrees if _closes_at(t1, t2, cont, N)}
-            if predicted == FREQ_INTEGERS:
-                assert {1.0, 2.0, 3.0, 4.0, 5.0} <= closing
-                assert not any(2 * N % 2 == 1 for N in closing)
-            elif predicted == FREQ_ODD_HALVES:
-                assert {0.5, 1.5, 2.5, 3.5, 4.5} <= closing
-                assert not any(float(N).is_integer() for N in closing)
+        predicted = seam_solutions(t1, t2)
+        closing = {N for N in degrees if _closes_at(t1, t2, Continuation.SWAP, N)}
+        if predicted == FREQ_INTEGERS:
+            assert {1.0, 2.0, 3.0, 4.0, 5.0} <= closing
+            assert not any(2 * N % 2 == 1 for N in closing)
+        elif predicted == FREQ_ODD_HALVES:
+            assert {0.5, 1.5, 2.5, 3.5, 4.5} <= closing
+            assert not any(float(N).is_integer() for N in closing)
+        else:
+            # no canonical class: no half-integer degree may close
+            assert closing == set()
+        # identity closes at exactly the integers; validate accepts those
+        # degrees when the sum is admissible, and no other
+        closing = {N for N in degrees if _closes_at(t1, t2, Continuation.IDENTITY, N)}
+        assert closing == {1.0, 2.0, 3.0, 4.0, 5.0}
+        admissible = classify_form(t1.plus(t2)).is_conformal
+        for N in degrees:
+            entry = HomogeneousPair(N, t1, t2, Continuation.IDENTITY)
+            if N in closing and admissible:
+                entry.validate()
             else:
-                # no canonical class: no half-integer degree may close
-                assert closing == set()
+                with pytest.raises(ValueError):
+                    entry.validate()
 
 
 def _noisy_family_tuples(count, seed):
