@@ -10,8 +10,10 @@ Subcommands:
 Exit codes: 0 success, 1 negative classification result, 2 invalid input,
 3 numerical-verification failure. Stdout carries only results; the detected
 class, errors and warnings (trace modes folded at or above the grid's
-angular Nyquist, a blow-up limit whose boundary mass misses 1/N) go to
-stderr. No output may overwrite the input trace (exit 2).
+angular Nyquist, a blow-up limit whose boundary mass misses 1/N,
+--dump-fields on frequency-0 data) go to stderr. No output may overwrite
+the input trace or another output (exit 2), and minimize prints its
+results only after writing its files, so a run that exits 2 prints none.
 
 File formats:
     boundary trace  JSON array of {"theta": t, "p1": [x, y], "p2": [x, y]}
@@ -175,11 +177,16 @@ def _minimize_trace(args):
 
 
 def _refuse_overwrite(trace: str, outputs) -> None:
-    """UsageError when an output path resolves to the input trace."""
+    """UsageError when an output path resolves to the input trace or to an
+    earlier output."""
     source = Path(trace).resolve()
-    for out in outputs:
-        if Path(out).resolve() == source:
+    resolved = [Path(out).resolve() for out in outputs]
+    for out, path in zip(outputs, resolved):
+        if path == source:
             raise UsageError(f"output {out} would overwrite the input trace {trace}")
+    for k, path in enumerate(resolved):
+        if path in resolved[:k]:
+            raise UsageError(f"output {outputs[k]} would be written twice")
 
 
 def _report_folding(spectrum, grid: PolarGrid) -> None:
@@ -201,19 +208,20 @@ def cmd_minimize(args) -> int:
     profile_path = base.with_name(base.stem + "_profile.csv")
     _refuse_overwrite(args.trace, (*dump_files(base), profile_path))
     grid, result = _minimize_trace(args)
-    print(f"class: {result.kind.value}")
-    print(f"energy: {result.energy:.12g}")
+    lines = [f"class: {result.kind.value}", f"energy: {result.energy:.12g}"]
     if result.alt_energy is not None:
-        print(f"alt-energy: {result.alt_energy:.12g}")
+        lines.append(f"alt-energy: {result.alt_energy:.12g}")
 
     radii = _parse_radii(args.radii, DEFAULT_PROFILE_RADII)
     profile = frequency_profile(result.field, radii)
     N0 = frequency_from_spectrum(result.spectrum)
-    print(f"N0: {N0:.6g}  monotonicity defect: {profile.monotonicity_defect:.3g}")
+    lines.append(f"N0: {N0:.6g}  monotonicity defect: {profile.monotonicity_defect:.3g}")
 
     save_field(result.field, base)
     profile.to_csv(profile_path)
-    print(f"field dump: {base}  profile: {profile_path}")
+    lines.append(f"field dump: {base}  profile: {profile_path}")
+    # results reach stdout only once their files are written
+    print("\n".join(lines))
 
     if args.oracle:
         relaxed = relax_oracle(result.spectrum, grid)
@@ -228,19 +236,21 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_blowup(args) -> int:
-    if args.out is not None:
-        _refuse_overwrite(args.trace, (args.out,))
     # every argument check runs before minimize, whatever the data
     grid = PolarGrid(args.nr, args.ntheta)
     radii = check_radii(
         sorted(_parse_radii(args.radii, DEFAULT_BLOWUP_RADII), reverse=True), grid.n_r
     )
     dumps = [Path(f"{args.dump_fields}_r{r:g}.csv") for r in radii] if args.dump_fields else []
-    _refuse_overwrite(args.trace, [p for csv in dumps for p in dump_files(csv)])
+    outputs = [args.out] if args.out is not None else []
+    _refuse_overwrite(args.trace, outputs + [p for csv in dumps for p in dump_files(csv)])
 
     _, result = _minimize_trace(args)
     if frequency_from_spectrum(result.spectrum) == 0.0:
         # nonzero value at the origin: frequency zero, nothing to blow up
+        if dumps:
+            print("warning: --dump-fields ignored: frequency 0 has no blow-up to dump",
+                  file=sys.stderr)
         report = {"fitted_N": 0.0, "rounded_N": 0.0, "continuation": None,
                   "residual": None, "boundary_mass": None, "1/N": None,
                   "note": "value at origin is nonzero; frequency 0"}

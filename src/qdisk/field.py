@@ -147,8 +147,9 @@ def _ring_sums(d: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->i", d, d)
 
 
-# Rings per block of _ring_energy and of the blow-up's Cauchy defects: a
-# difference array of a block is 512 KiB at n_theta = 1024.
+# Rings per block of every blocked pass (_ring_energy, the mode evaluation,
+# the blow-up's rescale and Cauchy defects): a difference array of a block
+# is 512 KiB at n_theta = 1024.
 RING_BLOCK = 32
 
 

@@ -15,8 +15,8 @@ two such sheets must in addition close up across the slit at theta = 0 vs
 theta = 2*pi, either sheet-to-same-sheet (identity continuation) or
 sheet-to-other-sheet (swap continuation), and the average of the two sheets
 must itself be one of the seven families. This module classifies tuples,
-decides seam closure, builds the full matching table, and enumerates
-concrete admissible entries.
+states catalog membership once (HomogeneousPair.validate), builds the full
+matching table by asking it, and enumerates concrete admissible entries.
 """
 
 from __future__ import annotations
@@ -273,33 +273,13 @@ def seam_solutions(t1: FourTuple, t2: FourTuple, tol: float = 1e-9):
     return None
 
 
-@dataclass(frozen=True)
-class MatchOutcome:
-    """Matching result for an ordered pair of sheets.
-
-    ``sum_admissible`` is the family of the summed tuple, or None when the
-    sum is not conformal. An admissible pair closes under identity at the
-    integers; ``swap_class`` is FREQ_INTEGERS, FREQ_ODD_HALVES or None, and
-    None whenever the sum is inadmissible. ``constraints`` records forced
-    parameter relations of the swap closure (second-sheet parameters
-    primed), e.g. ("d'=-d",).
-    """
-
-    swap_class: str | None
-    constraints: tuple
-    sum_admissible: FormClass | None
-
-    def __post_init__(self):
-        if self.sum_admissible is None and self.swap_class is not None:
-            raise ValueError("an inadmissible sum admits no closure class")
-
-
-def _swap_constraints(f1: FormClass, f2: FormClass, tol: float) -> tuple:
-    """Forced parameter relations when a swap closure exists.
+def _swap_constraints(f1: FormClass, f2: FormClass, tol: float = 1e-9) -> tuple:
+    """Forced parameter relations of a swap closure, second-sheet parameters
+    primed, e.g. ("d'=-d",).
 
     Swap closure ties the second sheet's slit value to the first's; for
     same-family pairs that is a sign relation between the parameter sets,
-    read off here by comparing the recovered parameters.
+    read off here by comparing the parameters.
     """
     if f1.tag != f2.tag or not f1.is_conformal or f1.tag == 7:
         return ()
@@ -310,28 +290,6 @@ def _swap_constraints(f1: FormClass, f2: FormClass, tol: float) -> tuple:
         elif abs(q - p) <= tol * max(1.0, abs(p)):
             out.append(f"{name}'={name}")
     return tuple(out)
-
-
-def match_pair(t1: FourTuple, t2: FourTuple, tol: float = 1e-9) -> MatchOutcome:
-    """Combine sum admissibility with the swap seam rule."""
-    t1 = FourTuple(*map(float, t1))
-    t2 = FourTuple(*map(float, t2))
-    scale = max(1.0, max(abs(x) for x in t1 + t2))
-    if all(abs(x) <= tol * scale for x in t1 + t2):
-        raise DegeneratePair("both sheets are the zero form")
-
-    # the sheets' average must itself be a minimizer: their sum is conformal
-    sum_cls = classify_form(t1.plus(t2), tol)
-    if not sum_cls.is_conformal:
-        return MatchOutcome(None, (), None)
-
-    swap = seam_solutions(t1, t2, tol)
-    constraints = ()
-    if swap is not None:
-        constraints = _swap_constraints(
-            classify_form(t1, tol), classify_form(t2, tol), tol
-        )
-    return MatchOutcome(swap, constraints, sum_cls)
 
 
 # --- matching table over all form pairs -----------------------------------
@@ -385,15 +343,26 @@ class TableRow:
         }
 
 
+def _closes(N: float, f1: FormClass, f2: FormClass, continuation: Continuation) -> bool:
+    """Whether validate accepts the sheets of two witness forms. Those are
+    conformal and never both zero, so only the closure rules can refuse."""
+    try:
+        HomogeneousPair(N, f1.to_tuple(), f2.to_tuple(), continuation).validate()
+    except ValueError:
+        return False
+    return True
+
+
 def build_match_table() -> list[TableRow]:
     """Matching outcomes for all 28 unordered form pairs plus the six
-    doubled single-sheet cases, each class read from match_pair.
+    doubled single-sheet cases, each class asked of HomogeneousPair.validate.
 
-    Sum admissibility is computed on generic witness parameters (three
-    independent sets, paired twice and checked to agree: the inadmissible
-    pairs are inadmissible for every admissible parameter choice). The swap row
-    matches the first witness sheet with the family-j sheet whose slit value
-    is its negative, and is "none" when family j has no such sheet.
+    The identity row asks validate at N = 1 on generic witness parameters
+    (three independent sets, paired twice and checked to agree: the
+    inadmissible pairs are inadmissible for every admissible parameter
+    choice). The swap row asks it at N = 1/2 of the first witness sheet and
+    the family-j sheet whose slit value is its negative, and is "none" when
+    family j has no such sheet.
     """
     rows: list[TableRow] = []
     for i in range(1, 8):
@@ -402,30 +371,26 @@ def build_match_table() -> list[TableRow]:
                 rows.append(TableRow(7, 7, "identity", "excluded", "degenerate-pair"))
                 rows.append(TableRow(7, 7, "swap", "excluded", "degenerate-pair"))
                 continue
-            t_i = _witness_form(i, _WITNESS_1).to_tuple()
-            outcome = match_pair(t_i, _witness_form(j, _WITNESS_2).to_tuple())
-            check = match_pair(
-                _witness_form(i, _WITNESS_2).to_tuple(),
-                _witness_form(j, _WITNESS_3).to_tuple(),
+            f_i = _witness_form(i, _WITNESS_1)
+            admissible, check = (
+                _closes(1.0, f, _witness_form(j, w), Continuation.IDENTITY)
+                for f, w in ((f_i, _WITNESS_2), (_witness_form(i, _WITNESS_2), _WITNESS_3))
             )
-            if (outcome.sum_admissible is None) != (check.sum_admissible is None):
+            if admissible != check:
                 raise RuntimeError(f"witness-dependent sum for ({i},{j})")
-            if outcome.sum_admissible is None:
+            if not admissible:
                 note = "sum-not-admissible"
                 rows.append(TableRow(i, j, "identity", "none", note))
                 rows.append(TableRow(i, j, "swap", "none", note))
                 continue
             rows.append(TableRow(i, j, "identity", FREQ_INTEGERS, ""))
 
+            t_i = f_i.to_tuple()
             params_j = _params_from_slit_value(j, (-t_i.a, -t_i.c))
-            swap = (
-                MatchOutcome(None, (), None)
-                if params_j is None
-                else match_pair(t_i, FormClass(j, params_j).to_tuple())
-            )
-            rows.append(
-                TableRow(i, j, "swap", swap.swap_class or "none", ";".join(swap.constraints))
-            )
+            f_j = None if params_j is None else FormClass(j, params_j)
+            swap = f_j is not None and _closes(0.5, f_i, f_j, Continuation.SWAP)
+            constraints = ";".join(_swap_constraints(f_i, f_j)) if swap else ""
+            rows.append(TableRow(i, j, "swap", FREQ_ODD_HALVES if swap else "none", constraints))
 
     # Doubled single-sheet cases g = 2[[g1]]: one family, identity closure
     # only, integer homogeneity.
@@ -476,10 +441,14 @@ class HomogeneousPair:
                 f"degree N={self.N:g} does not suit {name} continuation, "
                 f"which requires {'odd' if swap else 'even'} 2N"
             )
-        outcome = match_pair(self.t1, self.t2, tol)
-        if outcome.sum_admissible is None:
+        t1, t2 = (FourTuple(*map(float, t)) for t in (self.t1, self.t2))
+        scale = max(1.0, max(abs(x) for x in t1 + t2))
+        if all(abs(x) <= tol * scale for x in t1 + t2):
+            raise DegeneratePair("both sheets are the zero form")
+        # the sheets' average must itself be a minimizer: their sum is conformal
+        if not classify_form(t1.plus(t2), tol).is_conformal:
             raise ValueError(f"tuples do not close under {name}: their sum is not conformal")
-        if swap and outcome.swap_class != FREQ_ODD_HALVES:
+        if swap and seam_solutions(t1, t2, tol) != FREQ_ODD_HALVES:
             raise ValueError("tuples do not close under swap: their slit values are not opposite")
 
 

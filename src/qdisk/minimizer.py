@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import AmbiguousClass, NotStationary, ZeroSpectrum
-from .field import DiskField, PolarGrid, dirichlet_energy
+from .field import RING_BLOCK, DiskField, PolarGrid, dirichlet_energy
 from .forms import Continuation
 
 COEFF_EPS = 1e-12
@@ -215,11 +215,6 @@ def analyze_spectrum(lift: BoundaryLift) -> Spectrum:
     return Spectrum(lift.kind, tuple(cos_all), tuple(sin_all))
 
 
-# Rings per inverse FFT in _eval_modes: bounds each of its work arrays to
-# about EVAL_BLOCK * cols * 16 bytes (1 MiB on the 256x1024 double cover).
-EVAL_BLOCK = 32
-
-
 def _present(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """Indices of the modes with a coefficient above COEFF_EPS."""
     peak = np.maximum(np.abs(cos).max(axis=1), np.abs(sin).max(axis=1))
@@ -259,13 +254,15 @@ def _eval_modes(spectrum: Spectrum, grid: PolarGrid, radial: np.ndarray) -> list
         segments = [k // half == s for s in set((k // half).tolist())]
         nu = k * spectrum.frequency_unit
         out = np.empty((len(radial), cols, 2))
-        for lo in range(0, len(radial), EVAL_BLOCK):
-            w = np.power(radial[lo : lo + EVAL_BLOCK, None], nu)[:, :, None]
+        # RING_BLOCK rings per inverse FFT: each work array stays near
+        # RING_BLOCK * cols * 16 bytes (1 MiB on the 256x1024 double cover)
+        for lo in range(0, len(radial), RING_BLOCK):
+            w = np.power(radial[lo : lo + RING_BLOCK, None], nu)[:, :, None]
             spec = np.zeros((len(w), half + 1, 2), dtype=complex)
             for seg in segments:
                 spec[:, bins[seg]] += w[:, seg] * coeffs[seg]
             spec[:, [0, half]] = 2.0 * spec[:, [0, half]].real
-            out[lo : lo + EVAL_BLOCK] = np.fft.irfft(spec, n=cols, axis=1, norm="forward")
+            out[lo : lo + RING_BLOCK] = np.fft.irfft(spec, n=cols, axis=1, norm="forward")
         stacks.append(out)
     return stacks
 

@@ -103,8 +103,8 @@ def test_table_unwritable_path(tmp_path):
      ("json", "e60bf11b04200bd496674437d96c17e0eda7d0ac0176639570a4a4b49e22e3dd")],
 )
 def test_table_bytes_pinned(tmp_path, fmt, digest):
-    """Every class of the table comes from match_pair; the bytes stay those
-    of the exact slit-value derivation it replaced."""
+    """Every class of the table is asked of HomogeneousPair.validate; the
+    bytes stay those of the exact slit-value derivation it replaced."""
     out = tmp_path / f"table.{fmt}"
     assert main(["table", "--out", str(out), "--format", fmt]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -614,3 +614,65 @@ def test_blowup_reports_non_conformal_fit(tmp_path, capsys):
         "c=-0.12025511479587704, d=-0.37477106652279446)\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, twice",
+    [(["minimize", "{trace}", "--out", "{dir}/f.json"], "f.json"),
+     (["blowup", "{trace}", "--out", "{dir}/P_r0.4.json", "--dump-fields", "{dir}/P"],
+      "P_r0.4.json")],
+    ids=["csv-is-its-sidecar", "report-is-a-dump-sidecar"],
+)
+def test_outputs_must_be_distinct(perturbed_trace_file, tmp_path, monkeypatch, capsys,
+                                  argv, twice):
+    """Two outputs that resolve to one path exit 2 before minimize runs and
+    write nothing."""
+    calls = []
+    monkeypatch.setattr(cli, "minimize", lambda *args, **kwargs: calls.append(args))
+    before = sorted(tmp_path.iterdir())
+    assert main([a.format(trace=perturbed_trace_file, dir=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: output {tmp_path / twice} would be written twice\n"
+    assert calls == []
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "extra, out, message",
+    [(["--radii", "0.02,1"], "f.csv", "error: GridTooCoarse: radius 0.02 is below 3 grid rings"),
+     ([], "missing/f.csv", "error: [Errno 2] No such file or directory")],
+    ids=["grid-too-coarse", "unwritable-out"],
+)
+def test_minimize_exit_2_prints_no_results(branched_trace_file, tmp_path, capsys,
+                                          extra, out, message):
+    """A minimize that fails after the minimizer ran, at the profile or at
+    the dump, leaves stdout empty."""
+    argv = ["minimize", branched_trace_file, "--out", str(tmp_path / out), *extra]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert err[0] == "detected class: swap (separation 2)"
+    assert err[1].startswith(message)
+    assert len(err) == 2
+
+
+def test_blowup_dump_fields_at_frequency_zero(tmp_path, capsys):
+    """Frequency-0 data has no blow-up to dump: --dump-fields says so on one
+    stderr line and writes nothing; the report and exit code are those of
+    the run without the flag."""
+    n = 128
+    th = 2 * np.pi * np.arange(n) / n
+    z = np.stack([np.cos(th), np.sin(th)], axis=1)
+    path = tmp_path / "const.json"
+    save_trace(BoundaryTrace.from_values([1.0, 0.0] + 0.3 * z, [1.0, 0.0] - 0.3 * z), path)
+    assert main(["blowup", str(path)]) == 0
+    plain = capsys.readouterr()
+    assert main(["blowup", str(path), "--dump-fields", str(tmp_path / "P")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain.out
+    assert json.loads(captured.out)["note"] == "value at origin is nonzero; frequency 0"
+    assert captured.err == plain.err + (
+        "warning: --dump-fields ignored: frequency 0 has no blow-up to dump\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["const.json"]

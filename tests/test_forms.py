@@ -16,11 +16,11 @@ from qdisk.forms import (
     NOT_CONFORMAL,
     _FAMILIES,
     _params_from_slit_value,
+    _swap_constraints,
     build_match_table,
     classify_form,
     conformal_defect,
     enumerate_entries,
-    match_pair,
     seam_solutions,
     sheet_eval,
     sheet_gradient,
@@ -234,8 +234,8 @@ def test_seam_solutions_examples():
 
 
 def test_validate_degenerate_pair():
-    """Zero sheets are conformal (F7), so validate reaches match_pair's
-    zero-pair check."""
+    """Zero sheets are conformal (F7), so validate reaches its zero-pair
+    check."""
     for cont, N in ((Continuation.IDENTITY, 1.0), (Continuation.SWAP, 0.5)):
         with pytest.raises(DegeneratePair):
             HomogeneousPair(N, F7T, F7T, cont).validate()
@@ -254,9 +254,9 @@ def test_validate_rejects_non_conformal_sheet(cont, N):
         "tuples not conformal at tol=0.05: FourTuple(a=1.0, b=0.0, c=0.0, d=0.3), "
         "FourTuple(a=-1.0, b=0.0, c=0.0, d=-0.3)"
     )
-    outcome = match_pair(t, t.negated(), 0.05)  # the closure rules alone accept it
-    assert outcome.sum_admissible == FormClass(7)
-    assert outcome.swap_class == FREQ_ODD_HALVES
+    # the closure rules alone accept it: a zero sum and opposite slit values
+    assert classify_form(t.plus(t.negated()), 0.05) == FormClass(7)
+    assert seam_solutions(t, t.negated(), 0.05) == FREQ_ODD_HALVES
 
 
 def test_sum_form_examples():
@@ -267,34 +267,61 @@ def test_sum_form_examples():
     assert got == FormClass(1, (0.8,))
 
 
-def test_match_pair_same_form_swap():
-    t1 = FormClass(3, (1.1,)).to_tuple()
-    t2 = FormClass(3, (-1.1,)).to_tuple()
-    outcome = match_pair(t1, t2)
-    assert outcome.sum_admissible == FormClass(7)
-    assert outcome.swap_class == FREQ_ODD_HALVES
-    assert outcome.constraints == ("b'=-b",)
+def test_swap_constraints_of_forms():
+    f3, f3_neg = FormClass(3, (1.1,)), FormClass(3, (-1.1,))
+    assert _swap_constraints(f3, f3_neg) == ("b'=-b",)
+    f5, f5_neg = FormClass(5, (1.4, 0.6)), FormClass(5, (1.4, -0.6))
+    assert _swap_constraints(f5, f5_neg) == ("l'=l", "c'=-c")
+    for f1, f2 in ((f3, f3_neg), (f5, f5_neg)):
+        t1, t2 = f1.to_tuple(), f2.to_tuple()
+        assert classify_form(t1.plus(t2)) == FormClass(7)
+        HomogeneousPair(0.5, t1, t2, Continuation.SWAP).validate()
+    assert _swap_constraints(f3, FormClass(4, (1.1,))) == ()  # other families: none
 
 
-def test_match_pair_inadmissible_sum():
-    outcome = match_pair(
-        FormClass(2, (0.7,)).to_tuple(), FormClass(4, (0.9,)).to_tuple()
-    )
-    assert outcome.sum_admissible is None
-    assert outcome.swap_class is None
+@pytest.mark.parametrize(
+    "cont, N", [(Continuation.IDENTITY, 1.0), (Continuation.SWAP, 0.5)], ids=["identity", "swap"]
+)
+def test_validate_refuses_inadmissible_sum(cont, N):
+    """F2 + F4 is not conformal, so neither continuation closes."""
+    t1, t2 = FormClass(2, (0.7,)).to_tuple(), FormClass(4, (0.9,)).to_tuple()
+    assert not classify_form(t1.plus(t2)).is_conformal
+    with pytest.raises(ValueError) as exc:
+        HomogeneousPair(N, t1, t2, cont).validate()
+    assert str(exc.value) == f"tuples do not close under {cont.value}: their sum is not conformal"
 
 
-def test_match_pair_f5_relations():
-    t1 = FormClass(5, (1.4, 0.6)).to_tuple()
-    t2 = FormClass(5, (1.4, -0.6)).to_tuple()
-    outcome = match_pair(t1, t2)
-    assert outcome.swap_class == FREQ_ODD_HALVES
-    assert set(outcome.constraints) == {"l'=l", "c'=-c"}
-
-
-def test_match_pair_degenerate():
-    with pytest.raises(DegeneratePair):
-        match_pair(F7T, F7T)
+def test_swap_rows_constraints_close_under_validate():
+    """Each closing swap row of the table constrains every parameter; random
+    same-family parameters obeying its constraints pass validate at every odd
+    half up to 7/2, and fail its slit rule once one constraint is broken."""
+    rng = np.random.default_rng(21)
+    rows = [r for r in build_match_table()
+            if r.continuation == "swap" and r.frequency_class == FREQ_ODD_HALVES]
+    assert [(r.form_i, r.form_j) for r in rows] == [(tag, tag) for tag in range(1, 7)]
+    for row in rows:
+        names = FormClass(row.form_i).param_names()
+        signs = {}
+        for relation in row.constraints.split(";"):
+            name, rhs = relation.split("'=")
+            signs[name] = -1.0 if rhs.startswith("-") else 1.0
+        assert list(signs) == list(names)
+        for _ in range(20):
+            p1 = [rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0) for _ in names]
+            p2 = [signs[n] * p for n, p in zip(names, p1)]
+            t1 = FormClass(row.form_i, tuple(p1)).to_tuple()
+            t2 = FormClass(row.form_i, tuple(p2)).to_tuple()
+            broken = []
+            for k in range(len(names)):
+                for factor in (-1.0, rng.uniform(1.2, 2.0)):
+                    q = list(p2)
+                    q[k] *= factor
+                    broken.append(FormClass(row.form_i, tuple(q)).to_tuple())
+            for N in (0.5, 1.5, 2.5, 3.5):
+                HomogeneousPair(N, t1, t2, Continuation.SWAP).validate()
+                for t in broken:
+                    with pytest.raises(ValueError, match="slit values are not opposite"):
+                        HomogeneousPair(N, t1, t, Continuation.SWAP).validate()
 
 
 def test_table_shape_and_patterns():
