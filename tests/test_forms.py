@@ -267,16 +267,36 @@ def test_sum_form_examples():
     assert got == FormClass(1, (0.8,))
 
 
-def test_swap_constraints_of_forms():
-    f3, f3_neg = FormClass(3, (1.1,)), FormClass(3, (-1.1,))
-    assert _swap_constraints(f3, f3_neg) == ("b'=-b",)
-    f5, f5_neg = FormClass(5, (1.4, 0.6)), FormClass(5, (1.4, -0.6))
-    assert _swap_constraints(f5, f5_neg) == ("l'=l", "c'=-c")
-    for f1, f2 in ((f3, f3_neg), (f5, f5_neg)):
-        t1, t2 = f1.to_tuple(), f2.to_tuple()
-        assert classify_form(t1.plus(t2)) == FormClass(7)
-        HomogeneousPair(0.5, t1, t2, Continuation.SWAP).validate()
-    assert _swap_constraints(f3, FormClass(4, (1.1,))) == ()  # other families: none
+def test_match_pair_same_form_swap():
+    """Two F3 sheets with b' = -b: a zero sum, swap closure at the odd
+    halves, and b'=-b as the only constraint."""
+    f1, f2 = FormClass(3, (1.1,)), FormClass(3, (-1.1,))
+    t1, t2 = f1.to_tuple(), f2.to_tuple()
+    assert classify_form(t1.plus(t2)) == FormClass(7)
+    assert seam_solutions(t1, t2) == FREQ_ODD_HALVES
+    HomogeneousPair(0.5, t1, t2, Continuation.SWAP).validate()
+    assert _swap_constraints(f1, f2) == ("b'=-b",)
+    assert _swap_constraints(f1, FormClass(4, (1.1,))) == ()  # other families: none
+
+
+def test_match_pair_f5_relations():
+    f1, f2 = FormClass(5, (1.4, 0.6)), FormClass(5, (1.4, -0.6))
+    t1, t2 = f1.to_tuple(), f2.to_tuple()
+    assert seam_solutions(t1, t2) == FREQ_ODD_HALVES
+    HomogeneousPair(0.5, t1, t2, Continuation.SWAP).validate()
+    assert _swap_constraints(f1, f2) == ("l'=l", "c'=-c")
+
+
+def test_match_pair_degenerate():
+    """The zero pair is refused as degenerate, and the table excludes it
+    under both continuations."""
+    with pytest.raises(DegeneratePair):
+        HomogeneousPair(0.5, F7T, F7T, Continuation.SWAP).validate()
+    rows = [r for r in build_match_table() if (r.form_i, r.form_j) == (7, 7)]
+    assert [(r.continuation, r.frequency_class, r.constraints) for r in rows] == [
+        ("identity", "excluded", "degenerate-pair"),
+        ("swap", "excluded", "degenerate-pair"),
+    ]
 
 
 @pytest.mark.parametrize(
