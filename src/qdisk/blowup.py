@@ -20,6 +20,7 @@ from .field import (
     CENTER_EXCLUSION_RINGS,
     RING_BLOCK,
     DiskField,
+    PolarGrid,
     _energy_ladder,
     boundary_mass,
     frequency_profile,
@@ -100,19 +101,19 @@ def _cauchy_defect(f: DiskField, g: DiskField) -> float:
     return float(np.max(block_max))
 
 
-def check_radii(radii, n_r: int) -> tuple:
-    """The radii as floats; ValueError unless all lie CENTER_EXCLUSION_RINGS
-    rings out on an n_r-ring grid and strictly decrease."""
+def check_radii(radii, grid: PolarGrid) -> tuple:
+    """The radii as floats; they must pass the grid's radius rule
+    (``PolarGrid.rings``) and strictly decrease. They are not snapped: the
+    rescale reads the field at the exact radius."""
     radii = tuple(float(r) for r in radii)
-    if any(r * n_r < CENTER_EXCLUSION_RINGS for r in radii):
-        raise ValueError(f"blow-up radii below grid resolution ({CENTER_EXCLUSION_RINGS} rings)")
+    grid.rings(radii)
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
     return radii
 
 
 def blowup_sequence(field: DiskField, radii) -> BlowupSequence:
-    radii = check_radii(radii, field.grid.n_r)
+    radii = check_radii(radii, field.grid)
     fields = tuple(rescale_normalize(field, r) for r in radii)
     defects = tuple(_cauchy_defect(f, g) for f, g in zip(fields, fields[1:]))
     return BlowupSequence(radii, fields, defects)

@@ -11,16 +11,20 @@ Exit codes: 0 success, 1 negative classification result, 2 invalid input,
 3 numerical-verification failure. Stdout carries only results; the detected
 class, errors and warnings (trace modes folded at or above the grid's
 angular Nyquist, a blow-up limit whose boundary mass misses 1/N,
---dump-fields on frequency-0 data) go to stderr. No output may overwrite
-the input trace or another output (exit 2), and minimize prints its
-results only after writing its files, so a run that exits 2 prints none.
+--dump-fields on frequency-0 data) go to stderr. Before reading the trace,
+both trace commands check the grid, their radii (PolarGrid.rings, the one
+radius rule) and their output paths, none of which may overwrite the input
+trace or another output (exit 2). minimize prints its results only after
+writing its files, and a run that fails while writing removes the files
+it wrote, so a run that exits 2 leaves no results.
 
 File formats:
     boundary trace  JSON array of {"theta": t, "p1": [x, y], "p2": [x, y]}
                     at uniform angles starting from 0
     field dump      CSV rows (ring_index, angle_index, sheet, x, y) plus a
                     JSON sidecar {"n_r", "n_theta", "seam"}
-    profile         CSV columns r, D, H, N
+    profile         CSV columns r, D, H, N: one row per grid ring read, r
+                    being that ring's radius
     match table     CSV columns form_i, form_j, continuation,
                     frequency_class, constraints (JSON: same records)
     blow-up report  JSON {fitted_N, rounded_N, continuation, residual,
@@ -30,6 +34,7 @@ File formats:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -105,15 +110,13 @@ def _add_trace_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _parse_radii(arg: str | None, default) -> tuple:
+    """The --radii list as floats; the grid checks them."""
     if arg is None:
         return tuple(default)
     try:
-        radii = tuple(float(x) for x in arg.split(","))
+        return tuple(float(x) for x in arg.split(","))
     except ValueError as exc:
         raise UsageError(f"bad radii list {arg!r}") from exc
-    if not radii or any(not 0 < r <= 1 for r in radii):
-        raise UsageError("radii must lie in (0, 1]")
-    return radii
 
 
 class UsageError(Exception):
@@ -157,12 +160,12 @@ def _load_trace_checked(path: str):
         raise UsageError(f"cannot load trace {path}: {exc}") from exc
 
 
-def _minimize_trace(args):
-    """Load the trace and minimize it: the run's one class decision, which
-    the rest of the command reads from the result. Unless --class forced
-    the class, the decision goes to stderr, followed by any folded modes."""
+def _minimize_trace(args, grid: PolarGrid):
+    """Load the trace and minimize it on the grid: the run's one class
+    decision, which the rest of the command reads from the result. Unless
+    --class forced the class, the decision goes to stderr, followed by any
+    folded modes."""
     trace = _load_trace_checked(args.trace)
-    grid = PolarGrid(args.nr, args.ntheta)
     kind = Continuation(args.klass) if args.klass else None
     result = minimize(trace, grid, kind=kind)
     if kind is None:
@@ -173,7 +176,7 @@ def _minimize_trace(args):
         )
         print(f"detected class: {detected}", file=sys.stderr)
     _report_folding(result.spectrum, grid)
-    return grid, result
+    return result
 
 
 def _refuse_overwrite(trace: str, outputs) -> None:
@@ -187,6 +190,19 @@ def _refuse_overwrite(trace: str, outputs) -> None:
     for k, path in enumerate(resolved):
         if path in resolved[:k]:
             raise UsageError(f"output {outputs[k]} would be written twice")
+
+
+@contextlib.contextmanager
+def _removed_on_error():
+    """Yield a list for the paths of the files a run has written; when the
+    block fails with OSError, remove them before the error propagates."""
+    written = []
+    try:
+        yield written
+    except OSError:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _report_folding(spectrum, grid: PolarGrid) -> None:
@@ -204,21 +220,28 @@ def cmd_minimize(args) -> int:
     if args.oracle_tol is not None and not args.oracle:
         raise UsageError("--oracle-tol requires --oracle")
     oracle_tol = DEFAULT_ORACLE_TOL if args.oracle_tol is None else args.oracle_tol
+    if not oracle_tol >= 0:
+        raise UsageError(f"--oracle-tol must be a nonnegative number, got {oracle_tol!r}")
+    # every argument check runs before the trace is read
+    grid = PolarGrid(args.nr, args.ntheta)
+    radii = _parse_radii(args.radii, DEFAULT_PROFILE_RADII)
+    grid.rings(radii)
     base = Path(args.out) if args.out else Path("minimized_field.csv")
     profile_path = base.with_name(base.stem + "_profile.csv")
     _refuse_overwrite(args.trace, (*dump_files(base), profile_path))
-    grid, result = _minimize_trace(args)
+
+    result = _minimize_trace(args, grid)
     lines = [f"class: {result.kind.value}", f"energy: {result.energy:.12g}"]
     if result.alt_energy is not None:
         lines.append(f"alt-energy: {result.alt_energy:.12g}")
-
-    radii = _parse_radii(args.radii, DEFAULT_PROFILE_RADII)
     profile = frequency_profile(result.field, radii)
     N0 = frequency_from_spectrum(result.spectrum)
     lines.append(f"N0: {N0:.6g}  monotonicity defect: {profile.monotonicity_defect:.3g}")
 
-    save_field(result.field, base)
-    profile.to_csv(profile_path)
+    with _removed_on_error() as written:
+        save_field(result.field, base)
+        written.extend(dump_files(base))
+        profile.to_csv(profile_path)
     lines.append(f"field dump: {base}  profile: {profile_path}")
     # results reach stdout only once their files are written
     print("\n".join(lines))
@@ -239,13 +262,13 @@ def cmd_blowup(args) -> int:
     # every argument check runs before minimize, whatever the data
     grid = PolarGrid(args.nr, args.ntheta)
     radii = check_radii(
-        sorted(_parse_radii(args.radii, DEFAULT_BLOWUP_RADII), reverse=True), grid.n_r
+        sorted(_parse_radii(args.radii, DEFAULT_BLOWUP_RADII), reverse=True), grid
     )
     dumps = [Path(f"{args.dump_fields}_r{r:g}.csv") for r in radii] if args.dump_fields else []
     outputs = [args.out] if args.out is not None else []
     _refuse_overwrite(args.trace, outputs + [p for csv in dumps for p in dump_files(csv)])
 
-    _, result = _minimize_trace(args)
+    result = _minimize_trace(args, grid)
     if frequency_from_spectrum(result.spectrum) == 0.0:
         # nonzero value at the origin: frequency zero, nothing to blow up
         if dumps:
@@ -266,9 +289,11 @@ def cmd_blowup(args) -> int:
         print(f"warning: boundary mass {report['boundary_mass']:.4g} differs from "
               f"1/N {report['1/N']:.4g} by {mass_error:.1%}", file=sys.stderr)
     report["cauchy_defects"] = list(seq.cauchy_defects)
-    for path, rescaled in zip(dumps, seq.fields):
-        save_field(rescaled, path)
-    _write_out(report_to_json(report), args.out)
+    with _removed_on_error() as written:
+        for path, rescaled in zip(dumps, seq.fields):
+            save_field(rescaled, path)
+            written.extend(dump_files(path))
+        _write_out(report_to_json(report), args.out)
     return EXIT_OK
 
 

@@ -28,8 +28,8 @@ from .forms import Continuation, HomogeneousPair, sheet_eval
 from .qpoint import pair_distance_arrays
 
 EPS_BOUNDARY_MASS = 1e-14
-# innermost rings below grid resolution: the frequency profile and the
-# blow-up radii stay outside them and the blow-up's sup norms skip them,
+# innermost rings below grid resolution: PolarGrid.rings keeps the profile
+# and blow-up radii outside them and the blow-up's sup norms skip them,
 # since interpolation noise amplifies there
 CENTER_EXCLUSION_RINGS = 3
 
@@ -66,9 +66,21 @@ class PolarGrid:
 
     def ring_of(self, r: float) -> int:
         """Nearest grid ring to the requested radius."""
-        if not 0.0 < r <= 1.0 + 1e-12:
+        if not 0.0 < r <= 1.0:
             raise ValueError(f"radius {r} outside (0, 1]")
         return int(round(r * self.n_r))
+
+    def rings(self, radii) -> list[int]:
+        """The distinct rings nearest the radii, ascending: the one radius
+        rule of profiles and blow-ups. GridTooCoarse when a ring lies inside
+        the center exclusion zone."""
+        rings = set()
+        for r in radii:
+            i = self.ring_of(r)
+            if i < CENTER_EXCLUSION_RINGS:
+                raise GridTooCoarse(f"radius {r} is below {CENTER_EXCLUSION_RINGS} grid rings")
+            rings.add(i)
+        return sorted(rings)
 
 
 @dataclass(frozen=True)
@@ -251,35 +263,29 @@ class FrequencyProfile:
 
 
 def frequency_profile(field: DiskField, radii) -> FrequencyProfile:
-    """Evaluate D, H, N along increasing radii; extrapolate N(0) linearly.
+    """Evaluate D, H, N once on each ring ``PolarGrid.rings`` reads for the
+    radii, ascending; extrapolate N(0) linearly.
 
-    The extrapolation is Richardson style from the two smallest radii;
-    fields vanishing on some requested circle raise ZeroBoundaryMass.
+    ``radii`` of the result are those rings' radii. The extrapolation is
+    Richardson style from the two innermost rings; fields vanishing on one
+    of the rings raise ZeroBoundaryMass.
     """
-    radii = np.asarray(sorted(radii), dtype=float)
     grid = field.grid
-    cum = field._cumulative_energy
-    D, H, N = [], [], []
-    for r in radii:
-        i = grid.ring_of(r)
-        if i < CENTER_EXCLUSION_RINGS:
-            raise GridTooCoarse(f"radius {r} is below {CENTER_EXCLUSION_RINGS} grid rings")
-        h_val = boundary_mass(field, r)
+    rings = grid.rings(radii)
+    if not rings:
+        raise ValueError("a frequency profile needs at least one radius")
+    r = grid.radii[rings]
+    H = np.array([boundary_mass(field, x) for x in r])
+    for x, h_val in zip(r, H):
         if h_val <= EPS_BOUNDARY_MASS:
-            raise ZeroBoundaryMass(f"boundary mass {h_val:.3e} at r={r}")
-        D.append(float(cum[i]))
-        H.append(h_val)
-        N.append(grid.radii[i] * cum[i] / h_val)
-    D, H, N = map(np.asarray, (D, H, N))
+            raise ZeroBoundaryMass(f"boundary mass {h_val:.3e} at r={x}")
+    D = field._cumulative_energy[rings]
+    N = r * D / H
 
-    snapped = grid.radii[[grid.ring_of(r) for r in radii]]
-    if len(radii) >= 2 and snapped[1] > snapped[0]:
-        slope = (N[1] - N[0]) / (snapped[1] - snapped[0])
-        n0 = float(N[0] - slope * snapped[0])
-    else:
-        n0 = float(N[0])
+    slope = (N[1] - N[0]) / (r[1] - r[0]) if len(N) > 1 else 0.0
+    n0 = float(N[0] - slope * r[0])
     defect = float(np.max(N[:-1] - N[1:])) if len(N) > 1 else 0.0
-    return FrequencyProfile(radii, D, H, N, n0, defect)
+    return FrequencyProfile(r, D, H, N, n0, defect)
 
 
 def values_at(field: DiskField, r, theta) -> tuple[np.ndarray, np.ndarray]:
@@ -545,7 +551,12 @@ def save_field(field: DiskField, csv_path) -> None:
     sidecar.write_text(json.dumps(header, indent=2) + "\n")
     cols = field.grid.n_theta
     rings = _label_words(f"{i}," for i in range(field.grid.n_r + 1))
-    with open(csv_path, "wb") as fh:
+    try:
+        fh = open(csv_path, "wb")
+    except OSError:
+        sidecar.unlink()  # no sidecar without its dump
+        raise
+    with fh:
         fh.write(",".join(DUMP_COLUMNS).encode() + b"\r\n")
         for sheet_id, arr in ((1, field.sheet1), (2, field.sheet2)):
             angles = _label_words(f"{j},{sheet_id}," for j in range(cols))

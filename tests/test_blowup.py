@@ -14,7 +14,7 @@ from qdisk.blowup import (
     identify_catalog,
     rescale_normalize,
 )
-from qdisk.errors import NoCatalogMatch, ZeroEnergy
+from qdisk.errors import GridTooCoarse, NoCatalogMatch, ZeroEnergy
 from qdisk.field import (
     DiskField,
     PolarGrid,
@@ -102,18 +102,23 @@ def test_blowup_sequence_validates_radii(grid64):
     f = sample_field(DOUBLED_Z, grid64)
     with pytest.raises(ValueError):
         blowup_sequence(f, [0.2, 0.4])
-    with pytest.raises(ValueError):
+    with pytest.raises(GridTooCoarse):
         blowup_sequence(f, [0.5, 0.01])
 
 
 def test_check_radii_ring_rule():
-    """Each radius lies at least CENTER_EXCLUSION_RINGS rings out (three rings
-    of 30 pass, 2.88 of 32 fail); the radii strictly decrease."""
-    assert check_radii([0.4, 0.1], 30) == (0.4, 0.1)
-    with pytest.raises(ValueError, match=r"grid resolution \(3 rings\)"):
-        check_radii([0.4, 0.09], 32)
+    """Each radius passes the grid's radius rule, the profile's: its nearest
+    ring lies at least CENTER_EXCLUSION_RINGS out (three rings of 30 and
+    2.88 of 32 pass, 2.24 of 32 fails); the radii strictly decrease and are
+    not snapped."""
+    assert check_radii([0.4, 0.1], PolarGrid(30, 8)) == (0.4, 0.1)
+    assert check_radii([0.4, 0.09], PolarGrid(32, 8)) == (0.4, 0.09)
+    with pytest.raises(GridTooCoarse, match=r"^radius 0\.07 is below 3 grid rings$"):
+        check_radii([0.4, 0.07], PolarGrid(32, 8))
+    with pytest.raises(ValueError, match=r"^radius 1\.5 outside \(0, 1\]$"):
+        check_radii([1.5, 0.4], PolarGrid(32, 8))
     with pytest.raises(ValueError, match="strictly decreasing"):
-        check_radii([0.4, 0.4], 64)
+        check_radii([0.4, 0.4], PolarGrid(64, 8))
 
 
 def test_boundary_mass_identity_values(grid64):

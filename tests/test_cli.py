@@ -230,6 +230,94 @@ def test_oracle_tol_requires_oracle(branched_trace_file, tmp_path, capsys):
                  "--oracle-tol", "0.1"]) == 0
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_oracle_tol_must_be_nonnegative(branched_trace_file, tmp_path, monkeypatch, capsys,
+                                        tol):
+    """--oracle-tol follows classify_form's rule for tol: a value that is not
+    >= 0 exits 2 before the trace is read (nan passed any gap, -1 failed
+    every one after the oracle ran)."""
+    calls = []
+    monkeypatch.setattr(cli, "minimize", lambda *args, **kwargs: calls.append(args))
+    argv = ["minimize", branched_trace_file, "--out", str(tmp_path / "f.csv"), "--oracle",
+            f"--oracle-tol={tol}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --oracle-tol must be a nonnegative number, got {float(tol)!r}\n")
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.json"]
+
+
+def test_minimize_checks_radii_before_reading_the_trace(branched_trace_file, tmp_path,
+                                                       monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "load_trace", lambda *args, **kwargs: calls.append(args))
+    argv = ["minimize", branched_trace_file, "--out", str(tmp_path / "f.csv")]
+    assert main([*argv, "--radii", "nope"]) == 2
+    assert capsys.readouterr().err == "error: bad radii list 'nope'\n"
+    assert main([*argv, "--radii", "1.5,0.5"]) == 2
+    assert capsys.readouterr().err == "error: radius 1.5 outside (0, 1]\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("r, rc", [("0.04", 0), ("0.0375", 2)])
+def test_one_radius_rule_for_both_commands(perturbed_trace_file, tmp_path, capsys, r, rc):
+    """At 64 rings r = 0.04 is 2.56 rings, nearest ring 3, and runs in both
+    commands; r = 0.0375 is 2.4 rings, nearest ring 2, and both exit 2 with
+    the same line before the trace is read."""
+    runs = [["minimize", perturbed_trace_file, "--out", str(tmp_path / "f.csv"),
+             "--radii", f"{r},1"],
+            ["blowup", perturbed_trace_file, "--out", str(tmp_path / "report.json"),
+             "--radii", f"0.4,{r}"]]
+    for argv in runs:
+        assert main(argv) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert err == f"error: GridTooCoarse: radius {r} is below 3 grid rings\n"
+        else:
+            assert err == "detected class: swap (separation 1.6)\n"
+
+
+def test_profile_reads_each_ring_once(perturbed_trace_file, tmp_path, capsys):
+    """On 16 rings the 16 default radii snap to 13 distinct rings (r = 0.35
+    and 0.40 both to ring 6): the profile has one row per ring, r being the
+    ring's radius, and no repeated row hides a decrease of N as 0. N rises
+    on every ring of the criterion-5 trace, so the defect is negative."""
+    out = tmp_path / "f.csv"
+    argv = ["minimize", perturbed_trace_file, "--nr", "16", "--ntheta", "64", "--out", str(out)]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    defect = float(lines[2].split("monotonicity defect: ")[1])
+    assert defect < 0
+    rows = (tmp_path / "f_profile.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [i / 16 for i in range(4, 17)]
+
+
+@pytest.mark.parametrize(
+    "argv, directory",
+    [(["minimize", "{trace}", "--out", "{dir}/f.csv"], "f_profile.csv"),
+     (["minimize", "{trace}", "--out", "{dir}/f.csv"], "f.csv"),
+     (["blowup", "{trace}", "--radii", "0.4,0.2", "--dump-fields", "{dir}/P",
+       "--out", "{dir}/report"], "report")],
+    ids=["profile-is-a-directory", "dump-is-a-directory", "report-is-a-directory"],
+)
+def test_failed_write_removes_written_files(perturbed_trace_file, tmp_path, capsys,
+                                            argv, directory):
+    """A run that cannot write one of its outputs exits 2 with the error line
+    and removes the files it had already written: the dump before an
+    unwritable profile, the sidecar before an unwritable dump CSV, the
+    --dump-fields dumps before an unwritable report."""
+    (tmp_path / directory).mkdir()
+    before = sorted(tmp_path.iterdir())
+    assert main([a.format(trace=perturbed_trace_file, dir=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"error: [Errno 21] Is a directory: '{tmp_path / directory}'")
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_blowup_bad_radii(perturbed_trace_file):
     assert main(["blowup", perturbed_trace_file, "--radii", "0.4,0.01"]) == 2
     assert main(["blowup", perturbed_trace_file, "--radii", "0.4,nope"]) == 2
@@ -639,23 +727,25 @@ def test_outputs_must_be_distinct(perturbed_trace_file, tmp_path, monkeypatch, c
 
 
 @pytest.mark.parametrize(
-    "extra, out, message",
-    [(["--radii", "0.02,1"], "f.csv", "error: GridTooCoarse: radius 0.02 is below 3 grid rings"),
-     ([], "missing/f.csv", "error: [Errno 2] No such file or directory")],
+    "extra, out, expected",
+    [(["--radii", "0.02,1"], "f.csv",
+      ["error: GridTooCoarse: radius 0.02 is below 3 grid rings"]),
+     ([], "missing/f.csv",
+      ["detected class: swap (separation 2)", "error: [Errno 2] No such file or directory"])],
     ids=["grid-too-coarse", "unwritable-out"],
 )
 def test_minimize_exit_2_prints_no_results(branched_trace_file, tmp_path, capsys,
-                                          extra, out, message):
-    """A minimize that fails after the minimizer ran, at the profile or at
-    the dump, leaves stdout empty."""
+                                          extra, out, expected):
+    """A minimize that fails, at a profile radius before the trace is read or
+    at the dump after the minimizer ran, leaves stdout empty."""
     argv = ["minimize", branched_trace_file, "--out", str(tmp_path / out), *extra]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
-    assert err[0] == "detected class: swap (separation 2)"
-    assert err[1].startswith(message)
-    assert len(err) == 2
+    assert len(err) == len(expected)
+    assert err[:-1] == expected[:-1]
+    assert err[-1].startswith(expected[-1])
 
 
 def test_blowup_dump_fields_at_frequency_zero(tmp_path, capsys):

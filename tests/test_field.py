@@ -8,6 +8,7 @@ import pytest
 
 from conftest import random_field
 
+from qdisk.cli import DEFAULT_PROFILE_RADII
 from qdisk.errors import DegenerateField, GridTooCoarse, ZeroBoundaryMass
 from qdisk.field import (
     DiskField,
@@ -128,6 +129,29 @@ def test_frequency_refuses_inner_rings(grid64):
     f = make_field(DOUBLED_Z)
     with pytest.raises(GridTooCoarse):
         frequency(f, 0.02)
+
+
+def test_frequency_profile_reads_each_ring_once():
+    """The default profile radii on 16 rings snap to 13 distinct rings
+    (r = 0.35 and 0.40 both to ring 6). The profile reads each once,
+    ascending whatever the order asked, and reports the rings' radii."""
+    grid = PolarGrid(16, 64)
+    f = sample_field(BRANCHED_HALF, grid)
+    radii = DEFAULT_PROFILE_RADII[::-1]
+    rings = sorted({round(r * grid.n_r) for r in radii})
+    assert len(radii) == 16 and rings == list(range(4, 17))
+    prof = frequency_profile(f, radii)
+    np.testing.assert_array_equal(prof.radii, grid.radii[rings])
+    assert len(set(prof.radii.tolist())) == len(prof.radii) == 13
+    assert prof.D.tolist() == [dirichlet_energy(f, r) for r in prof.radii]
+    assert prof.H.tolist() == [boundary_mass(f, r) for r in prof.radii]
+    slope = (prof.N[1] - prof.N[0]) / (prof.radii[1] - prof.radii[0])
+    assert prof.N0 == prof.N[0] - slope * prof.radii[0]
+
+
+def test_frequency_profile_needs_a_radius(grid64):
+    with pytest.raises(ValueError, match="at least one radius"):
+        frequency_profile(make_field(DOUBLED_Z), [])
 
 
 def test_frequency_profile_homogeneous(grid64):
