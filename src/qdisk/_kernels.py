@@ -67,25 +67,27 @@ def solve(boundary, n_rings, dtheta):
 
 
 def gs_sweep(u, dtheta, color):
-    """One plain Gauss-Seidel half-sweep over rings 1..R-1 of the given parity."""
-    n_rings = u.shape[0] - 1
+    """One plain Gauss-Seidel half-sweep over rings 1..R-1: the cells (i, j)
+    with (i + j) % 2 == color.
+
+    Their ring neighbours have the other color, so each ring parity takes one
+    strided update computed from the old values, as a Jacobi step on the
+    color would (with an odd column count the cells either side of column 0
+    share a color, and both read the old value of the other).
+    """
+    n_rings, cols = u.shape[0] - 1, u.shape[1]
     outer, inner, angular = _coeffs(n_rings, dtheta)
-    denom = (outer + inner + 2.0 * angular)[:, None, None]
-    outer = outer[:, None, None]
-    inner = inner[:, None, None]
-    angular = angular[:, None, None]
-
-    interior = u[1:n_rings]
-    proposed = (
-        outer * u[2:]
-        + inner * u[0 : n_rings - 1]
-        + angular * (np.roll(interior, 1, axis=1) + np.roll(interior, -1, axis=1))
-    ) / denom
-
-    rows = np.arange(1, n_rings)[:, None]
-    cols = np.arange(u.shape[1])[None, :]
-    mask = (rows + cols) % 2 == color
-    interior[mask] = proposed[mask]
+    denom = outer + inner + 2.0 * angular
+    for p in (0, 1):  # rings 1 + p, 3 + p, ...
+        first = (color + 1 + p) % 2  # the color's first column on those rings
+        j = np.arange(first, cols, 2)
+        ring = u[1 + p : n_rings : 2]
+        w = (slice(p, None, 2), None, None)
+        ring[:, first::2] = (
+            outer[w] * u[2 + p : n_rings + 1 : 2, first::2]
+            + inner[w] * u[p : n_rings - 1 : 2, first::2]
+            + angular[w] * (ring.take((j - 1) % cols, axis=1) + ring.take((j + 1) % cols, axis=1))
+        ) / denom[w]
 
 
 def gs_center(u):

@@ -373,29 +373,40 @@ def energy_decay_check(field: DiskField, s: float, r: float) -> tuple[float, flo
 # --- serialization ----------------------------------------------------------
 
 
-# Rings per block of save_field. A block holds about 380 bytes of text and
-# temporaries per node (3 MiB at n_theta = 1024). On 256x1024, 8 rings were
-# faster than 2, 4 or 16, and 32 raised peak RSS by 6 MiB.
-DUMP_BLOCK = 8
+# Rows per block of save_field: the dump's rows are cut into runs of
+# DUMP_ROWS in dump order, so a block may split a ring or hold the last rows
+# of sheet 1 and the first of sheet 2. A block of a 256x1024 field peaks at
+# about 250 bytes per row (2 MiB, tracemalloc); on that field 8192 rows were
+# faster than 2048, 4096, 16384 or 32768.
+DUMP_ROWS = 8192
 DUMP_COLUMNS = ("ring_index", "angle_index", "sheet", "x", "y")
 
 # Exact "%.17g" text of whole arrays. Each value's text is laid out in
 # VALUE_WORDS uint32 words of NUL-padded ASCII in fixed columns; deleting the
 # NUL bytes leaves the text:
 #
-#   words 0-4    "\0\0" sign d0 d1 ... d16: the integer digits
-#   words 5-6    the point: "." (blank when no fraction digit is left), or
-#                "0." and the zeros after it when |x| < 1
-#   words 7-11   the same 17 digit places: the fraction digits, without the
+#   words 0-1    the head: the sign; "0." and the zeros after it when
+#                |x| < 1 in fixed notation; d0; and "." when d0 is the only
+#                integer digit and a fraction digit follows
+#   words 2-5    d1 ... d16: the integer digits after d0
+#   word 6       "." after them, when a fraction digit follows
+#   words 7-10   the same 16 digit places: the fraction digits, without the
 #                trailing zeros
-#   word 12      exponent, "e-05" or "e-06"
+#   word 11      exponent, "e-05" or "e-06"
 #
 # d0 ... d16 and the exponent k come exactly from float64 arithmetic
 # (_decimal17) for 1e-6 < |x| < 1e15. That is k in [-6, 14], fixed notation
 # for k >= -4 and exponent notation (integer part d0) below. Every other
 # value (zeros, subnormals, tiny or huge values, inf, nan) takes the text of
-# "%.17g" % x one value at a time, left-aligned over the whole field.
-VALUE_WORDS = 13
+# "%.17g" % x one value at a time, left-aligned over the staged words.
+#
+# A block (one column of _csv_rows) stages only the words that some value of
+# it can fill: those a value of any exponent between the least and the
+# greatest k of its fast values can use (_text_tables' `used`), and as many
+# leading words as its longest slow text needs. A block of k <= 0 leaves out
+# words 2-6, word 1 unless its range holds one of -4, -3, -2, and the
+# exponent word unless it reaches below -4.
+VALUE_WORDS = 12
 _K_MIN, _K_MAX = -6, 14
 
 
@@ -419,42 +430,55 @@ def _text_tables() -> SimpleNamespace:
     order, so the words read back as text on any host)."""
     pow10 = 10.0 ** np.arange(23)  # exact in binary64 up to 10**22
     pow_hi, pow_lo = _veltkamp(pow10)
-    n = np.arange(10000)
-    quad = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
-    zeros = np.where(n == 0, 4, 0)  # trailing zeros of a 4-digit group
-    for m in (10, 100, 1000):
-        zeros += (n % m == 0) & (n != 0)
+    quad = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    zeros = (quad[:, ::-1] == 0).cumprod(axis=1).sum(axis=1)  # trailing zeros of a 4-digit group
     k = np.arange(_K_MIN, _K_MAX + 1)
     split = np.where(k < -4, 0, k)  # index of the last integer digit
-    place = np.arange(20) - 3  # digit index of each byte of words 0-4
-    integer = (place >= 0) & (place <= split[:, None])
-    fraction = (place >= 0) & (place > split[:, None])
+    place = np.arange(1, 17)  # digit index of each byte of words 2-5 and 7-10
+    integer = place <= split[:, None]
     # fraction digits kept, per (k, trailing zeros of the 17 digits)
-    fraction = fraction[:, None, :] & (place < 17 - np.arange(17)[:, None])
-    point = ["0." + "0" * (-e - 1) if -4 <= e < 0 else "." for e in k]
-    exponent = [f"e-0{-e}" if e < -4 else "" for e in k]
+    fraction = (place > split[:, None])[:, None, :] & (place < 17 - np.arange(17)[:, None])
+    # per (k, sign, d0, whether a fraction digit follows)
+    head = _label_words(
+        "-" * negative + ("0." + "0" * (-e - 1) if -4 <= e < 0 else "") + str(d0)
+        + ("." if more and (e == 0 or e < -4) else "")
+        for e in range(_K_MIN, _K_MAX + 1)
+        for negative in (0, 1) for d0 in range(10) for more in (0, 1)
+    )
+    point = _label_words(["." if e > 0 else "" for e in k])[0]
+    exponent = _label_words([f"e-0{-e}" if e < -4 else "" for e in k])[0]
+    # the words a value of each exponent can fill
+    used = np.concatenate([
+        (head != 0).reshape(2, len(k), -1).any(axis=2).T,
+        integer.reshape(len(k), 4, 4).any(axis=2),
+        point[:, None] != 0,
+        fraction.reshape(len(k), 17, 4, 4).any(axis=(1, 3)),
+        exponent[:, None] != 0,
+    ], axis=1)
     comma, crlf = _label_words([",", "\r\n"])[0]
     return SimpleNamespace(
         pow10=pow10, pow_hi=pow_hi, pow_lo=pow_lo,
         quad=(48 + quad).astype(np.uint8).view(np.uint32).ravel(),
-        minus=_label_words(["\0\0-"])[0, 0],
         zeros=zeros,
         integer=(integer * 255).astype(np.uint8).view(np.uint32).T.copy(),
-        fraction=(fraction * 255).astype(np.uint8).view(np.uint32).reshape(-1, 5).T.copy(),
+        fraction=(fraction * 255).astype(np.uint8).view(np.uint32).reshape(-1, 4).T.copy(),
         fraction_digits=16 - split,
-        point=_label_words(point),
-        exponent=_label_words(exponent)[0],
+        head=head, point=point, exponent=exponent, used=used,
         comma=comma, crlf=crlf,
     )
 
 
-def _product(a, p, t):
-    """hi, lo with hi + lo == a * 10**p exactly (Dekker's TwoProduct)."""
+def _rounded(a, p, t):
+    """a * 10**p rounded to an integer, ties to even, as int64.
+
+    Dekker's TwoProduct gives hi + lo == a * 10**p exactly; for p <= 22 and
+    a product >= 2**53, hi is an even integer, so hi + rint(lo) is the
+    rounding of the exact product."""
     ah, al = _veltkamp(a)
     bh, bl = t.pow_hi[p], t.pow_lo[p]
     hi = a * t.pow10[p]
     lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
-    return hi, lo
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
 def _decimal17(a, t):
@@ -462,72 +486,98 @@ def _decimal17(a, t):
 
     Returns int64 d in [10**16, 10**17) and the decimal exponent k in
     [-6, 14]: a rounds to d * 10**(k - 16), ties to even, as in "%.17g".
-    With p = 16 - k in [2, 22], hi + lo == a * 10**p exactly, and
-    hi >= 2**53 is an even integer. So hi + floor(lo) is the floor of the
-    exact product, which has 17 digits exactly when k is right, and
-    hi + rint(lo) is its rounding. That rounding never reaches 10**17: the
-    largest double below each power of ten in the range lies more than 8
-    units of the 17th digit below it.
+    d is the rounding of a * 10**(16 - k), with 16 - k in [2, 22]. It has
+    17 digits exactly when k is right: with k one too small it is at least
+    10**17; with k one too large the product lies more than 0.8 below
+    10**16, and with k right more than 8 below 10**17, because the largest
+    double below each power of ten in the range lies that far below it.
     """
     k = np.floor(np.log10(a)).astype(np.intp)
     np.clip(k, -6, 14, out=k)  # keeps 10**p exact; the check below corrects k
-    hi, lo = _product(a, 16 - k, t)
-    floor = hi.astype(np.int64) + np.floor(lo).astype(np.int64)
-    off = (floor >= 10**17).astype(np.intp) - (floor < 10**16)
-    redo = np.flatnonzero(off)
-    k[redo] += off[redo]
-    hi[redo], lo[redo] = _product(a[redo], 16 - k[redo], t)
-    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), k
+    d = _rounded(a, 16 - k, t)
+    redo = np.flatnonzero((d >= 10**17) | (d < 10**16))
+    k[redo] += np.where(d[redo] < 10**16, -1, 1)
+    d[redo] = _rounded(a[redo], 16 - k[redo], t)
+    return d, k
 
 
-def _text_words(x: np.ndarray, out: np.ndarray) -> None:
-    """Write the "%.17g" text of each x into out, (VALUE_WORDS, len(x)) uint32."""
+def _text_words(x: np.ndarray, out: np.ndarray) -> int:
+    """Write the "%.17g" text of each x into the first rows of out, uint32
+    of at least VALUE_WORDS rows and len(x) columns: one row per word the
+    block x stages, in order. Returns how many rows it wrote."""
     t = _text_tables()
     a = np.abs(x)
     fast = (a > 1e-6) & (a < 1e15)
     d, k = _decimal17(np.where(fast, a, 1.0), t)
     row = k - _K_MIN
-    groups = []  # d0, d1-d4, ..., d13-d16 as numbers
-    rest = d
-    for div in (10**16, 10**12, 10**8, 10**4):
-        groups.append(rest // div)
-        rest -= groups[-1] * div
-    groups.append(rest)
-    zeros = t.zeros[groups[1]]  # trailing zeros of d
-    for g in groups[2:]:
-        zeros = np.where(g == 0, zeros + 4, t.zeros[g])
-    kept = row * 17 + zeros
-    for j, g in enumerate(groups):
-        digits = t.quad[g]  # word 0 reads "000" d0; the masks blank the "000"
-        np.bitwise_and(digits, t.integer[j][row], out=out[j])
-        np.bitwise_and(digits, t.fraction[j][kept], out=out[7 + j])
-    out[0] |= np.signbit(x) * t.minus
-    has_fraction = zeros < t.fraction_digits[row]
-    np.multiply(t.point[0][row], has_fraction, out=out[5])
-    np.multiply(t.point[1][row], has_fraction, out=out[6])
-    np.take(t.exponent, row, out=out[12])
+    # 17 digits as d0, d1-d4, ..., d13-d16, from one split at 10**8
+    high = d // 10**8
+    low = d - high * 10**8
+    d0 = high // 10**8
+    high -= d0 * 10**8
+    groups = [d0]
+    for half in (high, low):
+        g = half // 10**4
+        groups += [g, half - g * 10**4]
+    # trailing zeros of d: from the last group, and further left only where
+    # that group is 0
+    zeros = t.zeros[groups[4]]
+    redo = np.flatnonzero(groups[4] == 0)
+    for g in groups[3:0:-1]:
+        zeros[redo] += t.zeros[g[redo]]
+        redo = redo[g[redo] == 0]
+    more = zeros < t.fraction_digits[row]  # a fraction digit follows
     slow = np.flatnonzero(~fast)
-    text = np.array(["%.17g" % v for v in x[slow].tolist()], dtype=f"S{4 * VALUE_WORDS}")
-    out[:, slow] = text.view(np.uint32).reshape(-1, VALUE_WORDS).T
+    text = np.array(["%.17g" % v for v in x[slow].tolist()], dtype=bytes)
+    k_fast = np.delete(k, slow)
+    used = t.used[
+        k_fast.min(initial=_K_MAX) - _K_MIN : k_fast.max(initial=_K_MIN) - _K_MIN + 1
+    ].any(axis=0)
+    used[: -(-text.itemsize // 4) if len(slow) else 0] = True
+    words = np.flatnonzero(used)
+    # rows whose fraction words are not all digits
+    partial = np.flatnonzero((k > 0) | (zeros > 0))
+    kept = row[partial] * 17 + zeros[partial]
+    head = ((row * 2 + np.signbit(x)) * 10 + d0) * 2 + more
+    for col, w in zip(out, words):
+        if w < 2:
+            np.take(t.head[w], head, out=col, mode="clip")
+        elif w < 6:
+            np.take(t.quad, groups[w - 1], out=col, mode="clip")
+            col &= t.integer[w - 2][row]
+        elif w == 6:
+            np.multiply(t.point[row], more, out=col)
+        elif w < 11:
+            np.take(t.quad, groups[w - 6], out=col, mode="clip")
+            col[partial] &= t.fraction[w - 7][kept]
+        else:
+            np.take(t.exponent, row, out=col, mode="clip")
+    text = text.astype(f"S{4 * len(words)}").view(np.uint32)
+    out[: len(words), slow] = text.reshape(-1, len(words)).T
+    return len(words)
 
 
 def _csv_rows(values: np.ndarray, prefix: np.ndarray | None = None) -> bytes:
     """CSV lines of the "%.17g" text of values (rows, columns), CRLF-ended.
 
     prefix, if given, is (words, rows) NUL-padded text put before each line.
+    The stage is word-major, one row per word of the layout, so _text_words
+    writes contiguous rows; one transposing copy interleaves them into lines.
     """
     t = _text_tables()
     rows, cols = values.shape
     if prefix is None:
         prefix = np.empty((0, rows), dtype=np.uint32)
-    head = len(prefix)
-    stage = np.empty((head + cols * (VALUE_WORDS + 1), rows), dtype=np.uint32)
-    stage[:head] = prefix
+    at = len(prefix)
+    stage = np.empty((at + cols * (VALUE_WORDS + 1), rows), dtype=np.uint32)
+    stage[:at] = prefix
     for c in range(cols):
-        at = head + c * (VALUE_WORDS + 1)
-        _text_words(values[:, c], stage[at : at + VALUE_WORDS])
-        stage[at + VALUE_WORDS] = t.comma if c < cols - 1 else t.crlf
-    return stage.T.tobytes().translate(None, b"\0")
+        at += _text_words(values[:, c], stage[at:])
+        stage[at] = t.comma if c < cols - 1 else t.crlf
+        at += 1
+    staged = stage[:at].T.tobytes()
+    del stage  # a dump that holds less at once leaves less heap to the work after it
+    return staged.translate(None, b"\0")
 
 
 def dump_files(csv_path) -> tuple[Path, Path]:
@@ -550,7 +600,10 @@ def save_field(field: DiskField, csv_path) -> None:
     }
     sidecar.write_text(json.dumps(header, indent=2) + "\n")
     cols = field.grid.n_theta
+    nodes = (field.grid.n_r + 1) * cols
     rings = _label_words(f"{i}," for i in range(field.grid.n_r + 1))
+    angles = _label_words(f"{j},{sheet_id}," for sheet_id in (1, 2) for j in range(cols))
+    sheet1, sheet2 = field.sheet1.reshape(nodes, 2), field.sheet2.reshape(nodes, 2)
     try:
         fh = open(csv_path, "wb")
     except OSError:
@@ -558,16 +611,16 @@ def save_field(field: DiskField, csv_path) -> None:
         raise
     with fh:
         fh.write(",".join(DUMP_COLUMNS).encode() + b"\r\n")
-        for sheet_id, arr in ((1, field.sheet1), (2, field.sheet2)):
-            angles = _label_words(f"{j},{sheet_id}," for j in range(cols))
-            for lo in range(0, len(arr), DUMP_BLOCK):
-                block = arr[lo : lo + DUMP_BLOCK]
-                n = len(block)
-                prefix = np.concatenate([
-                    np.broadcast_to(rings[:, lo : lo + n, None], (len(rings), n, cols)),
-                    np.broadcast_to(angles[:, None, :], (len(angles), n, cols)),
-                ])
-                fh.write(_csv_rows(block.reshape(n * cols, 2), prefix.reshape(-1, n * cols)))
+        for lo in range(0, 2 * nodes, DUMP_ROWS):
+            hi = min(lo + DUMP_ROWS, 2 * nodes)
+            block = np.concatenate([sheet1[lo:hi], sheet2[max(lo - nodes, 0) : max(hi - nodes, 0)]])
+            row = np.arange(lo, hi)
+            node = row % nodes
+            prefix = np.concatenate([
+                np.take(rings, node // cols, axis=1),
+                np.take(angles, row // nodes * cols + node % cols, axis=1),
+            ])
+            fh.write(_csv_rows(block, prefix))
 
 
 def load_field(csv_path) -> DiskField:

@@ -11,10 +11,13 @@ from conftest import random_field
 from qdisk.cli import DEFAULT_PROFILE_RADII
 from qdisk.errors import DegenerateField, GridTooCoarse, ZeroBoundaryMass
 from qdisk.field import (
+    DUMP_ROWS,
+    VALUE_WORDS,
     DiskField,
     FrequencyProfile,
     PolarGrid,
     _csv_rows,
+    _text_words,
     _ring_energy,
     _ring_sums,
     boundary_mass,
@@ -457,6 +460,86 @@ def test_text_matches_printf_on_edge_values():
         [0.0, 5e-324, 2.2250738585072014e-308, 1e300, np.inf, np.nan],
     ])
     assert_printf_text(np.concatenate([x, -x]))
+
+
+def _values_with_exponents(rng, exponents, n=64):
+    """n random doubles of both signs whose "%.17g" exponents lie in
+    ``exponents``: full 17-digit mantissas, and a quarter with few digits,
+    so trailing zeros and integers appear."""
+    k = rng.choice(exponents, n)
+    mantissa = rng.uniform(1.0001, 9.999, n)
+    scale = 10 ** rng.integers(0, 4, n // 4)
+    mantissa[: n // 4] = rng.integers(scale + 1, 10 * scale) / scale
+    return rng.choice([-1.0, 1.0], n) * mantissa * 10.0 ** k
+
+
+# the exponents the float64 path covers, and words of the layout: the head's
+# second word, integer digits after d0, the point after them, the exponent
+K_RANGE = range(-6, 15)
+HEAD_2, INTEGER, POINT, EXPONENT = [1], [2, 3, 4, 5], [6], [11]
+
+
+def test_text_of_every_exponent_range():
+    """One block per range [lo, hi] of exponents, so that each block stages
+    the words of its own range: k <= 0 only, k >= 1 only, and both."""
+    rng = np.random.default_rng(23)
+    for lo in K_RANGE:
+        for hi in K_RANGE[lo - K_RANGE.start :]:
+            assert_printf_text(_values_with_exponents(rng, np.arange(lo, hi + 1)))
+
+
+def test_text_of_blocks_of_slow_values():
+    """Blocks without a float64-path value: zeros only, and texts of 1 to 24
+    characters, whose width sets the staged words; and a slow text wider
+    than the words of the block's float64-path values."""
+    assert_printf_text(np.zeros(5))
+    assert_printf_text(np.array([0.5, -0.25, -2.2250738585072014e-308, 3.0]))
+    assert_printf_text(np.array([0.0, -0.0]))
+    assert_printf_text(np.array([
+        -2.2250738585072014e-308, 0.0, np.nan, 5e-324, -np.inf, 1e15,
+        2.2250738585072009e-308, -1.7976931348623157e308, 1e-7, 123456789012345680.0,
+    ]))
+
+
+@pytest.mark.parametrize(
+    "x", [-0.000123, 1.25e-5, 7.0, 123.5, -99999999999999.98, 0.0, 5e-324, -2.2250738585072014e-308]
+)
+def test_text_of_single_value_blocks(x):
+    assert_printf_text(np.array([x]))
+
+
+@pytest.mark.parametrize("lo, hi, words", [
+    (-1, 0, [0, 7, 8, 9, 10]),
+    (-6, 0, [0, *HEAD_2, 7, 8, 9, 10, *EXPONENT]),
+    (14, 14, [0, *INTEGER, *POINT, 10]),
+])
+def test_block_stages_only_the_words_its_values_use(lo, hi, words):
+    x = _values_with_exponents(np.random.default_rng(29), np.arange(lo, hi + 1), 256)
+    out = np.zeros((VALUE_WORDS, len(x)), dtype=np.uint32)
+    assert _text_words(x, out) == len(words)
+    assert not out[len(words) :].any()
+
+
+def test_block_of_zeros_stages_one_word():
+    out = np.zeros((VALUE_WORDS, 3), dtype=np.uint32)
+    assert _text_words(np.array([0.0, 0.0, 0.0]), out) == 1
+
+
+@pytest.mark.parametrize("seam", [Continuation.IDENTITY, Continuation.SWAP])
+def test_field_dump_blocks_split_rings_and_sheets(tmp_path, seam):
+    """64x200: dump blocks end inside a ring and one holds the end of sheet
+    1 and the start of sheet 2."""
+    grid = PolarGrid(64, 200)
+    nodes = (grid.n_r + 1) * grid.n_theta
+    assert DUMP_ROWS % grid.n_theta and DUMP_ROWS < nodes < 2 * DUMP_ROWS < 2 * nodes
+    rng = np.random.default_rng(31)
+    shape = (2, grid.n_r + 1, grid.n_theta, 2)
+    s1, s2 = rng.standard_normal(shape) * 10.0 ** rng.uniform(-9, 17, shape)
+    s1[0], s2[0] = s1[0, 0], s2[0, 0]
+    f = DiskField(grid, s1, s2, seam)
+    save_field(f, tmp_path / "field.csv")
+    _row_template_dump(f, tmp_path / "reference.csv")
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_profile_csv_matches_csv_writer(tmp_path):

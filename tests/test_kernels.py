@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from qdisk import _kernels
 
@@ -13,6 +14,44 @@ def _sweep(u, dtheta):
     _kernels.gs_sweep(u, dtheta, 0)
     _kernels.gs_sweep(u, dtheta, 1)
     _kernels.gs_center(u)
+
+
+def _masked_gs_sweep(u, dtheta, color):
+    """Reference half-sweep: every interior cell's update, applied through a
+    checkerboard mask."""
+    n_rings = u.shape[0] - 1
+    outer, inner, angular = _kernels._coeffs(n_rings, dtheta)
+    denom = (outer + inner + 2.0 * angular)[:, None, None]
+    outer = outer[:, None, None]
+    inner = inner[:, None, None]
+    angular = angular[:, None, None]
+
+    interior = u[1:n_rings]
+    proposed = (
+        outer * u[2:]
+        + inner * u[0 : n_rings - 1]
+        + angular * (np.roll(interior, 1, axis=1) + np.roll(interior, -1, axis=1))
+    ) / denom
+
+    rows = np.arange(1, n_rings)[:, None]
+    cols = np.arange(u.shape[1])[None, :]
+    mask = (rows + cols) % 2 == color
+    interior[mask] = proposed[mask]
+
+
+@pytest.mark.parametrize(
+    "rings, cols", [(12, 24), (13, 24), (12, 31), (13, 31), (64, 256), (64, 512)]
+)
+def test_strided_sweep_matches_masked_sweep_bitwise(rings, cols):
+    """Odd and even ring and column counts, both colors, several sweeps."""
+    rng = np.random.default_rng(rings * cols)
+    u = _problem(rng, rings, cols)
+    ref = u.copy()
+    dtheta = 2 * np.pi / cols
+    for color in (0, 1, 1, 0, 0):
+        _kernels.gs_sweep(u, dtheta, color)
+        _masked_gs_sweep(ref, dtheta, color)
+        assert u.tobytes() == ref.tobytes()
 
 
 def test_sweep_decreases_energy():
