@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePair, NoCatalogMatch, ZeroEnergy
+from .errors import DegeneratePair, GridTooCoarse, NoCatalogMatch, ZeroEnergy
 from .field import (
     CENTER_EXCLUSION_RINGS,
     RING_BLOCK,
@@ -51,10 +51,10 @@ def rescale_normalize(field: DiskField, r: float) -> DiskField:
     # The indices lie in [0, n_r], so mode="clip" changes nothing, but unlike
     # the default it writes into out without a temporary copy.
     low, i1 = 1 - fr, i0 + 1
+    # both sheets in one block, allocated before the block temporary
+    sheets = np.empty((2,) + field.sheet1.shape)
     upper = np.empty((RING_BLOCK,) + field.sheet1.shape[1:])
-    sheets = []
-    for sheet in (field.sheet1, field.sheet2):
-        lerp = np.empty(sheet.shape)
+    for sheet, lerp in zip((field.sheet1, field.sheet2), sheets):
         for lo in range(0, grid.n_r + 1, RING_BLOCK):
             rings = slice(lo, lo + RING_BLOCK)
             out = lerp[rings]
@@ -64,13 +64,10 @@ def rescale_normalize(field: DiskField, r: float) -> DiskField:
             np.take(sheet, i1[rings], axis=0, out=high, mode="clip")
             high *= fr[rings]
             out += high
-        sheets.append(lerp)
     scale = _energy_ladder(grid, *sheets, field.seam)[grid.n_r]
     if scale <= ENERGY_EPS:
         raise ZeroEnergy("rescaled field has numerically zero energy")
-    root = np.sqrt(scale)
-    for sheet in sheets:
-        sheet /= root
+    sheets /= np.sqrt(scale)
     return DiskField(grid, *sheets, field.seam)
 
 
@@ -78,8 +75,9 @@ def rescale_normalize(field: DiskField, r: float) -> DiskField:
 class BlowupSequence:
     """Normalized rescalings along decreasing radii with Cauchy defects.
 
-    cauchy_defects[k] is the sup pair distance between fields k and k+1
-    over nodes outside the center exclusion zone.
+    cauchy_defects[k] is the sup pair distance between the fields at
+    radii k and k+1 over nodes outside the center exclusion zone. fields
+    holds one field per radius, or only the last (see blowup_sequence).
     """
 
     radii: tuple
@@ -112,11 +110,32 @@ def check_radii(radii, grid: PolarGrid) -> tuple:
     return radii
 
 
-def blowup_sequence(field: DiskField, radii) -> BlowupSequence:
-    radii = check_radii(radii, field.grid)
-    fields = tuple(rescale_normalize(field, r) for r in radii)
-    defects = tuple(_cauchy_defect(f, g) for f, g in zip(fields, fields[1:]))
-    return BlowupSequence(radii, fields, defects)
+def blowup_steps(field: DiskField, radii):
+    """Yield (r, g, defect) along the checked radii: g is
+    ``rescale_normalize(field, r)`` and defect the Cauchy defect between the
+    previous g and this one, None at the first radius. The generator keeps
+    only the previous g, so a caller that drops each g once it has the next
+    holds at most two rescaled fields."""
+    previous = None
+    for r in check_radii(radii, field.grid):
+        g = rescale_normalize(field, r)
+        yield r, g, None if previous is None else _cauchy_defect(previous, g)
+        previous = g
+
+
+def blowup_sequence(field: DiskField, radii, keep_fields: bool = True) -> BlowupSequence:
+    """The steps of ``blowup_steps`` collected. With keep_fields=False only
+    the last field, the limit, is kept: at most two rescaled fields are
+    alive at once, and ``fields`` holds the limit alone."""
+    checked, fields, defects = [], [], []
+    for r, g, defect in blowup_steps(field, radii):
+        checked.append(r)
+        if defect is not None:
+            defects.append(defect)
+        if not keep_fields:
+            fields.clear()
+        fields.append(g)
+    return BlowupSequence(tuple(checked), tuple(fields), tuple(defects))
 
 
 def boundary_mass_identity(g: DiskField, N0: float) -> tuple[float, float]:
@@ -127,6 +146,16 @@ def boundary_mass_identity(g: DiskField, N0: float) -> tuple[float, float]:
 
 
 _FIT_RADII = (0.25, 0.5, 0.75, 1.0)
+
+
+def check_fit_grid(grid: PolarGrid) -> None:
+    """GridTooCoarse, naming the catalog fit radii, when the grid's radius
+    rule refuses one of the radii ``identify_catalog`` reads."""
+    try:
+        grid.rings(_FIT_RADII)
+    except GridTooCoarse as exc:
+        radii = ", ".join(f"{r:g}" for r in _FIT_RADII)
+        raise GridTooCoarse(f"the catalog fit reads radii {radii}: {exc}") from exc
 
 
 def _fit_sheet_tuple(values: np.ndarray, thetas: np.ndarray, N: float) -> FourTuple:
@@ -148,8 +177,11 @@ def identify_catalog(
     fitted N and the sup-norm boundary residual.
     Raises NoCatalogMatch when the fitted degree is farther than 0.1 from a
     half-integer, when the trace has almost no content at that degree, or
-    with validate's reason when the fitted entry fails it at ``tol``.
+    with validate's reason when the fitted entry fails it at ``tol``;
+    GridTooCoarse (``check_fit_grid``) when the grid cannot resolve
+    _FIT_RADII.
     """
+    check_fit_grid(g.grid)
     profile = frequency_profile(g, _FIT_RADII)
     fitted = float(np.median(profile.N))
     rounded = round(2.0 * fitted) / 2.0

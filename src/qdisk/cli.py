@@ -13,10 +13,11 @@ class, errors and warnings (trace modes folded at or above the grid's
 angular Nyquist, a blow-up limit whose boundary mass misses 1/N,
 --dump-fields on frequency-0 data) go to stderr. Before reading the trace,
 both trace commands check the grid, their radii (PolarGrid.rings, the one
-radius rule) and their output paths, none of which may overwrite the input
-trace or another output (exit 2). minimize prints its results only after
-writing its files, and a run that fails while writing removes the files
-it wrote, so a run that exits 2 leaves no results.
+radius rule; for blowup also the radii of the catalog fit) and their output
+paths, none of which may overwrite the input trace or another output
+(exit 2). minimize prints its results only after writing its files, and a
+run that fails while writing removes the files it wrote, so a run that
+exits 2 leaves no results.
 
 File formats:
     boundary trace  JSON array of {"theta": t, "p1": [x, y], "p2": [x, y]}
@@ -44,6 +45,7 @@ import numpy as np
 from .blowup import (
     blowup_report,
     blowup_sequence,
+    check_fit_grid,
     check_radii,
     identify_catalog,
     report_to_json,
@@ -264,6 +266,7 @@ def cmd_blowup(args) -> int:
     radii = check_radii(
         sorted(_parse_radii(args.radii, DEFAULT_BLOWUP_RADII), reverse=True), grid
     )
+    check_fit_grid(grid)
     dumps = [Path(f"{args.dump_fields}_r{r:g}.csv") for r in radii] if args.dump_fields else []
     outputs = [args.out] if args.out is not None else []
     _refuse_overwrite(args.trace, outputs + [p for csv in dumps for p in dump_files(csv)])
@@ -280,7 +283,8 @@ def cmd_blowup(args) -> int:
         _write_out(report_to_json(report), args.out)
         return EXIT_OK
 
-    seq = blowup_sequence(result.field, radii)
+    # the steps collected: all fields only when they are dumped, else the limit
+    seq = blowup_sequence(result.field, radii, keep_fields=bool(dumps))
     limit = seq.fields[-1]
     entry, fitted, residual = identify_catalog(limit, BLOWUP_FIT_TOL)
     report = blowup_report(limit, entry, fitted, residual)

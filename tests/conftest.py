@@ -33,6 +33,19 @@ def single_mode_trace(freq, n=256, amp=1.0):
     return BoundaryTrace.from_values(p1, p2)
 
 
+def conformal_swap_trace(rng, n=256):
+    """Branched trace of the sum of c_k z^(k/2) over k = 3, 5, 7, with
+    normal complex c_k drawn from rng, scaled 1, 0.2 and 0.2: conformal
+    sheets, so the blow-up is a degree-3/2 swap catalog entry."""
+    th = 2.0 * np.pi * np.arange(n) / n
+    cover = np.concatenate([th, th + 2 * np.pi])
+    z = np.zeros(2 * n, complex)
+    for k, scale in ((3, 1.0), (5, 0.2), (7, 0.2)):
+        z += scale * complex(*rng.normal(size=2)) * np.exp(0.5j * k * cover)
+    loop = np.stack([z.real, z.imag], axis=1)
+    return BoundaryTrace.from_values(loop[:n], loop[n:])
+
+
 def _loop_from_modes(thetas, unit, modes, rng):
     vals = np.zeros((len(thetas), 2))
     for k, scale in modes:

@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_field, random_trace, single_mode_trace
 
+from qdisk import cli
 from qdisk import field as field_module
 from qdisk.blowup import (
     CENTER_EXCLUSION_RINGS,
     BlowupSequence,
     _cauchy_defect,
     blowup_sequence,
+    blowup_steps,
     boundary_mass_identity,
     check_radii,
     identify_catalog,
@@ -16,6 +20,7 @@ from qdisk.blowup import (
 )
 from qdisk.errors import GridTooCoarse, NoCatalogMatch, ZeroEnergy
 from qdisk.field import (
+    RING_BLOCK,
     DiskField,
     PolarGrid,
     dirichlet_energy,
@@ -31,7 +36,7 @@ from qdisk.forms import (
     classify_form,
     enumerate_entries,
 )
-from qdisk.minimizer import BoundaryTrace, minimize
+from qdisk.minimizer import BoundaryTrace, minimize, save_trace
 from qdisk.qpoint import pair_distance_arrays
 
 DOUBLED_Z = HomogeneousPair(
@@ -410,3 +415,80 @@ def test_energy_ladder_computed_once_per_field(grid64, monkeypatch):
     dirichlet_energy(field, 0.5)
     assert sum(s1 is field.sheet1 for s1 in calls) == 1
     assert len(calls) == 1 + 3
+
+
+@pytest.mark.parametrize("seam", [Continuation.IDENTITY, Continuation.SWAP])
+def test_blowup_sequence_collects_blowup_steps_bitwise(seam):
+    """blowup_sequence is blowup_steps collected: the same radii, fields and
+    defects, bit for bit; with keep_fields=False the last field alone."""
+    grid = PolarGrid(40, 64)
+    field = random_field(grid, seam, np.random.default_rng(5))
+    radii = (1.0, 0.5, 0.37, 0.2)
+    steps = list(blowup_steps(field, radii))
+    assert tuple(r for r, _, _ in steps) == radii
+    assert steps[0][2] is None
+    for (_, f, _), (_, g, defect) in zip(steps, steps[1:]):
+        assert defect == _cauchy_defect(f, g)
+    for seq, kept in ((blowup_sequence(field, radii), steps),
+                      (blowup_sequence(field, radii, keep_fields=False), steps[-1:])):
+        assert seq.radii == radii
+        assert seq.cauchy_defects == tuple(d for _, _, d in steps[1:])
+        assert len(seq.fields) == len(kept)
+        for got, (_, want, _) in zip(seq.fields, kept):
+            assert got.sheet1.tobytes() == want.sheet1.tobytes()
+            assert got.sheet2.tobytes() == want.sheet2.tobytes()
+
+
+@pytest.mark.parametrize("dump", [False, True], ids=["streamed", "dump-fields"])
+def test_cmd_blowup_holds_two_rescaled_fields(tmp_path, monkeypatch, dump):
+    """tracemalloc from the return of minimize to that of the blow-up at 4
+    radii. Without --dump-fields the limit alone stays, and the peak is at
+    most two rescaled fields (three with the minimizer's) plus the rescale's
+    and the energy ladder's block temporaries; with it one field per radius
+    stays."""
+    grid = PolarGrid(192, 32)
+    field_bytes = 2 * (grid.n_r + 1) * grid.n_theta * 2 * 8
+    block_bytes = field_bytes * RING_BLOCK // (grid.n_r + 1)  # both sheets
+    marks = {}
+    minimize_, sequence = cli.minimize, cli.blowup_sequence
+
+    def measured_minimize(*args, **kwargs):
+        result = minimize_(*args, **kwargs)
+        marks["base"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return result
+
+    def measured_sequence(*args, **kwargs):
+        seq = sequence(*args, **kwargs)
+        marks["held"], marks["peak"] = tracemalloc.get_traced_memory()
+        return seq
+
+    monkeypatch.setattr(cli, "minimize", measured_minimize)
+    monkeypatch.setattr(cli, "blowup_sequence", measured_sequence)
+    path = tmp_path / "t.json"
+    save_trace(single_mode_trace(1.5), path)
+    argv = ["blowup", str(path), "--nr", str(grid.n_r), "--ntheta", str(grid.n_theta),
+            "--radii", "0.8,0.4,0.2,0.1", "--out", str(tmp_path / "report.json")]
+    if dump:
+        argv += ["--dump-fields", str(tmp_path / "P")]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracemalloc.stop()
+    held = (marks["held"] - marks["base"]) / field_bytes
+    peak = (marks["peak"] - marks["base"]) / field_bytes
+    if dump:
+        assert held >= 4 - 0.5 * block_bytes / field_bytes
+    else:
+        assert held <= 1 + 0.5 * block_bytes / field_bytes
+        assert peak <= 2 + 3 * block_bytes / field_bytes
+
+
+def test_identify_catalog_names_the_fit_radii_on_a_coarse_grid():
+    """At 10 rings the fit radius 0.25 lies in the center exclusion zone."""
+    g = sample_field(DOUBLED_Z, PolarGrid(10, 64))
+    with pytest.raises(GridTooCoarse, match=r"^the catalog fit reads radii 0\.25, 0\.5, "
+                       r"0\.75, 1: radius 0\.25 is below 3 grid rings$"):
+        identify_catalog(g, 0.05)
+    identify_catalog(sample_field(DOUBLED_Z, PolarGrid(11, 64)), 0.05)

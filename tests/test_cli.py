@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_trace, single_mode_trace
+from conftest import conformal_swap_trace, random_trace, single_mode_trace
 
 from qdisk import cli, minimizer
 from qdisk.cli import main
@@ -614,6 +614,52 @@ def test_blowup_checks_radii_before_minimize(perturbed_trace_file, tmp_path, mon
     assert calls == []
     assert main(["blowup", str(const), "--out", str(tmp_path / "report.json")]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("nr", [4, 8, 10])
+def test_blowup_checks_fit_radii_before_minimize(perturbed_trace_file, tmp_path, monkeypatch,
+                                                 capsys, nr):
+    """Below 11 rings the catalog fit's radius 0.25 lies in the center
+    exclusion zone: blowup exits 2 naming the fit radii, before minimize
+    runs, with empty stdout and no detected class."""
+    calls = []
+    monkeypatch.setattr(cli, "minimize", lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "report.json"
+    argv = ["blowup", perturbed_trace_file, "--nr", str(nr), "--ntheta", "64",
+            "--radii", "1.0,0.9,0.8", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: GridTooCoarse: the catalog fit reads radii 0.25, 0.5, "
+                            "0.75, 1: radius 0.25 is below 3 grid rings\n")
+    assert calls == []
+    assert not out.exists()
+
+
+# SHA-256 of the blow-up report, and of sidecar + CSV of the limit's dump,
+# for conformal_swap_trace(default_rng(1)) at 32x128 with the default radii,
+# pinned before the blow-up kept only the fields it reads (x86-64, numpy 2)
+GOLDEN_BLOWUP_REPORT_SHA256 = "43391ec975dafe864fd260074cf3a6cee6e87c153137c37b6145318f310cc598"
+GOLDEN_BLOWUP_DUMP_SHA256 = "5c11af2e40cf73dc4a3cbe76fdbd8630961f4f7e65c084d91753bd1802ecd223"
+
+
+def test_blowup_golden_bytes(tmp_path):
+    trace = tmp_path / "t.json"
+    save_trace(conformal_swap_trace(np.random.default_rng(1)), trace)
+    grid = ["--nr", "32", "--ntheta", "128"]
+    report = tmp_path / "report.json"
+    assert main(["blowup", str(trace), *grid, "--out", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == GOLDEN_BLOWUP_REPORT_SHA256
+    dumped = tmp_path / "dumped.json"
+    prefix = tmp_path / "P"
+    assert main(["blowup", str(trace), *grid, "--out", str(dumped),
+                 "--dump-fields", str(prefix)]) == 0
+    assert dumped.read_bytes() == report.read_bytes()
+    limit = tmp_path / "P_r0.1.csv"
+    data = limit.with_suffix(".json").read_bytes() + limit.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_BLOWUP_DUMP_SHA256
+    assert sorted(p.name for p in tmp_path.glob("P_r*.csv")) == [
+        "P_r0.1.csv", "P_r0.2.csv", "P_r0.4.csv"]
 
 
 def _perfbench_inputs(monkeypatch):
