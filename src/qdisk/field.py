@@ -116,23 +116,16 @@ class DiskField:
         ladder.flags.writeable = False
         return ladder
 
-    def stacks(self) -> list[np.ndarray]:
-        """Angularly periodic views of the field.
-
-        Identity seam: each sheet is periodic on its own. Swap seam: the two
-        sheets concatenate into one array on the double cover (period 4*pi),
-        so plain column wraparound implements the branched continuation.
-        Always copies; callers may mutate the result.
-        """
-        if self.seam is Continuation.IDENTITY:
-            return [self.sheet1.copy(), self.sheet2.copy()]
-        return [np.concatenate([self.sheet1, self.sheet2], axis=1)]
-
     @classmethod
     def from_stacks(cls, grid: PolarGrid, stacks, seam: Continuation) -> "DiskField":
-        """Field from periodic stacks (the inverse of ``stacks``). Takes the
-        arrays: identity-class stacks become the sheets without a copy, so
-        the caller must not write to them afterwards."""
+        """Field from angularly periodic stacks.
+
+        Identity seam: each sheet is periodic on its own, one stack per sheet.
+        Swap seam: one stack on the double cover (period 4*pi), sheet 1 then
+        sheet 2 along the angle, so plain column wraparound implements the
+        branched continuation. Takes the arrays: identity-class stacks become
+        the sheets without a copy, so the caller must not write to them
+        afterwards."""
         if seam is Continuation.IDENTITY:
             sheet1, sheet2 = stacks
         else:
@@ -234,12 +227,6 @@ def boundary_mass(field: DiskField, r: float) -> float:
     return total * grid.dtheta * grid.radii[i]
 
 
-def frequency(field: DiskField, r: float) -> float:
-    """Frequency N(r) = r * D(r) / H(r) at the grid ring nearest r: the
-    one-radius ``frequency_profile``, with its errors."""
-    return float(frequency_profile(field, [r]).N[0])
-
-
 @dataclass(frozen=True)
 class FrequencyProfile:
     """Sampled map r -> (D, H, N) with extrapolated N(0).
@@ -258,8 +245,9 @@ class FrequencyProfile:
     def to_csv(self, path) -> None:
         """r, D, H, N rows as %.17g, lines ending in CRLF."""
         values = np.column_stack([self.radii, self.D, self.H, self.N])
+        rows = "%.17g,%.17g,%.17g,%.17g\r\n" * len(values)
         with open(path, "wb") as fh:
-            fh.write(b"r,D,H,N\r\n" + _csv_rows(values))
+            fh.write(("r,D,H,N\r\n" + rows % tuple(values.ravel().tolist())).encode())
 
 
 def frequency_profile(field: DiskField, radii) -> FrequencyProfile:
@@ -320,7 +308,7 @@ def values_at(field: DiskField, r, theta) -> tuple[np.ndarray, np.ndarray]:
 
     if field.seam is Continuation.IDENTITY:
         return interp(field.sheet1, theta), interp(field.sheet2, theta)
-    (cover,) = field.stacks()
+    cover = np.concatenate([field.sheet1, field.sheet2], axis=1)
     return interp(cover, theta), interp(cover, theta + 2.0 * np.pi)
 
 
@@ -492,12 +480,17 @@ def _decimal17(a, t):
     10**16, and with k right more than 8 below 10**17, because the largest
     double below each power of ten in the range lies that far below it.
     """
-    k = np.floor(np.log10(a)).astype(np.intp)
+    k = np.log10(a)
+    np.floor(k, out=k)
     np.clip(k, -6, 14, out=k)  # keeps 10**p exact; the check below corrects k
+    k = k.astype(np.intp)
     d = _rounded(a, 16 - k, t)
-    redo = np.flatnonzero((d >= 10**17) | (d < 10**16))
-    k[redo] += np.where(d[redo] < 10**16, -1, 1)
-    d[redo] = _rounded(a[redo], 16 - k[redo], t)
+    # one unsigned compare: d - 10**16 wraps above 9 * 10**16 when d < 10**16
+    wrong = (d - 10**16).view(np.uint64) >= 9 * 10**16
+    if wrong.any():
+        redo = np.flatnonzero(wrong)
+        k[redo] += np.where(d[redo] < 10**16, -1, 1)
+        d[redo] = _rounded(a[redo], 16 - k[redo], t)
     return d, k
 
 
@@ -507,8 +500,13 @@ def _text_words(x: np.ndarray, out: np.ndarray) -> int:
     block x stages, in order. Returns how many rows it wrote."""
     t = _text_tables()
     a = np.abs(x)
-    fast = (a > 1e-6) & (a < 1e15)
-    d, k = _decimal17(np.where(fast, a, 1.0), t)
+    slow = np.flatnonzero(~((a > 1e-6) & (a < 1e15)))
+    width = 0  # words of the longest slow text
+    if len(slow):
+        text = np.array(["%.17g" % v for v in x[slow].tolist()], dtype=bytes)
+        width = -(-text.itemsize // 4)
+        a[slow] = 1.0  # digits of a float64-path value; the text replaces them
+    d, k = _decimal17(a, t)
     row = k - _K_MIN
     # 17 digits as d0, d1-d4, ..., d13-d16, from one split at 10**8
     high = d // 10**8
@@ -527,13 +525,11 @@ def _text_words(x: np.ndarray, out: np.ndarray) -> int:
         zeros[redo] += t.zeros[g[redo]]
         redo = redo[g[redo] == 0]
     more = zeros < t.fraction_digits[row]  # a fraction digit follows
-    slow = np.flatnonzero(~fast)
-    text = np.array(["%.17g" % v for v in x[slow].tolist()], dtype=bytes)
-    k_fast = np.delete(k, slow)
+    k_fast = np.delete(k, slow) if len(slow) else k
     used = t.used[
         k_fast.min(initial=_K_MAX) - _K_MIN : k_fast.max(initial=_K_MIN) - _K_MIN + 1
     ].any(axis=0)
-    used[: -(-text.itemsize // 4) if len(slow) else 0] = True
+    used[:width] = True
     words = np.flatnonzero(used)
     # rows whose fraction words are not all digits
     partial = np.flatnonzero((k > 0) | (zeros > 0))
@@ -552,22 +548,21 @@ def _text_words(x: np.ndarray, out: np.ndarray) -> int:
             col[partial] &= t.fraction[w - 7][kept]
         else:
             np.take(t.exponent, row, out=col, mode="clip")
-    text = text.astype(f"S{4 * len(words)}").view(np.uint32)
-    out[: len(words), slow] = text.reshape(-1, len(words)).T
+    if len(slow):
+        text = text.astype(f"S{4 * len(words)}").view(np.uint32)
+        out[: len(words), slow] = text.reshape(-1, len(words)).T
     return len(words)
 
 
-def _csv_rows(values: np.ndarray, prefix: np.ndarray | None = None) -> bytes:
+def _csv_rows(values: np.ndarray, prefix: np.ndarray) -> bytes:
     """CSV lines of the "%.17g" text of values (rows, columns), CRLF-ended.
 
-    prefix, if given, is (words, rows) NUL-padded text put before each line.
+    prefix is (words, rows) NUL-padded text put before each line.
     The stage is word-major, one row per word of the layout, so _text_words
     writes contiguous rows; one transposing copy interleaves them into lines.
     """
     t = _text_tables()
     rows, cols = values.shape
-    if prefix is None:
-        prefix = np.empty((0, rows), dtype=np.uint32)
     at = len(prefix)
     stage = np.empty((at + cols * (VALUE_WORDS + 1), rows), dtype=np.uint32)
     stage[:at] = prefix

@@ -249,9 +249,19 @@ def _eval_modes(spectrum: Spectrum, grid: PolarGrid, radial: np.ndarray) -> list
         mirrored = bins > half
         coeffs[mirrored] = coeffs[mirrored].conj()
         bins[mirrored] = cols - bins[mirrored]
-        # bins are distinct within each half period of k (a set, not
-        # np.unique, which imports numpy.ma and keeps 0.5 MiB resident)
-        segments = [k // half == s for s in set((k // half).tolist())]
+        # k ascends, so each half period s of k is one run k[a:b]; its bins
+        # are distinct, and a slice of spec (ascending for even s, descending
+        # for odd s) when its modes are consecutive. The runs are added in
+        # the order of a set (not np.unique, which imports numpy.ma and
+        # keeps 0.5 MiB resident): where runs share bins, it sets the bits.
+        runs = []
+        for s in set((k // half).tolist()):
+            a, b = np.searchsorted(k, [s * half, (s + 1) * half])
+            target = bins[a:b]
+            if k[b - 1] - k[a] == b - a - 1:
+                step = -1 if s % 2 else 1
+                target = slice(target[0], target[0] + step * (b - a), step)
+            runs.append((slice(a, b), target, coeffs[a:b]))
         nu = k * spectrum.frequency_unit
         out = np.empty((len(radial), cols, 2))
         # RING_BLOCK rings per inverse FFT: each work array stays near
@@ -259,8 +269,8 @@ def _eval_modes(spectrum: Spectrum, grid: PolarGrid, radial: np.ndarray) -> list
         for lo in range(0, len(radial), RING_BLOCK):
             w = np.power(radial[lo : lo + RING_BLOCK, None], nu)[:, :, None]
             spec = np.zeros((len(w), half + 1, 2), dtype=complex)
-            for seg in segments:
-                spec[:, bins[seg]] += w[:, seg] * coeffs[seg]
+            for run, target, c in runs:
+                spec[:, target] += w[:, run] * c
             spec[:, [0, half]] = 2.0 * spec[:, [0, half]].real
             out[lo : lo + RING_BLOCK] = np.fft.irfft(spec, n=cols, axis=1, norm="forward")
         stacks.append(out)

@@ -662,6 +662,50 @@ def test_blowup_golden_bytes(tmp_path):
         "P_r0.1.csv", "P_r0.2.csv", "P_r0.4.csv"]
 
 
+# SHA-256 of sidecar + CSV of the dump, of the profile and of stdout of
+# `qdisk minimize` at 40x16 on random_trace(default_rng(5), kind, n=64,
+# kmax=20), pinned before the extension added runs of consecutive modes
+# through slices (x86-64, numpy 2)
+GOLDEN_MINIMIZE_SHA256 = {
+    Continuation.SWAP: (
+        "1b42b7944a5f68deb38771e584f6870eaf1caece864b597d99e107f1618fb879",
+        "c9695e434978bab7dd5fdb467a566923d8ac830473486d9502e0582420b5f17d",
+        "be8cd0c34b7682eeeb8ec2a6ffaee8c5b45ab919c2e84777d0fb1cb10e14609d",
+    ),
+    Continuation.IDENTITY: (
+        "f0245f539c60ed656a2ad019960b81f2cddd4076da13c8093a6d63b3ffd6b13e",
+        "94a53ce5da9cf3d6f9ff2d25351dcdba9a2bfa83470c050954e185efdb9953c0",
+        "76fe5df8c403c539dd26628cc4f6a0eebd2047476a3e9df926ee84c85f000c1e",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_MINIMIZE_SHA256, key=lambda k: k.value))
+def test_minimize_golden_bytes_on_consecutive_modes(tmp_path, monkeypatch, capsys, kind):
+    """Modes 1..2*kmax of the double loop (swap) or 1..kmax of each loop
+    (identity), all present: every half period of them is a run of
+    consecutive modes, and on 16 angles most lie above the Nyquist, so odd
+    half periods fill mirrored bins in descending order, over two ring
+    blocks."""
+    trace = random_trace(np.random.default_rng(5), kind, n=64, kmax=20)
+    lift = minimizer.lift_boundary(trace)
+    assert lift.kind is kind
+    spectrum = minimizer.analyze_spectrum(lift)
+    modes = 40 if kind is Continuation.SWAP else 20
+    for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs):
+        assert minimizer._present(cos, sin).tolist() == list(range(1, modes + 1))
+    monkeypatch.chdir(tmp_path)
+    save_trace(trace, "t.json")
+    assert main(["minimize", "t.json", "--nr", "40", "--ntheta", "16", "--out", "f.csv"]) == 0
+    stdout = capsys.readouterr().out
+    digests = tuple(hashlib.sha256(data).hexdigest() for data in (
+        Path("f.json").read_bytes() + Path("f.csv").read_bytes(),
+        Path("f_profile.csv").read_bytes(),
+        stdout.encode(),
+    ))
+    assert digests == GOLDEN_MINIMIZE_SHA256[kind]
+
+
 def _perfbench_inputs(monkeypatch):
     """perfbench/inputs.py, loaded by path with bytecode writing off."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"

@@ -23,7 +23,6 @@ from qdisk.field import (
     boundary_mass,
     dirichlet_energy,
     energy_decay_check,
-    frequency,
     frequency_profile,
     holder_fit,
     load_field,
@@ -113,7 +112,10 @@ def test_boundary_mass_examples(grid64):
 
 def test_frequency_examples(grid64):
     f = make_field(DOUBLED_Z)
-    np.testing.assert_allclose(frequency(f, 1.0), 1.0, atol=0.02)
+    prof = frequency_profile(f, [1.0])
+    assert prof.radii.tolist() == [1.0]
+    assert prof.N0 == prof.N[0] and prof.monotonicity_defect == 0.0
+    np.testing.assert_allclose(prof.N, [1.0], atol=0.02)
     branched = make_field(
         HomogeneousPair(
             1.5,
@@ -122,16 +124,18 @@ def test_frequency_examples(grid64):
             Continuation.SWAP,
         )
     )
-    np.testing.assert_allclose(frequency(branched, 0.5), 1.5, atol=0.02)
+    np.testing.assert_allclose(frequency_profile(branched, [0.5]).N, [1.5], atol=0.02)
     zero = constant_field(grid64, (0.0, 0.0))
     with pytest.raises(ZeroBoundaryMass):
-        frequency(zero, 0.5)
+        frequency_profile(zero, [0.5])
 
 
 def test_frequency_refuses_inner_rings(grid64):
     f = make_field(DOUBLED_Z)
     with pytest.raises(GridTooCoarse):
-        frequency(f, 0.02)
+        frequency_profile(f, [0.02])
+    with pytest.raises(GridTooCoarse):
+        frequency_profile(f, [0.5, 0.02])
 
 
 def test_frequency_profile_reads_each_ring_once():
@@ -181,8 +185,16 @@ def test_quadrature_convergence():
         errs = []
         for n_r, n_t in ((64, 256), (128, 512)):
             f = sample_field(entry, PolarGrid(n_r, n_t))
-            errs.append(abs(frequency(f, 0.5) - entry.N))
+            errs.append(abs(frequency_profile(f, [0.5]).N[0] - entry.N))
         assert errs[1] <= errs[0] / 1.9
+
+
+def _stacks(field: DiskField) -> list[np.ndarray]:
+    """The field's angularly periodic stacks, as DiskField.from_stacks takes
+    them: one per sheet, or the double cover of a swap seam."""
+    if field.seam is Continuation.IDENTITY:
+        return [field.sheet1.copy(), field.sheet2.copy()]
+    return [np.concatenate([field.sheet1, field.sheet2], axis=1)]
 
 
 def _stack_density_reference(stack: np.ndarray, grid: PolarGrid) -> np.ndarray:
@@ -209,7 +221,7 @@ def test_ring_energy_matches_node_density(seam, n_r, n_theta):
     Random nodes make every difference, the seam wrap included, count."""
     grid = PolarGrid(n_r, n_theta)
     field = random_field(grid, seam, np.random.default_rng(n_theta))
-    want = sum(_stack_density_reference(s, grid).sum(axis=1) for s in field.stacks())
+    want = sum(_stack_density_reference(s, grid).sum(axis=1) for s in _stacks(field))
     want = want * grid.dtheta * grid.radii
     got = _ring_energy(grid, field.sheet1, field.sheet2, seam)
     assert got[0] == want[0] == 0.0
@@ -267,7 +279,7 @@ def test_from_stacks_takes_the_arrays(grid32, seam):
     """Identity stacks become the sheets without a copy; the halves of the
     swap cover are copied into contiguous sheets. Both round-trip."""
     field = random_field(grid32, seam, np.random.default_rng(3))
-    stacks = field.stacks()
+    stacks = _stacks(field)
     rebuilt = DiskField.from_stacks(grid32, stacks, seam)
     assert np.array_equal(rebuilt.sheet1, field.sheet1)
     assert np.array_equal(rebuilt.sheet2, field.sheet2)
@@ -300,6 +312,19 @@ def test_values_at_reads_nodes_exactly(seam):
     v1, v2 = values_at(f, np.full(grid.n_theta, 0.5), grid.thetas)
     assert v1.tobytes() == f.sheet1[128].tobytes()
     assert v2.tobytes() == f.sheet2[128].tobytes()
+
+
+@pytest.mark.parametrize("seam", [Continuation.IDENTITY, Continuation.SWAP])
+def test_values_at_wraps_across_the_slit_by_the_seam(grid32, seam):
+    """Halfway between the last grid angle and 2*pi, each sheet meets the
+    first column of its own sheet (identity) or of the other one (swap: the
+    double cover)."""
+    f = random_field(grid32, seam, np.random.default_rng(7))
+    i = 16
+    v1, v2 = values_at(f, grid32.radii[i], 2 * np.pi - grid32.dtheta / 2)
+    first1, first2 = (f.sheet1, f.sheet2) if seam is Continuation.IDENTITY else (f.sheet2, f.sheet1)
+    np.testing.assert_allclose(v1[0], (f.sheet1[i, -1] + first1[i, 0]) / 2, atol=1e-12)
+    np.testing.assert_allclose(v2[0], (f.sheet2[i, -1] + first2[i, 0]) / 2, atol=1e-12)
 
 
 def test_holder_fit_exponents():
@@ -425,7 +450,7 @@ def _printf(x) -> bytes:
 
 def assert_printf_text(x):
     """_csv_rows writes every value of x as "%.17g" % value would."""
-    got, want = _csv_rows(x.reshape(-1, 1)), _printf(x)
+    got, want = _csv_rows(x.reshape(-1, 1), np.empty((0, len(x)), np.uint32)), _printf(x)
     if got != want:
         lines = zip(x.tolist(), got.split(b"\r\n"), want.split(b"\r\n"))
         bad = [line for line in lines if line[1] != line[2]]
@@ -499,6 +524,32 @@ def test_text_of_blocks_of_slow_values():
         -2.2250738585072014e-308, 0.0, np.nan, 5e-324, -np.inf, 1e15,
         2.2250738585072009e-308, -1.7976931348623157e308, 1e-7, 123456789012345680.0,
     ]))
+
+
+def _float64_path_only(x):
+    """x, asserted to hold no value that "%.17g" formats one at a time."""
+    assert np.all((np.abs(x) > 1e-6) & (np.abs(x) < 1e15))
+    return x
+
+
+def test_text_of_blocks_without_slow_values():
+    """Blocks of float64-path values only, at the redo boundaries of
+    _decimal17: powers of ten and their neighbours, where log10 lands on an
+    integer; the ties at 17 digits below 1e15; and one block per exponent k,
+    with the largest and the smallest value of that exponent."""
+    powers = 10.0 ** np.arange(-5, 15)
+    near = np.concatenate([
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        [np.nextafter(1e-6, 1), np.nextafter(1e15, 0)],
+    ])
+    assert_printf_text(_float64_path_only(np.concatenate([near, -near])))
+    ties = (1e15 - np.arange(1, 1001))[:, None] + np.arange(8) / 8
+    assert_printf_text(_float64_path_only(ties.ravel()))
+    rng = np.random.default_rng(37)
+    for k in K_RANGE:
+        ends = [max(10.0**k, np.nextafter(1e-6, 1)), np.nextafter(min(10.0 ** (k + 1), 1e15), 0)]
+        x = np.concatenate([_values_with_exponents(rng, [k], 256), ends, np.negative(ends)])
+        assert_printf_text(_float64_path_only(x))
 
 
 @pytest.mark.parametrize(
