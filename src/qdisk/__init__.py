@@ -1,6 +1,6 @@
 """qdisk: two-valued Dirichlet minimizers on the planar unit disk.
 
-Subpackages cover the unordered-pair value algebra (qpoint), the exact
+Subpackages cover the matching metric on unordered pairs (qpoint), the exact
 catalog of homogeneous conformal sheet pairs and their seam matching
 (forms), discrete disk fields with frequency-function analytics (field),
 spectral and relaxation minimizers for circle boundary data (minimizer),
@@ -19,7 +19,6 @@ from .errors import (
     ZeroEnergy,
     ZeroSpectrum,
 )
-from .qpoint import QPoint, dist_to_zero_sq, eta, pair_distance, support_card
 
 __version__ = "0.1.0"
 
@@ -31,12 +30,7 @@ __all__ = [
     "NoCatalogMatch",
     "NotStationary",
     "QdiskError",
-    "QPoint",
     "ZeroBoundaryMass",
     "ZeroEnergy",
     "ZeroSpectrum",
-    "dist_to_zero_sq",
-    "eta",
-    "pair_distance",
-    "support_card",
 ]

@@ -7,7 +7,8 @@ Subcommands:
                           frequency profile, optional relaxation oracle
     blowup    TRACE.json  blow-up at given radii and catalog identification
 
-Exit codes: 0 success, 1 negative classification result, 2 invalid input,
+Exit codes: 0 success, 1 negative classification result, 2 invalid input
+(finite data whose arithmetic overflows or turns invalid included),
 3 numerical-verification failure. Stdout carries only results; the detected
 class, errors and warnings (trace modes folded at or above the grid's
 angular Nyquist, a blow-up limit whose boundary mass misses 1/N,
@@ -349,14 +350,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        # data so large that its squares overflow must not pass as a result
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
     except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NoCatalogMatch, NotStationary) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except QdiskError as exc:
+    except (QdiskError, FloatingPointError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -273,21 +273,22 @@ def seam_solutions(t1: FourTuple, t2: FourTuple, tol: float = 1e-9):
     return None
 
 
-def _swap_constraints(f1: FormClass, f2: FormClass, tol: float = 1e-9) -> tuple:
+def _swap_constraints(f1: FormClass, f2: FormClass) -> tuple:
     """Forced parameter relations of a swap closure, second-sheet parameters
     primed, e.g. ("d'=-d",).
 
     Swap closure ties the second sheet's slit value to the first's; for
     same-family pairs that is a sign relation between the parameter sets,
-    read off here by comparing the parameters.
+    read off here by comparing the parameters to 1e-9 * max(1, |p|).
     """
     if f1.tag != f2.tag or not f1.is_conformal or f1.tag == 7:
         return ()
     out = []
     for name, p, q in zip(f1.param_names(), f1.params, f2.params):
-        if abs(q + p) <= tol * max(1.0, abs(p)):
+        tol = 1e-9 * max(1.0, abs(p))
+        if abs(q + p) <= tol:
             out.append(f"{name}'=-{name}")
-        elif abs(q - p) <= tol * max(1.0, abs(p)):
+        elif abs(q - p) <= tol:
             out.append(f"{name}'={name}")
     return tuple(out)
 

@@ -212,6 +212,24 @@ def test_non_finite_trace_rejected(tmp_path):
         assert main(["minimize", str(path), "--out", str(tmp_path / "f.csv")]) == 2
 
 
+@pytest.mark.parametrize("scale", [1e153, 1e200])
+@pytest.mark.parametrize("command", ["minimize", "blowup"])
+def test_overflowing_trace_exits_2(tmp_path, capsys, command, scale):
+    """Finite data whose squares overflow: the run stops at the first
+    overflow or invalid operation, exits 2 with the numpy message, prints no
+    results and writes no files (a leaked warning fails the test too)."""
+    trace = single_mode_trace(1.5, n=128)
+    path = tmp_path / "big.json"
+    save_trace(BoundaryTrace.from_values(trace.p1 * scale, trace.p2 * scale), path)
+    argv = [command, str(path), "--nr", "32", "--ntheta", "128",
+            "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: FloatingPointError: overflow")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
+
+
 def test_subcommands_reject_flags_they_do_not_read():
     assert main(["classify", "1,0,0,1", "--oracle"]) == 2
     assert main(["table", "--nr", "8"]) == 2
