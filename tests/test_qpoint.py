@@ -44,14 +44,17 @@ def test_zero_iff_unordered_equal():
     assert np.all(pair_distance_arrays(p1, p2, p2, p1 + 1e-3) > 0.0)
 
 
-def test_distance_to_doubled_origin():
-    """Both pairings agree with the doubled origin: the squared distance is
-    the sum of the squares of the four coordinates."""
+def test_dist_to_zero_sq_examples():
+    """Worked squared distances to the doubled origin: 0, 2 and 25."""
     pairs = np.array([[[0, 0], [0, 0]], [[1, 0], [0, 1]], [[3, 4], [0, 0]]], dtype=float)
     p1, p2 = pairs.transpose(1, 0, 2)
     zero = np.zeros_like(p1)
     assert np.array_equal(pair_distance_arrays(p1, p2, zero, zero), np.sqrt([0.0, 2.0, 25.0]))
 
+
+def test_dist_to_zero_matches_pair_distance():
+    """Both pairings agree with the doubled origin: the squared distance is
+    the sum of the squares of the four coordinates."""
     rng = np.random.default_rng(9)
     p1, p2 = _pairs(rng, 200)
     zero = np.zeros_like(p1)
