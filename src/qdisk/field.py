@@ -229,7 +229,7 @@ def boundary_mass(field: DiskField, r: float) -> float:
 
 @dataclass(frozen=True)
 class FrequencyProfile:
-    """Sampled map r -> (D, H, N) with extrapolated N(0).
+    """Sampled map r -> (D, H, N).
 
     monotonicity_defect is the largest decrease of N between consecutive
     radii; positive values flag a violation of monotonicity.
@@ -239,7 +239,6 @@ class FrequencyProfile:
     D: np.ndarray
     H: np.ndarray
     N: np.ndarray
-    N0: float
     monotonicity_defect: float
 
     def to_csv(self, path) -> None:
@@ -252,10 +251,9 @@ class FrequencyProfile:
 
 def frequency_profile(field: DiskField, radii) -> FrequencyProfile:
     """Evaluate D, H, N once on each ring ``PolarGrid.rings`` reads for the
-    radii, ascending; extrapolate N(0) linearly.
+    radii, ascending.
 
-    ``radii`` of the result are those rings' radii. The extrapolation is
-    Richardson style from the two innermost rings; fields vanishing on one
+    ``radii`` of the result are those rings' radii; fields vanishing on one
     of the rings raise ZeroBoundaryMass.
     """
     grid = field.grid
@@ -269,11 +267,8 @@ def frequency_profile(field: DiskField, radii) -> FrequencyProfile:
             raise ZeroBoundaryMass(f"boundary mass {h_val:.3e} at r={x}")
     D = field._cumulative_energy[rings]
     N = r * D / H
-
-    slope = (N[1] - N[0]) / (r[1] - r[0]) if len(N) > 1 else 0.0
-    n0 = float(N[0] - slope * r[0])
     defect = float(np.max(N[:-1] - N[1:])) if len(N) > 1 else 0.0
-    return FrequencyProfile(r, D, H, N, n0, defect)
+    return FrequencyProfile(r, D, H, N, defect)
 
 
 def values_at(field: DiskField, r, theta) -> tuple[np.ndarray, np.ndarray]:
@@ -361,11 +356,10 @@ def energy_decay_check(field: DiskField, s: float, r: float) -> tuple[float, flo
 # --- serialization ----------------------------------------------------------
 
 
-# Rows per block of save_field: the dump's rows are cut into runs of
-# DUMP_ROWS in dump order, so a block may split a ring or hold the last rows
-# of sheet 1 and the first of sheet 2. A block of a 256x1024 field peaks at
-# about 250 bytes per row (2 MiB, tracemalloc); on that field 8192 rows were
-# faster than 2048, 4096, 16384 or 32768.
+# Rows per block of save_field: a block is as many whole rings of one sheet
+# as fit in DUMP_ROWS rows, or one ring when n_theta is larger. A block of a
+# 256x1024 field peaks at about 250 bytes per row (2 MiB, tracemalloc); on
+# that field 8192 rows were faster than 2048, 4096, 16384 or 32768.
 DUMP_ROWS = 8192
 DUMP_COLUMNS = ("ring_index", "angle_index", "sheet", "x", "y")
 
@@ -554,18 +548,24 @@ def _text_words(x: np.ndarray, out: np.ndarray) -> int:
     return len(words)
 
 
-def _csv_rows(values: np.ndarray, prefix: np.ndarray) -> bytes:
-    """CSV lines of the "%.17g" text of values (rows, columns), CRLF-ended.
+def _csv_rows(values: np.ndarray, rings: np.ndarray, angles: np.ndarray) -> bytes:
+    """CSV lines of a dump block: values (rings, angles, columns) of whole
+    rings, one line per node, CRLF-ended. A line is its ring's label, its
+    angle's label, then the "%.17g" text of its columns, comma-separated.
 
-    prefix is (words, rows) NUL-padded text put before each line.
-    The stage is word-major, one row per word of the layout, so _text_words
-    writes contiguous rows; one transposing copy interleaves them into lines.
+    rings and angles are (words, count) NUL-padded label text. The stage is
+    word-major, one row per word of the layout: the labels broadcast into it
+    and _text_words writes contiguous rows; one transposing copy interleaves
+    them into lines.
     """
     t = _text_tables()
-    rows, cols = values.shape
-    at = len(prefix)
-    stage = np.empty((at + cols * (VALUE_WORDS + 1), rows), dtype=np.uint32)
-    stage[:at] = prefix
+    n_rings, n_angles, cols = values.shape
+    at = len(rings) + len(angles)
+    stage = np.empty((at + cols * (VALUE_WORDS + 1), n_rings, n_angles), dtype=np.uint32)
+    stage[: len(rings)] = rings[:, :, None]
+    stage[len(rings) : at] = angles[:, None, :]
+    stage = stage.reshape(len(stage), -1)
+    values = values.reshape(-1, cols)
     for c in range(cols):
         at += _text_words(values[:, c], stage[at:])
         stage[at] = t.comma if c < cols - 1 else t.crlf
@@ -594,11 +594,9 @@ def save_field(field: DiskField, csv_path) -> None:
         "seam": field.seam.value,
     }
     sidecar.write_text(json.dumps(header, indent=2) + "\n")
-    cols = field.grid.n_theta
-    nodes = (field.grid.n_r + 1) * cols
-    rings = _label_words(f"{i}," for i in range(field.grid.n_r + 1))
-    angles = _label_words(f"{j},{sheet_id}," for sheet_id in (1, 2) for j in range(cols))
-    sheet1, sheet2 = field.sheet1.reshape(nodes, 2), field.sheet2.reshape(nodes, 2)
+    n_r, cols = field.grid.n_r, field.grid.n_theta
+    rings = _label_words(f"{i}," for i in range(n_r + 1))
+    step = max(1, DUMP_ROWS // cols)  # whole rings per block
     try:
         fh = open(csv_path, "wb")
     except OSError:
@@ -606,16 +604,10 @@ def save_field(field: DiskField, csv_path) -> None:
         raise
     with fh:
         fh.write(",".join(DUMP_COLUMNS).encode() + b"\r\n")
-        for lo in range(0, 2 * nodes, DUMP_ROWS):
-            hi = min(lo + DUMP_ROWS, 2 * nodes)
-            block = np.concatenate([sheet1[lo:hi], sheet2[max(lo - nodes, 0) : max(hi - nodes, 0)]])
-            row = np.arange(lo, hi)
-            node = row % nodes
-            prefix = np.concatenate([
-                np.take(rings, node // cols, axis=1),
-                np.take(angles, row // nodes * cols + node % cols, axis=1),
-            ])
-            fh.write(_csv_rows(block, prefix))
+        for sheet_id, sheet in ((1, field.sheet1), (2, field.sheet2)):
+            angles = _label_words(f"{j},{sheet_id}," for j in range(cols))
+            for lo in range(0, n_r + 1, step):
+                fh.write(_csv_rows(sheet[lo : lo + step], rings[:, lo : lo + step], angles))
 
 
 def load_field(csv_path) -> DiskField:

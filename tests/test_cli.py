@@ -735,6 +735,60 @@ def _perfbench_inputs(monkeypatch):
     return inputs
 
 
+# The first input of each benchmark workload that writes a field dump, as
+# perfbench/run.py invokes it with its outputs in D/ (the blow-up also dumps
+# its fields): the make_traces arguments, the command line, and the SHA-256
+# of every file written, as BENCH_16.json records them under outputs.per_input.
+BENCH_OUTPUTS = {
+    "broad-0": (
+        ("broadband", 101, 1024, 1),
+        ["minimize", "--nr", "256", "--ntheta", "1024", "--out", "D/field.csv"],
+        {
+            "field.csv": "781b34a528d6bd6fbeff0e0d714286579da1e288d14a923db851a5c3b61e1675",
+            "field.json": "429e61e04efb551a384c1e44d7a06b00e3afb264dbbfca60e225c987e5bdd7c7",
+            "field_profile.csv": "5b08fe695e3729a443ebdc1981313b41ee354a219c44d3b804cb4455a071709e",
+        },
+    ),
+    "oracle-0": (
+        ("band", 101, 256, 8),
+        ["minimize", "--nr", "64", "--ntheta", "256", "--oracle", "--out", "D/field.csv"],
+        {
+            "field.csv": "03277337c9543b45aa9a08aea524fd70ad609a3593d04913d244f9a460dc0c4d",
+            "field.json": "c7e21ed70d7850053c6c6b823ed4e4778e57c7ffcee0dd0bcee348bc0632cb95",
+            "field_profile.csv": "11910f31354bd78b9aad5c1d0e2c5ab08c317341e230c20da08ba67b276c8c8e",
+        },
+    ),
+    "blowup-dump-0": (
+        ("band", 101, 1024, 8),
+        ["blowup", "--nr", "256", "--ntheta", "1024", "--radii", "0.4,0.2,0.1",
+         "--out", "D/report.json", "--dump-fields", "D/F"],
+        {
+            "F_r0.1.csv": "37e2a960838f15dc158e81fa193c5dc9acd37b90300d017836cd1bb38cf69b35",
+            "F_r0.1.json": "429e61e04efb551a384c1e44d7a06b00e3afb264dbbfca60e225c987e5bdd7c7",
+            "F_r0.2.csv": "24c24531bfd0859d69ae7451136a3f03e696a64ee10bdb7a068dea1fc8350c08",
+            "F_r0.2.json": "429e61e04efb551a384c1e44d7a06b00e3afb264dbbfca60e225c987e5bdd7c7",
+            "F_r0.4.csv": "aec86176fe30cd305810a2384bb72d03c9c55c6b20dff8e9c3967163cad409fc",
+            "F_r0.4.json": "429e61e04efb551a384c1e44d7a06b00e3afb264dbbfca60e225c987e5bdd7c7",
+            "report.json": "53a65841153a56e9b91b84f8aeb380b24c610dd42dc206ded7a42c7413e3f708",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BENCH_OUTPUTS))
+def test_benchmark_outputs_keep_their_bytes(tmp_path, monkeypatch, name):
+    """Dumps at the benchmark's sizes, up to 256x1024 with blocks of 8 and
+    32 rings and a one-ring tail, keep the bytes the benchmark recorded."""
+    traces, (command, *options), digests = BENCH_OUTPUTS[name]
+    monkeypatch.chdir(tmp_path)
+    _perfbench_inputs(monkeypatch).make_traces(*traces)[0].write(Path("trace.json"))
+    Path("D").mkdir()
+    assert main([command, "trace.json", *options]) == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(Path("D").iterdir())}
+    assert written == digests
+
+
 def test_blowup_warns_when_mass_identity_misses(perturbed_trace_file, tmp_path, monkeypatch,
                                                 capsys):
     """A broadband trace at 64x256 has an unconverged limit at r = 0.1: H(1)

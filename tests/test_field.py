@@ -8,6 +8,7 @@ import pytest
 
 from conftest import random_field
 
+from qdisk import field as field_module
 from qdisk.cli import DEFAULT_PROFILE_RADII
 from qdisk.errors import DegenerateField, GridTooCoarse, ZeroBoundaryMass
 from qdisk.field import (
@@ -114,7 +115,7 @@ def test_frequency_examples(grid64):
     f = make_field(DOUBLED_Z)
     prof = frequency_profile(f, [1.0])
     assert prof.radii.tolist() == [1.0]
-    assert prof.N0 == prof.N[0] and prof.monotonicity_defect == 0.0
+    assert prof.monotonicity_defect == 0.0
     np.testing.assert_allclose(prof.N, [1.0], atol=0.02)
     branched = make_field(
         HomogeneousPair(
@@ -152,8 +153,6 @@ def test_frequency_profile_reads_each_ring_once():
     assert len(set(prof.radii.tolist())) == len(prof.radii) == 13
     assert prof.D.tolist() == [dirichlet_energy(f, r) for r in prof.radii]
     assert prof.H.tolist() == [boundary_mass(f, r) for r in prof.radii]
-    slope = (prof.N[1] - prof.N[0]) / (prof.radii[1] - prof.radii[0])
-    assert prof.N0 == prof.N[0] - slope * prof.radii[0]
 
 
 def test_frequency_profile_needs_a_radius(grid64):
@@ -165,7 +164,7 @@ def test_frequency_profile_homogeneous(grid64):
     f = make_field(BRANCHED_HALF)
     prof = frequency_profile(f, np.linspace(0.25, 1.0, 8))
     np.testing.assert_allclose(prof.N, 0.5, atol=0.02)
-    assert abs(prof.N0 - 0.5) <= 0.02
+    assert abs(prof.N[0] - 0.5) <= 0.02
     assert prof.monotonicity_defect <= 0.02
     assert np.all(prof.H > 0)
 
@@ -449,8 +448,10 @@ def _printf(x) -> bytes:
 
 
 def assert_printf_text(x):
-    """_csv_rows writes every value of x as "%.17g" % value would."""
-    got, want = _csv_rows(x.reshape(-1, 1), np.empty((0, len(x)), np.uint32)), _printf(x)
+    """_csv_rows writes every value of x as "%.17g" % value would: x as
+    the one value column of one ring, without label words."""
+    no_labels = np.empty((0, 1), np.uint32), np.empty((0, len(x)), np.uint32)
+    got, want = _csv_rows(x.reshape(1, -1, 1), *no_labels), _printf(x)
     if got != want:
         lines = zip(x.tolist(), got.split(b"\r\n"), want.split(b"\r\n"))
         bad = [line for line in lines if line[1] != line[2]]
@@ -576,21 +577,50 @@ def test_block_of_zeros_stages_one_word():
     assert _text_words(np.array([0.0, 0.0, 0.0]), out) == 1
 
 
+def _label_texts(words) -> list[str]:
+    """The texts of (words, count) NUL-padded label words."""
+    raw = np.ascontiguousarray(words.T).view(f"S{4 * len(words)}").ravel()
+    return [text.decode() for text in raw]
+
+
 @pytest.mark.parametrize("seam", [Continuation.IDENTITY, Continuation.SWAP])
-def test_field_dump_blocks_split_rings_and_sheets(tmp_path, seam):
-    """64x200: dump blocks end inside a ring and one holds the end of sheet
-    1 and the start of sheet 2."""
-    grid = PolarGrid(64, 200)
-    nodes = (grid.n_r + 1) * grid.n_theta
-    assert DUMP_ROWS % grid.n_theta and DUMP_ROWS < nodes < 2 * DUMP_ROWS < 2 * nodes
+@pytest.mark.parametrize("n_r, n_theta, block_rings", [
+    (64, 200, [40, 25]),  # 8000-row blocks and a 25-ring tail
+    (63, 256, [32, 32]),  # no tail
+    (4, 8194, [1] * 5),  # a ring is longer than DUMP_ROWS: one ring per block
+], ids=["64x200", "63x256", "4x8194"])
+def test_field_dump_blocks_of_whole_rings(tmp_path, monkeypatch, seam, n_r, n_theta,
+                                          block_rings):
+    """Each dump block is whole rings of one sheet, at most DUMP_ROWS rows
+    or one ring; the blocks cover sheet 1, then sheet 2, ring by ring, and
+    the dump equals the row-template writer's."""
+    grid = PolarGrid(n_r, n_theta)
     rng = np.random.default_rng(31)
     shape = (2, grid.n_r + 1, grid.n_theta, 2)
     s1, s2 = rng.standard_normal(shape) * 10.0 ** rng.uniform(-9, 17, shape)
     s1[0], s2[0] = s1[0, 0], s2[0, 0]
     f = DiskField(grid, s1, s2, seam)
+    blocks = []
+
+    def probe(values, rings, angles):
+        blocks.append((values, _label_texts(rings), _label_texts(angles)))
+        return _csv_rows(values, rings, angles)
+
+    monkeypatch.setattr(field_module, "_csv_rows", probe)
     save_field(f, tmp_path / "field.csv")
     _row_template_dump(f, tmp_path / "reference.csv")
     assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    expected = [
+        (sheet_id, sheet, lo, count)
+        for sheet_id, sheet in ((1, f.sheet1), (2, f.sheet2))
+        for lo, count in zip(np.cumsum([0, *block_rings]), block_rings)
+    ]
+    assert len(blocks) == len(expected)
+    for (values, rings, angles), (sheet_id, sheet, lo, count) in zip(blocks, expected):
+        assert values.shape[0] * n_theta <= max(DUMP_ROWS, n_theta)
+        assert rings == [f"{i}," for i in range(lo, lo + count)]
+        assert angles == [f"{j},{sheet_id}," for j in range(n_theta)]
+        assert values.tobytes() == sheet[lo : lo + count].tobytes()
 
 
 def test_profile_csv_matches_csv_writer(tmp_path):
@@ -599,7 +629,7 @@ def test_profile_csv_matches_csv_writer(tmp_path):
         [0.5, 1.0 / 3.0, 2.5e-7, -1.5e-5],
         [1.0, 100.0, 1e15 - 0.125, np.inf],
     ])
-    prof = FrequencyProfile(*values.T, N0=0.0, monotonicity_defect=0.0)
+    prof = FrequencyProfile(*values.T, monotonicity_defect=0.0)
     prof.to_csv(tmp_path / "profile.csv")
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
@@ -632,7 +662,7 @@ def test_frequency_profile_mixed_modes(grid64):
     field = minimize(trace, grid64).field
     prof = frequency_profile(field, np.linspace(0.15, 1.0, 12))
     assert prof.monotonicity_defect <= 0.005
-    assert abs(prof.N0 - 0.5) <= 0.02
+    assert abs(prof.N[0] - 0.5) <= 0.02
     assert prof.N[-1] > prof.N[0]  # the 5/2 part lifts N at outer radii
 
 

@@ -476,7 +476,7 @@ def test_minimality_within_class(grid64):
 
 
 def test_frequency_consistency(grid64):
-    """Spectral origin frequency agrees with the profile extrapolation."""
+    """Spectral origin frequency agrees with the profile's innermost ring."""
     rng = np.random.default_rng(31)
     for kind in (Continuation.IDENTITY, Continuation.SWAP):
         for _ in range(3):
@@ -486,7 +486,7 @@ def test_frequency_consistency(grid64):
                 analyze_spectrum(lift_boundary(trace))
             )
             prof = frequency_profile(res.field, np.linspace(0.15, 1.0, 12))
-            assert abs(prof.N0 - spec_freq) <= 0.02
+            assert abs(prof.N[0] - spec_freq) <= 0.02
 
 
 def test_trace_json_roundtrip(tmp_path):
