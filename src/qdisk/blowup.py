@@ -31,28 +31,43 @@ from .qpoint import pair_distance_arrays
 ENERGY_EPS = 1e-14
 
 
-def rescale_normalize(field: DiskField, r: float) -> DiskField:
-    """Dilate the disk of radius r to the unit disk and normalize energy.
-
-    Node (rho, theta) of the result takes the field's value at
-    (r * rho, theta). Those are the field's own grid angles, so the
-    resample is linear in r between two whole rings at each angle and never
-    crosses the seam. The result has unit discrete Dirichlet energy on the
-    field's grid (exactly, by construction). Raises ZeroEnergy when there
-    is nothing to normalize.
-    """
-    grid = field.grid
-    if field._cumulative_energy[grid.ring_of(r)] <= ENERGY_EPS:
-        raise ZeroEnergy(f"Dirichlet energy at r={r} is numerically zero")
+def _lerp_rule(grid: PolarGrid, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ring i of the rescale at r reads source rings i0[i] and i0[i] + 1,
+    the second with weight fr[i]; i0 ascends."""
     x = np.clip(r * grid.radii, 0.0, 1.0) * grid.n_r
     i0 = np.minimum(x.astype(int), grid.n_r - 1)
-    fr = (x - i0)[:, None, None]
+    return i0, x - i0
+
+
+def rings_read(grid: PolarGrid, r: float) -> int:
+    """The outermost source ring ``rescale_normalize`` reads at r: rings
+    0..rings_read(grid, r) of a source are all it needs (n_r at r = 1)."""
+    return int(_lerp_rule(grid, r)[0][-1]) + 1
+
+
+def rescale_normalize(field, r: float) -> DiskField:
+    """Dilate the disk of radius r to the unit disk and normalize energy.
+
+    ``field`` is a DiskField, or any source with its ``grid``, ``seam``,
+    ``sheet1`` and ``sheet2`` whose sheets hold at least rings
+    0..``rings_read(grid, r)``. Node (rho, theta) of the result takes the
+    source's value at (r * rho, theta). Those are the grid's own angles, so
+    the resample is linear in r between two whole rings at each angle and
+    never crosses the seam. The result has unit discrete Dirichlet energy
+    on the grid (exactly, by construction). Raises ZeroEnergy when there
+    is nothing to normalize, ValueError when the source lacks a ring read.
+    """
+    grid = field.grid
+    i0, fr = _lerp_rule(grid, r)
+    fr = fr[:, None, None]
+    if min(len(field.sheet1), len(field.sheet2)) < i0[-1] + 2:
+        raise ValueError(f"the rescale at r={r} reads {i0[-1] + 2} rings of the source")
     # s[i0] * (1 - fr) + s[i0 + 1] * fr, RING_BLOCK output rings at a time.
-    # The indices lie in [0, n_r], so mode="clip" changes nothing, but unlike
-    # the default it writes into out without a temporary copy.
+    # The indices lie in the source's rings, so mode="clip" changes nothing,
+    # but unlike the default it writes into out without a temporary copy.
     low, i1 = 1 - fr, i0 + 1
     # both sheets in one block, allocated before the block temporary
-    sheets = np.empty((2,) + field.sheet1.shape)
+    sheets = np.empty((2, grid.n_r + 1) + field.sheet1.shape[1:])
     upper = np.empty((RING_BLOCK,) + field.sheet1.shape[1:])
     for sheet, lerp in zip((field.sheet1, field.sheet2), sheets):
         for lo in range(0, grid.n_r + 1, RING_BLOCK):
@@ -110,12 +125,14 @@ def check_radii(radii, grid: PolarGrid) -> tuple:
     return radii
 
 
-def blowup_steps(field: DiskField, radii):
+def blowup_steps(field, radii):
     """Yield (r, g, defect) along the checked radii: g is
     ``rescale_normalize(field, r)`` and defect the Cauchy defect between the
-    previous g and this one, None at the first radius. The generator keeps
-    only the previous g, so a caller that drops each g once it has the next
-    holds at most two rescaled fields."""
+    previous g and this one, None at the first radius. ``field`` is a
+    DiskField or a source that holds the rings the first radius reads
+    (``rescale_normalize``). The generator keeps only the previous g, so a
+    caller that drops each g once it has the next holds at most two
+    rescaled fields."""
     previous = None
     for r in check_radii(radii, field.grid):
         g = rescale_normalize(field, r)
@@ -123,7 +140,7 @@ def blowup_steps(field: DiskField, radii):
         previous = g
 
 
-def blowup_sequence(field: DiskField, radii, keep_fields: bool = True) -> BlowupSequence:
+def blowup_sequence(field, radii, keep_fields: bool = True) -> BlowupSequence:
     """The steps of ``blowup_steps`` collected. With keep_fields=False only
     the last field, the limit, is kept: at most two rescaled fields are
     alive at once, and ``fields`` holds the limit alone."""

@@ -50,6 +50,7 @@ from .blowup import (
     check_radii,
     identify_catalog,
     report_to_json,
+    rings_read,
 )
 from .errors import NoCatalogMatch, NotStationary, QdiskError
 from .field import (
@@ -74,6 +75,7 @@ from .minimizer import (
     folded_modes,
     forced_lift,
     frequency_from_spectrum,
+    inner_extension,
     lift_boundary,
     load_trace,
     minimize,
@@ -284,8 +286,13 @@ def cmd_blowup(args) -> int:
         _write_out(report_to_json(report), args.out)
         return EXIT_OK
 
-    # the steps collected: all fields only when they are dumped, else the limit
-    seq = blowup_sequence(result.field, radii, keep_fields=bool(dumps))
+    # the steps collected: all fields only when they are dumped, else the
+    # limit. They read the minimizer only out to the largest radius, and
+    # those rings are freed once the sequence is done.
+    seq = blowup_sequence(
+        inner_extension(result.spectrum, grid, rings_read(grid, radii[0])),
+        radii, keep_fields=bool(dumps),
+    )
     limit = seq.fields[-1]
     entry, fitted, residual = identify_catalog(limit, BLOWUP_FIT_TOL)
     report = blowup_report(limit, entry, fitted, residual)

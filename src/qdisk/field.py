@@ -126,13 +126,20 @@ class DiskField:
         branched continuation. Takes the arrays: identity-class stacks become
         the sheets without a copy, so the caller must not write to them
         afterwards."""
-        if seam is Continuation.IDENTITY:
-            sheet1, sheet2 = stacks
-        else:
-            (cover,) = stacks
-            sheet1 = cover[:, : grid.n_theta]
-            sheet2 = cover[:, grid.n_theta :]
-        return cls(grid, sheet1, sheet2, seam)
+        return cls(grid, *stack_sheets(grid, stacks, seam), seam)
+
+
+def stack_sheets(grid: PolarGrid, stacks, seam: Continuation) -> tuple[np.ndarray, np.ndarray]:
+    """The two sheets of the stacks of ``DiskField.from_stacks``, on however
+    many rings the stacks hold, each contiguous: an identity-class stack is
+    returned as it is, the halves of a swap-class cover are copied."""
+    if seam is Continuation.IDENTITY:
+        sheet1, sheet2 = stacks
+    else:
+        (cover,) = stacks
+        sheet1 = cover[:, : grid.n_theta]
+        sheet2 = cover[:, grid.n_theta :]
+    return np.ascontiguousarray(sheet1), np.ascontiguousarray(sheet2)
 
 
 def sample_field(entry: HomogeneousPair, grid: PolarGrid) -> DiskField:

@@ -21,16 +21,20 @@ by an FFT in angle and one tridiagonal solve in r per mode
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import _kernels
 from .errors import AmbiguousClass, NotStationary, ZeroSpectrum
-from .field import RING_BLOCK, DiskField, PolarGrid, dirichlet_energy
+from .field import RING_BLOCK, DiskField, PolarGrid, dirichlet_energy, stack_sheets
 from .forms import Continuation
 
+# A mode is present when a coefficient exceeds this, for data whose largest
+# |coordinate| lies in [1, 2); Spectrum.coeff_eps scales it with the data.
 COEFF_EPS = 1e-12
 # Sheets closer than this at a sample collide there; a trace with a collision
 # admits both continuation classes.
@@ -187,20 +191,32 @@ class Spectrum:
     One coefficient table per loop; table k holds the cosine and sine
     coefficient vectors of mode k. Mode k has frequency k for unbranched
     loops (period 2*pi) and k/2 for the branched double loop (period 4*pi).
+    ``scale_exp`` is the k for which the lift's largest |coordinate| lies in
+    [2^k, 2^(k+1)).
     """
 
     kind: Continuation
     cos_coeffs: tuple  # per loop: array (m//2 + 1, 2)
     sin_coeffs: tuple
+    scale_exp: int = 0
 
     @property
     def frequency_unit(self) -> float:
         return 1.0 if self.kind is Continuation.IDENTITY else 0.5
 
+    @property
+    def coeff_eps(self) -> float:
+        """Presence threshold COEFF_EPS * 2^scale_exp: a mode is present
+        exactly when it would be under COEFF_EPS for the data divided by
+        2^scale_exp, since both sides scale without rounding."""
+        return math.ldexp(COEFF_EPS, self.scale_exp)
+
 
 def analyze_spectrum(lift: BoundaryLift) -> Spectrum:
-    """Discrete Fourier analysis of each loop; exact on band-limited data."""
+    """Discrete Fourier analysis of each loop; exact on band-limited data.
+    ``scale_exp`` comes from np.frexp of the loops' largest |coordinate|."""
     cos_all, sin_all = [], []
+    _, exponent = np.frexp(max(np.abs(loop).max() for loop in lift.loops))
     for loop in lift.loops:
         m = loop.shape[0]
         coeffs = np.fft.rfft(loop, axis=0) / m
@@ -212,13 +228,13 @@ def analyze_spectrum(lift: BoundaryLift) -> Spectrum:
             sin[-1] = 0.0
         cos_all.append(cos)
         sin_all.append(sin)
-    return Spectrum(lift.kind, tuple(cos_all), tuple(sin_all))
+    return Spectrum(lift.kind, tuple(cos_all), tuple(sin_all), int(exponent) - 1)
 
 
-def _present(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Indices of the modes with a coefficient above COEFF_EPS."""
+def _present(cos: np.ndarray, sin: np.ndarray, eps: float) -> np.ndarray:
+    """Indices of the modes with a coefficient above eps."""
     peak = np.maximum(np.abs(cos).max(axis=1), np.abs(sin).max(axis=1))
-    return np.nonzero(peak > COEFF_EPS)[0]
+    return np.nonzero(peak > eps)[0]
 
 
 def _columns(spectrum: Spectrum, grid: PolarGrid) -> int:
@@ -237,13 +253,13 @@ def _eval_modes(spectrum: Spectrum, grid: PolarGrid, radial: np.ndarray) -> list
     cols - bin, and the DC and Nyquist bins keep twice their real part.
     Modes above cols/2 thus fold onto their bin, exactly as evaluating them
     at the grid angles aliases them. Modes with no coefficient above
-    COEFF_EPS are left out.
+    ``spectrum.coeff_eps`` are left out.
     """
     cols = _columns(spectrum, grid)
     half = cols // 2
     stacks = []
     for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs):
-        k = _present(cos, sin)
+        k = _present(cos, sin, spectrum.coeff_eps)
         coeffs = 0.5 * (cos[k] - 1j * sin[k])
         bins = k % cols
         mirrored = bins > half
@@ -282,6 +298,15 @@ def harmonic_extension(spectrum: Spectrum, grid: PolarGrid) -> DiskField:
     return DiskField.from_stacks(grid, _eval_modes(spectrum, grid, grid.radii), spectrum.kind)
 
 
+def inner_extension(spectrum: Spectrum, grid: PolarGrid, m: int) -> SimpleNamespace:
+    """Rings 0..m of ``harmonic_extension(spectrum, grid)``, bit for bit (the
+    evaluator works ring by ring), as a blow-up source: ``grid``, ``seam``
+    and contiguous ``sheet1`` and ``sheet2`` of m + 1 rings."""
+    stacks = _eval_modes(spectrum, grid, grid.radii[: m + 1])
+    sheet1, sheet2 = stack_sheets(grid, stacks, spectrum.kind)
+    return SimpleNamespace(grid=grid, seam=spectrum.kind, sheet1=sheet1, sheet2=sheet2)
+
+
 def spectral_energy(spectrum: Spectrum, r: float = 1.0) -> float:
     """Closed-form Dirichlet energy of the spectral extension over the disk
     of radius r.
@@ -309,17 +334,18 @@ def folded_modes(spectrum: Spectrum, grid: PolarGrid) -> tuple[int, float]:
     r^nu profile unchanged: the field then no longer matches the spectrum.
     A mode at exactly cols/2 keeps its cosine part, but its sine part
     vanishes at every node; it counts when that sine part is above
-    COEFF_EPS, with the sine part's energy.
+    ``spectrum.coeff_eps``, with the sine part's energy.
     """
     half = _columns(spectrum, grid) // 2
+    eps = spectrum.coeff_eps
     count, energy = 0, 0.0
     for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs):
-        k = _present(cos, sin)
+        k = _present(cos, sin, eps)
         k = k[k > half]
         count += len(k)
         mass = np.sum(cos[k] ** 2, axis=1) + np.sum(sin[k] ** 2, axis=1)
         energy += np.pi * np.sum(k * mass)
-        if half < len(sin) and np.abs(sin[half]).max() > COEFF_EPS:
+        if half < len(sin) and np.abs(sin[half]).max() > eps:
             count += 1
             energy += np.pi * half * np.sum(sin[half] ** 2)
     return count, (float(energy / spectral_energy(spectrum)) if count else 0.0)
@@ -331,12 +357,12 @@ def frequency_from_spectrum(spectrum: Spectrum) -> float:
     A nonzero constant mode means the extension does not vanish at the
     origin, which forces frequency zero (the dichotomy); otherwise the
     lowest present mode dominates as r -> 0. Present means what the
-    extension keeps: a coefficient above COEFF_EPS.
+    extension keeps: a coefficient above ``spectrum.coeff_eps``.
     """
     unit = spectrum.frequency_unit
     best = None
     for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs):
-        present = _present(cos, sin)
+        present = _present(cos, sin, spectrum.coeff_eps)
         if len(present) == 0:
             continue
         if present[0] == 0:
@@ -350,17 +376,38 @@ def frequency_from_spectrum(spectrum: Spectrum) -> float:
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    field: DiskField
+    """The spectral minimizer of one class on a grid.
+
+    ``field``, the harmonic extension, and ``energy``, its quadrature
+    energy over the unit disk, are computed on first read, so a run that
+    reads only the spectrum builds neither. They are then kept in
+    ``_field`` and ``_energy``, which ``dataclasses.replace`` carries over.
+    """
+
     kind: Continuation
     spectrum: Spectrum
-    energy: float
+    grid: PolarGrid
     alt_energy: float | None = None
+    _field: DiskField | None = None
+    _energy: float | None = None
 
     def __post_init__(self):
         if self.alt_energy is not None and not self.energy <= self.alt_energy + 1e-12:
             raise ValueError(
                 f"energy {self.energy!r} exceeds the other class's {self.alt_energy!r}"
             )
+
+    @property
+    def field(self) -> DiskField:
+        if self._field is None:
+            object.__setattr__(self, "_field", harmonic_extension(self.spectrum, self.grid))
+        return self._field
+
+    @property
+    def energy(self) -> float:
+        if self._energy is None:
+            object.__setattr__(self, "_energy", dirichlet_energy(self.field, 1.0))
+        return self._energy
 
 
 def minimize(
@@ -374,13 +421,13 @@ def minimize(
     More collision events admit further resplittings, which are not
     enumerated: AmbiguousClass propagates. An explicit ``kind`` skips
     detection. The result's ``kind`` and ``spectrum`` are what the rest of
-    a run reads: the trace is lifted here and nowhere else.
+    a run reads: the trace is lifted here and nowhere else. Its field and
+    energy are built when first read, and for both classes when the class
+    is chosen by energy.
     """
 
     def build(l: BoundaryLift) -> MinimizeResult:
-        spectrum = analyze_spectrum(l)
-        f = harmonic_extension(spectrum, grid)
-        return MinimizeResult(f, l.kind, spectrum, dirichlet_energy(f, 1.0))
+        return MinimizeResult(l.kind, analyze_spectrum(l), grid)
 
     if kind is not None:
         return build(forced_lift(trace, kind))

@@ -17,6 +17,7 @@ from qdisk.blowup import (
     check_radii,
     identify_catalog,
     rescale_normalize,
+    rings_read,
 )
 from qdisk.errors import GridTooCoarse, NoCatalogMatch, ZeroEnergy
 from qdisk.field import (
@@ -36,7 +37,7 @@ from qdisk.forms import (
     classify_form,
     enumerate_entries,
 )
-from qdisk.minimizer import BoundaryTrace, minimize, save_trace
+from qdisk.minimizer import BoundaryTrace, inner_extension, minimize, save_trace
 from qdisk.qpoint import pair_distance_arrays
 
 DOUBLED_Z = HomogeneousPair(
@@ -439,18 +440,41 @@ def test_blowup_sequence_collects_blowup_steps_bitwise(seam):
             assert got.sheet2.tobytes() == want.sheet2.tobytes()
 
 
+@pytest.mark.parametrize("kind", [Continuation.IDENTITY, Continuation.SWAP])
+def test_blowup_from_the_rings_read_is_bitwise(grid64, kind):
+    """A source of rings 0..rings_read(grid, r) at the largest radius gives
+    the blow-up of the whole field bit for bit; a ring fewer is refused."""
+    result = minimize(random_trace(np.random.default_rng(9), kind), grid64)
+    field, spectrum = result.field, result.spectrum
+    radii = (0.4, 0.2, 0.1)
+    m = rings_read(grid64, radii[0])
+    want = blowup_sequence(field, radii)
+    got = blowup_sequence(inner_extension(spectrum, grid64, m), radii)
+    assert got.cauchy_defects == want.cauchy_defects
+    for g, w in zip(got.fields, want.fields):
+        assert g.sheet1.tobytes() == w.sheet1.tobytes()
+        assert g.sheet2.tobytes() == w.sheet2.tobytes()
+    short = inner_extension(spectrum, grid64, m - 1)
+    with pytest.raises(ValueError, match=r"^the rescale at r=0\.4 reads 27 rings of the source$"):
+        rescale_normalize(short, 0.4)
+    rescale_normalize(short, 0.2)
+
+
 @pytest.mark.parametrize("dump", [False, True], ids=["streamed", "dump-fields"])
 def test_cmd_blowup_holds_two_rescaled_fields(tmp_path, monkeypatch, dump):
-    """tracemalloc from the return of minimize to that of the blow-up at 4
-    radii. Without --dump-fields the limit alone stays, and the peak is at
-    most two rescaled fields (three with the minimizer's) plus the rescale's
-    and the energy ladder's block temporaries; with it one field per radius
-    stays."""
+    """tracemalloc from the return of minimize, which builds no field, to
+    the catalog fit of the blow-up at 4 radii. The window holds the
+    minimizer's rings out to the largest radius, 0.8 (rings_read), which
+    are freed with the sequence. Without --dump-fields the limit alone
+    stays, and the peak is at most those rings, two rescaled fields and the
+    rescale's and the energy ladder's block temporaries; with it one field
+    per radius stays."""
     grid = PolarGrid(192, 32)
     field_bytes = 2 * (grid.n_r + 1) * grid.n_theta * 2 * 8
     block_bytes = field_bytes * RING_BLOCK // (grid.n_r + 1)  # both sheets
+    rings = (rings_read(grid, 0.8) + 1) / (grid.n_r + 1)  # in fields
     marks = {}
-    minimize_, sequence = cli.minimize, cli.blowup_sequence
+    minimize_, identify = cli.minimize, cli.identify_catalog
 
     def measured_minimize(*args, **kwargs):
         result = minimize_(*args, **kwargs)
@@ -458,13 +482,12 @@ def test_cmd_blowup_holds_two_rescaled_fields(tmp_path, monkeypatch, dump):
         tracemalloc.reset_peak()
         return result
 
-    def measured_sequence(*args, **kwargs):
-        seq = sequence(*args, **kwargs)
+    def measured_identify(*args, **kwargs):
         marks["held"], marks["peak"] = tracemalloc.get_traced_memory()
-        return seq
+        return identify(*args, **kwargs)
 
     monkeypatch.setattr(cli, "minimize", measured_minimize)
-    monkeypatch.setattr(cli, "blowup_sequence", measured_sequence)
+    monkeypatch.setattr(cli, "identify_catalog", measured_identify)
     path = tmp_path / "t.json"
     save_trace(single_mode_trace(1.5), path)
     argv = ["blowup", str(path), "--nr", str(grid.n_r), "--ntheta", str(grid.n_theta),
@@ -482,7 +505,7 @@ def test_cmd_blowup_holds_two_rescaled_fields(tmp_path, monkeypatch, dump):
         assert held >= 4 - 0.5 * block_bytes / field_bytes
     else:
         assert held <= 1 + 0.5 * block_bytes / field_bytes
-        assert peak <= 2 + 3 * block_bytes / field_bytes
+        assert peak <= rings + 2 + 3 * block_bytes / field_bytes
 
 
 def test_identify_catalog_names_the_fit_radii_on_a_coarse_grid():

@@ -10,10 +10,17 @@ import pytest
 from conftest import conformal_swap_trace, random_trace, single_mode_trace
 
 from qdisk import cli, minimizer
+from qdisk.blowup import rings_read
 from qdisk.cli import main
-from qdisk.field import load_field
+from qdisk.field import PolarGrid, load_field
 from qdisk.forms import Continuation
-from qdisk.minimizer import BoundaryTrace, load_trace, save_trace
+from qdisk.minimizer import (
+    BoundaryTrace,
+    frequency_from_spectrum,
+    load_trace,
+    minimize,
+    save_trace,
+)
 
 
 @pytest.fixture
@@ -212,15 +219,22 @@ def test_non_finite_trace_rejected(tmp_path):
         assert main(["minimize", str(path), "--out", str(tmp_path / "f.csv")]) == 2
 
 
-@pytest.mark.parametrize("scale", [1e153, 1e200])
-@pytest.mark.parametrize("command", ["minimize", "blowup"])
-def test_overflowing_trace_exits_2(tmp_path, capsys, command, scale):
-    """Finite data whose squares overflow: the run stops at the first
-    overflow or invalid operation, exits 2 with the numpy message, prints no
-    results and writes no files (a leaked warning fails the test too)."""
+def _scaled_trace_file(tmp_path, scale):
     trace = single_mode_trace(1.5, n=128)
     path = tmp_path / "big.json"
     save_trace(BoundaryTrace.from_values(trace.p1 * scale, trace.p2 * scale), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, scale", [("minimize", 1e153), ("minimize", 1e200), ("blowup", 1e200)]
+)
+def test_overflowing_trace_exits_2(tmp_path, capsys, command, scale):
+    """Finite data whose squares overflow: the run stops at the first
+    overflow or invalid operation, exits 2 with the numpy message, prints no
+    results and writes no files (a leaked warning fails the test too). The
+    blow-up at 1e153 does not overflow: it reads no full-disk energy."""
+    path = _scaled_trace_file(tmp_path, scale)
     argv = [command, str(path), "--nr", "32", "--ntheta", "128",
             "--out", str(tmp_path / "out.csv")]
     assert main(argv) == 2
@@ -228,6 +242,80 @@ def test_overflowing_trace_exits_2(tmp_path, capsys, command, scale):
     assert captured.out == ""
     assert captured.err.splitlines()[-1].startswith("error: FloatingPointError: overflow")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
+
+
+SCALES = {"2^20": 2.0**20, "2^-20": 2.0**-20, "1e5": 1e5, "1e150": 1e150, "1e153": 1e153}
+
+
+@pytest.mark.parametrize("scale", list(SCALES.values()), ids=list(SCALES))
+def test_blowup_keeps_its_answer_at_scale(tmp_path, capsys, scale):
+    """The presence threshold scales with the data, and the blow-up reads
+    no full-disk energy: at 2^20 and 2^-20 the report keeps the bytes of
+    scale 1 (powers of two scale without rounding, and the normalization
+    undoes them), and up to 1e153 it reads the same N = 3/2 swap entry
+    with fitted_N within 1e-12."""
+    reports = []
+    for factor in (1.0, scale):
+        out = tmp_path / f"report{len(reports)}.json"
+        argv = ["blowup", str(_scaled_trace_file(tmp_path, factor)), "--nr", "32",
+                "--ntheta", "128", "--out", str(out)]
+        assert main(argv) == 0
+        reports.append(out.read_bytes())
+    assert capsys.readouterr().out == ""
+    one, scaled = (json.loads(r) for r in reports)
+    assert (scaled["rounded_N"], scaled["continuation"]) == (1.5, "swap")
+    assert (one["rounded_N"], one["continuation"]) == (1.5, "swap")
+    assert abs(scaled["fitted_N"] - one["fitted_N"]) <= 1e-12
+    if np.frexp(scale)[0] == 0.5:
+        assert reports[1] == reports[0]
+
+
+@pytest.mark.parametrize("scale", [2.0**20, 2.0**-20, 1e5, 1e150],
+                         ids=["2^20", "2^-20", "1e5", "1e150"])
+def test_minimize_keeps_its_answer_at_scale(tmp_path, capsys, scale):
+    """Class, N0 and the monotonicity defect of scale 1, and the energy
+    times scale^2; at 2^20 and 2^-20 the field and the energy are exactly
+    scale times those of scale 1."""
+    one = minimize(single_mode_trace(1.5, n=128), PolarGrid(32, 128))
+    got = minimize(load_trace(_scaled_trace_file(tmp_path, scale)), PolarGrid(32, 128))
+    assert frequency_from_spectrum(got.spectrum) == frequency_from_spectrum(one.spectrum) == 1.5
+    assert got.energy == pytest.approx(scale**2 * one.energy, rel=1e-12)
+    if np.frexp(scale)[0] == 0.5:
+        assert got.energy == scale**2 * one.energy
+        assert np.array_equal(got.field.sheet1, scale * one.field.sheet1)
+        assert np.array_equal(got.field.sheet2, scale * one.field.sheet2)
+
+    lines = []
+    for factor in (1.0, scale):
+        argv = ["minimize", str(_scaled_trace_file(tmp_path, factor)), "--nr", "32",
+                "--ntheta", "128", "--out", str(tmp_path / "f.csv")]
+        assert main(argv) == 0
+        lines.append(capsys.readouterr().out.splitlines())
+    assert lines[1][0] == lines[0][0] == "class: swap"
+    assert lines[1][-2] == lines[0][-2] == "N0: 1.5  monotonicity defect: 0.000422"
+
+
+def test_cmd_blowup_builds_no_minimizer_field(tmp_path, monkeypatch, capsys):
+    """The blow-up evaluates the minimizer once, on rings 0..rings_read at
+    its largest radius, and computes neither its field on the whole grid
+    nor a quadrature energy."""
+    calls, evaluated = [], []
+    for owner, name in ((minimizer, "harmonic_extension"), (minimizer, "dirichlet_energy"),
+                        (cli, "dirichlet_energy")):
+        monkeypatch.setattr(owner, name, lambda *args, name=name: calls.append(name))
+    eval_modes = minimizer._eval_modes
+
+    def recorded(spectrum, grid, radial):
+        evaluated.append(len(radial))
+        return eval_modes(spectrum, grid, radial)
+
+    monkeypatch.setattr(minimizer, "_eval_modes", recorded)
+    path = tmp_path / "t.json"
+    save_trace(single_mode_trace(1.5), path)
+    out = tmp_path / "report.json"
+    assert main(["blowup", str(path), "--radii", "0.1,0.4,0.2", "--out", str(out)]) == 0
+    assert (calls, evaluated) == ([], [rings_read(PolarGrid(64, 256), 0.4) + 1])
+    assert json.loads(out.read_text())["rounded_N"] == 1.5
 
 
 def test_subcommands_reject_flags_they_do_not_read():
@@ -711,7 +799,8 @@ def test_minimize_golden_bytes_on_consecutive_modes(tmp_path, monkeypatch, capsy
     spectrum = minimizer.analyze_spectrum(lift)
     modes = 40 if kind is Continuation.SWAP else 20
     for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs):
-        assert minimizer._present(cos, sin).tolist() == list(range(1, modes + 1))
+        present = minimizer._present(cos, sin, spectrum.coeff_eps)
+        assert present.tolist() == list(range(1, modes + 1))
     monkeypatch.chdir(tmp_path)
     save_trace(trace, "t.json")
     assert main(["minimize", "t.json", "--nr", "40", "--ntheta", "16", "--out", "f.csv"]) == 0

@@ -4,6 +4,8 @@ import pytest
 from conftest import random_trace, single_mode_trace
 
 from qdisk import _kernels
+from qdisk import minimizer as minimizer_module
+from qdisk.blowup import rings_read
 from qdisk.errors import AmbiguousClass, NotStationary, ZeroSpectrum
 from qdisk.field import (
     DiskField,
@@ -26,6 +28,7 @@ from qdisk.minimizer import (
     forced_lift,
     frequency_from_spectrum,
     harmonic_extension,
+    inner_extension,
     lift_boundary,
     load_trace,
     minimize,
@@ -258,6 +261,72 @@ def test_minimize_one_collision_event(grid32, where):
     assert np.flatnonzero(hits).tolist() == expected
     res = minimize(trace, grid32)
     assert res.alt_energy is not None and res.energy <= res.alt_energy
+
+
+def _count_builds(monkeypatch) -> list[str]:
+    """Record each harmonic_extension and dirichlet_energy call minimize's
+    results make."""
+    calls = []
+    extend, energy = minimizer_module.harmonic_extension, minimizer_module.dirichlet_energy
+
+    def counted_extend(*args):
+        calls.append("field")
+        return extend(*args)
+
+    def counted_energy(*args):
+        calls.append("energy")
+        return energy(*args)
+
+    monkeypatch.setattr(minimizer_module, "harmonic_extension", counted_extend)
+    monkeypatch.setattr(minimizer_module, "dirichlet_energy", counted_energy)
+    return calls
+
+
+def test_minimize_builds_the_field_on_first_read(grid32, monkeypatch):
+    """A detected class builds nothing until the field or the energy is
+    read, and then once."""
+    calls = _count_builds(monkeypatch)
+    res = minimize(single_mode_trace(1.5), grid32)
+    assert calls == []
+    assert res.energy == dirichlet_energy(res.field, 1.0)
+    assert res.field is res.field
+    assert calls == ["field", "energy"]
+
+
+def test_minimize_single_collision_builds_each_field_once(grid32, monkeypatch):
+    """Choosing the class by energy builds both classes' fields and
+    energies once; replace carries the winner's over, so reading them again
+    builds nothing."""
+    calls = _count_builds(monkeypatch)
+    trace, _ = _one_collision_event("wrap")
+    res = minimize(trace, grid32)
+    assert calls == ["field", "energy", "field", "energy"]
+    field, energy = res.field, res.energy
+    assert res.alt_energy is not None and energy <= res.alt_energy
+    assert calls == ["field", "energy", "field", "energy"]
+    forced = minimize(trace, grid32, kind=res.kind)
+    assert field.sheet1.tobytes() == forced.field.sheet1.tobytes()
+    assert energy == forced.energy
+
+
+@pytest.mark.parametrize("kind", [Continuation.IDENTITY, Continuation.SWAP])
+@pytest.mark.parametrize("n_r, n_theta", [(64, 256), (256, 1024)])
+def test_inner_extension_rows_equal_harmonic_extension(kind, n_r, n_theta):
+    """Rings 0..m of the evaluator are those rows of the full extension, bit
+    for bit, from the blow-up's largest radius out to m = n_r."""
+    grid = PolarGrid(n_r, n_theta)
+    spectrum = analyze_spectrum(lift_boundary(
+        random_trace(np.random.default_rng(n_r), kind, n=n_theta, kmax=6)))
+    assert spectrum.kind is kind
+    full = harmonic_extension(spectrum, grid)
+    for m in (rings_read(grid, 0.1), rings_read(grid, 0.4), grid.n_r):
+        inner = inner_extension(spectrum, grid, m)
+        assert (inner.grid, inner.seam) == (grid, kind)
+        for got, want in ((inner.sheet1, full.sheet1), (inner.sheet2, full.sheet2)):
+            assert got.flags.c_contiguous and got.shape == (m + 1, n_theta, 2)
+            assert got.tobytes() == want[: m + 1].tobytes()
+    assert rings_read(grid, 1.0) == grid.n_r
+    assert rings_read(PolarGrid(256, 1024), 0.4) == 103
 
 
 def test_minimize_two_collisions_ambiguous(grid64):
@@ -556,7 +625,7 @@ def test_minimize_result_rejects_higher_energy_under_optimize():
         "from qdisk.minimizer import MinimizeResult\n"
         "print(sys.flags.optimize)\n"
         "try:\n"
-        "    MinimizeResult(None, Continuation.SWAP, None, energy=5.0, alt_energy=1.0)\n"
+        "    MinimizeResult(Continuation.SWAP, None, None, alt_energy=1.0, _energy=5.0)\n"
         "except ValueError:\n"
         "    print('rejected')\n"
     )
@@ -569,7 +638,7 @@ def test_minimize_result_rejects_higher_energy_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "rejected"]
-    MinimizeResult(None, Continuation.SWAP, None, energy=1.0, alt_energy=5.0)
+    MinimizeResult(Continuation.SWAP, None, None, alt_energy=5.0, _energy=1.0)
 
 
 def _track_selection_reference(trace: BoundaryTrace):
