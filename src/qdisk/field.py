@@ -125,21 +125,13 @@ class DiskField:
         sheet 2 along the angle, so plain column wraparound implements the
         branched continuation. Takes the arrays: identity-class stacks become
         the sheets without a copy, so the caller must not write to them
-        afterwards."""
-        return cls(grid, *stack_sheets(grid, stacks, seam), seam)
-
-
-def stack_sheets(grid: PolarGrid, stacks, seam: Continuation) -> tuple[np.ndarray, np.ndarray]:
-    """The two sheets of the stacks of ``DiskField.from_stacks``, on however
-    many rings the stacks hold, each contiguous: an identity-class stack is
-    returned as it is, the halves of a swap-class cover are copied."""
-    if seam is Continuation.IDENTITY:
-        sheet1, sheet2 = stacks
-    else:
-        (cover,) = stacks
-        sheet1 = cover[:, : grid.n_theta]
-        sheet2 = cover[:, grid.n_theta :]
-    return np.ascontiguousarray(sheet1), np.ascontiguousarray(sheet2)
+        afterwards; the halves of a swap-class cover are copied."""
+        if seam is Continuation.IDENTITY:
+            sheet1, sheet2 = stacks
+        else:
+            (cover,) = stacks
+            sheet1, sheet2 = cover[:, : grid.n_theta], cover[:, grid.n_theta :]
+        return cls(grid, sheet1, sheet2, seam)
 
 
 def sample_field(entry: HomogeneousPair, grid: PolarGrid) -> DiskField:
@@ -385,16 +377,17 @@ DUMP_COLUMNS = ("ring_index", "angle_index", "sheet", "x", "y")
 #
 # d0 ... d16 and the exponent k come exactly from float64 arithmetic
 # (_decimal17) for 1e-6 < |x| < 1e15. That is k in [-6, 14], fixed notation
-# for k >= -4 and exponent notation (integer part d0) below. Every other
-# value (zeros, subnormals, tiny or huge values, inf, nan) takes the text of
-# "%.17g" % x one value at a time, left-aligned over the staged words.
+# for k >= -4 and exponent notation (integer part d0) below. A zero takes
+# d = 0 and k = 0, whose head is "0" or "-0" and whose other words are empty.
+# Every other value (subnormals, tiny or huge values, inf, nan) takes the
+# text of "%.17g" % x one value at a time, left-aligned over the staged words.
 #
 # A block (one column of _csv_rows) stages only the words that some value of
 # it can fill: those a value of any exponent between the least and the
 # greatest k of its fast values can use (_text_tables' `used`), and as many
-# leading words as its longest slow text needs. A block of k <= 0 leaves out
-# words 2-6, word 1 unless its range holds one of -4, -3, -2, and the
-# exponent word unless it reaches below -4.
+# leading words as its longest zero or slow text needs. A block of k <= 0
+# leaves out words 2-6, word 1 unless its range holds one of -4, -3, -2, and
+# the exponent word unless it reaches below -4.
 VALUE_WORDS = 12
 _K_MIN, _K_MAX = -6, 14
 
@@ -501,13 +494,18 @@ def _text_words(x: np.ndarray, out: np.ndarray) -> int:
     block x stages, in order. Returns how many rows it wrote."""
     t = _text_tables()
     a = np.abs(x)
-    slow = np.flatnonzero(~((a > 1e-6) & (a < 1e15)))
-    width = 0  # words of the longest slow text
+    fast = (a > 1e-6) & (a < 1e15)
+    # the tables write a zero's text from d = 0 and k = 0; a slow value's
+    # text replaces what they write for it
+    other = np.flatnonzero(~fast)
+    width = 1 if len(other) else 0  # words of the longest zero or slow text
+    slow = other[a[other] != 0]
     if len(slow):
         text = np.array(["%.17g" % v for v in x[slow].tolist()], dtype=bytes)
         width = -(-text.itemsize // 4)
-        a[slow] = 1.0  # digits of a float64-path value; the text replaces them
+    a[other] = 1.0
     d, k = _decimal17(a, t)
+    d[other] = 0
     row = k - _K_MIN
     # 17 digits as d0, d1-d4, ..., d13-d16, from one split at 10**8
     high = d // 10**8
@@ -526,9 +524,9 @@ def _text_words(x: np.ndarray, out: np.ndarray) -> int:
         zeros[redo] += t.zeros[g[redo]]
         redo = redo[g[redo] == 0]
     more = zeros < t.fraction_digits[row]  # a fraction digit follows
-    k_fast = np.delete(k, slow) if len(slow) else k
     used = t.used[
-        k_fast.min(initial=_K_MAX) - _K_MIN : k_fast.max(initial=_K_MIN) - _K_MIN + 1
+        k.min(initial=_K_MAX, where=fast) - _K_MIN
+        : k.max(initial=_K_MIN, where=fast) - _K_MIN + 1
     ].any(axis=0)
     used[:width] = True
     words = np.flatnonzero(used)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import AmbiguousClass, NotStationary, ZeroSpectrum
-from .field import RING_BLOCK, DiskField, PolarGrid, dirichlet_energy, stack_sheets
+from .field import RING_BLOCK, DiskField, PolarGrid, dirichlet_energy
 from .forms import Continuation
 
 # A mode is present when a coefficient exceeds this, for data whose largest
@@ -92,18 +93,24 @@ def save_trace(trace: BoundaryTrace, path) -> None:
 
 def load_trace(path) -> BoundaryTrace:
     """Read a save_trace file. Raises ValueError unless it is a JSON array
-    of row objects with numeric theta, p1 and p2 (KeyError for a row
+    of row objects whose theta is a JSON number and whose p1 and p2 are
+    lists of them; a bool or a string is not a number (KeyError for a row
     without one of them)."""
     rows = json.loads(Path(path).read_text())
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise ValueError("trace must be a JSON array of {theta, p1, p2} objects")
+    thetas = [row["theta"] for row in rows]
+    p1 = [row["p1"] for row in rows]
+    p2 = [row["p2"] for row in rows]
     try:
-        thetas = np.array([row["theta"] for row in rows], dtype=float)
-        p1 = np.array([row["p1"] for row in rows], dtype=float)
-        p2 = np.array([row["p2"] for row in rows], dtype=float)
-    except TypeError as exc:  # a value that is neither a number nor a list
-        raise ValueError(f"trace values must be numbers: {exc}") from exc
-    return BoundaryTrace(thetas, p1, p2)
+        values = chain(thetas, chain.from_iterable(p1), chain.from_iterable(p2))
+        numeric = set(map(type, values)) <= {int, float}
+    except TypeError:  # a point that is not a list
+        numeric = False
+    if not numeric:
+        raise ValueError("trace values must be numbers: theta one, p1 and p2 lists of them")
+    return BoundaryTrace(np.array(thetas, dtype=float), np.array(p1, dtype=float),
+                         np.array(p2, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -243,28 +250,43 @@ def _columns(spectrum: Spectrum, grid: PolarGrid) -> int:
     return grid.n_theta if spectrum.kind is Continuation.IDENTITY else 2 * grid.n_theta
 
 
-def _eval_modes(spectrum: Spectrum, grid: PolarGrid, radial: np.ndarray) -> list[np.ndarray]:
-    """Per loop, sum_k r^(k*unit) (A_k cos(k*unit*ang) + B_k sin(k*unit*ang))
-    at the radii ``radial`` and the loop's grid angles; shape (R, cols, 2).
+def _eval_modes(spectrum: Spectrum, grid: PolarGrid, radial: np.ndarray) -> np.ndarray:
+    """Both sheets of the extension at the radii ``radial``, in one array of
+    shape (2, R, n_theta, 2): sheet 1, then sheet 2, each contiguous.
 
-    At those angles mode k is frequency k of the loop's cols samples, so a
-    block of rings is one inverse real FFT: bin k mod cols takes
-    r^(k*unit) (A_k - i B_k) / 2, bins past cols/2 are conjugated onto
-    cols - bin, and the DC and Nyquist bins keep twice their real part.
+    Per loop, sum_k r^(k*unit) (A_k cos(k*unit*ang) + B_k sin(k*unit*ang))
+    at the loop's grid angles. Loop i is sheet i in the identity class; the
+    swap class's double loop is sheet 1 on its first n_theta angles and
+    sheet 2 on the rest. At those angles mode k is frequency k of the loop's
+    cols samples, so a block of rings is one inverse real FFT: bin k mod
+    cols takes r^(k*unit) (A_k - i B_k) / 2, bins past cols/2 are conjugated
+    onto cols - bin, and the DC and Nyquist bins keep twice their real part.
     Modes above cols/2 thus fold onto their bin, exactly as evaluating them
     at the grid angles aliases them. Modes with no coefficient above
     ``spectrum.coeff_eps`` are left out.
     """
     cols = _columns(spectrum, grid)
-    half = cols // 2
-    stacks = []
-    for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs):
+    half, n = cols // 2, grid.n_theta
+    sheets = np.empty((2, len(radial), n, 2))
+    # the sheets each loop's angles fill, n angles per sheet
+    identity = spectrum.kind is Continuation.IDENTITY
+    loop_sheets = [sheets[:1], sheets[1:]] if identity else [sheets]
+    # per block: its spectrum, coordinate by coordinate with the bins
+    # innermost, and its inverse FFT, written angle-major for the sheets
+    # (irfft's `out` argument, new in numpy 2.0)
+    block_rings = min(RING_BLOCK, len(radial))
+    spec = np.empty((block_rings, 2, half + 1), dtype=complex)
+    rows = np.empty((block_rings, cols, 2))
+    for cos, sin, targets in zip(spectrum.cos_coeffs, spectrum.sin_coeffs, loop_sheets):
         k = _present(cos, sin, spectrum.coeff_eps)
         coeffs = 0.5 * (cos[k] - 1j * sin[k])
         bins = k % cols
         mirrored = bins > half
         coeffs[mirrored] = coeffs[mirrored].conj()
         bins[mirrored] = cols - bins[mirrored]
+        # one row per coordinate, modes along it: every product below is
+        # float by float over the mode axis
+        re, im = coeffs.real.T.copy(), coeffs.imag.T.copy()
         # k ascends, so each half period s of k is one run k[a:b]; its bins
         # are distinct, and a slice of spec (ascending for even s, descending
         # for odd s) when its modes are consecutive. The runs are added in
@@ -277,33 +299,36 @@ def _eval_modes(spectrum: Spectrum, grid: PolarGrid, radial: np.ndarray) -> list
             if k[b - 1] - k[a] == b - a - 1:
                 step = -1 if s % 2 else 1
                 target = slice(target[0], target[0] + step * (b - a), step)
-            runs.append((slice(a, b), target, coeffs[a:b]))
+            runs.append((slice(a, b), target, re[:, a:b], im[:, a:b]))
         nu = k * spectrum.frequency_unit
-        out = np.empty((len(radial), cols, 2))
         # RING_BLOCK rings per inverse FFT: each work array stays near
         # RING_BLOCK * cols * 16 bytes (1 MiB on the 256x1024 double cover)
         for lo in range(0, len(radial), RING_BLOCK):
-            w = np.power(radial[lo : lo + RING_BLOCK, None], nu)[:, :, None]
-            spec = np.zeros((len(w), half + 1, 2), dtype=complex)
-            for run, target, c in runs:
-                spec[:, target] += w[:, run] * c
-            spec[:, [0, half]] = 2.0 * spec[:, [0, half]].real
-            out[lo : lo + RING_BLOCK] = np.fft.irfft(spec, n=cols, axis=1, norm="forward")
-        stacks.append(out)
-    return stacks
+            w = np.power(radial[lo : lo + RING_BLOCK, None], nu)[:, None]
+            block, out = spec[: len(w)], rows[: len(w)]
+            block[...] = 0.0
+            real, imag = block.real, block.imag
+            for run, target, c_re, c_im in runs:
+                real[..., target] += w[..., run] * c_re
+                imag[..., target] += w[..., run] * c_im
+            real[..., [0, half]] *= 2.0
+            imag[..., [0, half]] = 0.0
+            np.fft.irfft(block, n=cols, norm="forward", out=out.transpose(0, 2, 1))
+            for part, sheet in enumerate(targets):
+                sheet[lo : lo + RING_BLOCK] = out[:, part * n : (part + 1) * n]
+    return sheets
 
 
 def harmonic_extension(spectrum: Spectrum, grid: PolarGrid) -> DiskField:
     """Extend each loop mode of frequency nu by r^nu onto the slit grid."""
-    return DiskField.from_stacks(grid, _eval_modes(spectrum, grid, grid.radii), spectrum.kind)
+    return DiskField(grid, *_eval_modes(spectrum, grid, grid.radii), spectrum.kind)
 
 
 def inner_extension(spectrum: Spectrum, grid: PolarGrid, m: int) -> SimpleNamespace:
     """Rings 0..m of ``harmonic_extension(spectrum, grid)``, bit for bit (the
     evaluator works ring by ring), as a blow-up source: ``grid``, ``seam``
     and contiguous ``sheet1`` and ``sheet2`` of m + 1 rings."""
-    stacks = _eval_modes(spectrum, grid, grid.radii[: m + 1])
-    sheet1, sheet2 = stack_sheets(grid, stacks, spectrum.kind)
+    sheet1, sheet2 = _eval_modes(spectrum, grid, grid.radii[: m + 1])
     return SimpleNamespace(grid=grid, seam=spectrum.kind, sheet1=sheet1, sheet2=sheet2)
 
 
@@ -457,8 +482,12 @@ def minimize(
 
 
 def _boundary_rows(spectrum: Spectrum, grid: PolarGrid) -> list[np.ndarray]:
-    """Band-limited resample of each loop at the grid angles (r = 1)."""
-    return [stack[0] for stack in _eval_modes(spectrum, grid, np.ones(1))]
+    """Band-limited resample of each loop at the grid angles (r = 1): the
+    two sheets' rows, joined into the double cover's row in the swap class."""
+    row1, row2 = _eval_modes(spectrum, grid, np.ones(1))[:, 0]
+    if spectrum.kind is Continuation.IDENTITY:
+        return [row1, row2]
+    return [np.concatenate([row1, row2])]
 
 
 def _sweep_decrease(u: np.ndarray, dtheta: float) -> float:

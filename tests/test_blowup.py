@@ -399,6 +399,35 @@ def test_cauchy_defect_blocks_match_full_grid(seam):
         assert (got > 50.0) == (ring >= CENTER_EXCLUSION_RINGS)
 
 
+@pytest.mark.parametrize("n_r", [4, 20, 34])
+def test_cauchy_defect_of_fewer_rings_than_a_block(n_r):
+    """Grids with at most RING_BLOCK rings outside the center exclusion
+    zone take one block, in work arrays of those rings only."""
+    grid = PolarGrid(n_r, 16)
+    rng = np.random.default_rng(n_r)
+    f, g = (random_field(grid, Continuation.SWAP, rng) for _ in range(2))
+    assert _cauchy_defect(f, g) == _full_grid_cauchy_defect(f, g)
+
+
+def test_cauchy_defect_work_is_two_and_a_half_blocks():
+    """tracemalloc over one Cauchy defect at 64x256: its work arrays are one
+    block of squared differences and three half-block sums (a block being
+    RING_BLOCK rings of one sheet), allocated once for all blocks; the
+    measured peak is 2.51 blocks. Square roots and sums as temporaries per
+    block peaked at 3.28."""
+    grid = PolarGrid(64, 256)
+    rng = np.random.default_rng(11)
+    f, g = (random_field(grid, Continuation.SWAP, rng) for _ in range(2))
+    block_bytes = RING_BLOCK * grid.n_theta * 2 * 8
+    tracemalloc.start()
+    try:
+        _cauchy_defect(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * block_bytes
+
+
 def test_energy_ladder_computed_once_per_field(grid64, monkeypatch):
     """minimize, the profile, the blow-up and further energies of one field
     share one ring quadrature; each rescaled field adds one of its own."""

@@ -562,8 +562,24 @@ def test_outputs_never_overwrite_the_trace(perturbed_trace_file, tmp_path, capsy
     assert sorted(tmp_path.iterdir()) == before  # nothing written
 
 
+def _trace_text_with(name, convert):
+    """A 16-sample branched trace as JSON rows, with row 1's ``name`` value
+    passed through convert."""
+    trace = single_mode_trace(1.5, n=16)
+    rows = [{"theta": float(t), "p1": a.tolist(), "p2": b.tolist()}
+            for t, a, b in zip(trace.thetas, trace.p1, trace.p2)]
+    rows[1][name] = convert(rows[1][name])
+    return json.dumps(rows)
+
+
 @pytest.mark.parametrize(
-    "content", ['{"theta": 1}', "[1, 2, 3]", '[{"theta": 0, "p1": {"x": 1}, "p2": [0, 1]}]']
+    "content",
+    [
+        '{"theta": 1}', "[1, 2, 3]", '[{"theta": 0, "p1": {"x": 1}, "p2": [0, 1]}]',
+        pytest.param(_trace_text_with("p1", lambda p: [str(v) for v in p]), id="string-coordinates"),
+        pytest.param(_trace_text_with("p2", lambda p: [True, p[1]]), id="bool-coordinate"),
+        pytest.param(_trace_text_with("theta", str), id="string-theta"),
+    ],
 )
 def test_trace_that_is_not_an_array_of_rows(tmp_path, capsys, content):
     path = tmp_path / "bad.json"

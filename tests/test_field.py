@@ -527,6 +527,23 @@ def test_text_of_blocks_of_slow_values():
     ]))
 
 
+def test_text_of_signed_zeros_among_fast_values():
+    """±0 takes the float64 path's tables: "0" and "-0" in any block, and
+    a block of zeros and float64-path values stages the words of those
+    values alone."""
+    rng = np.random.default_rng(29)
+    zeros = np.array([0.0, -0.0, -0.0, 0.0])
+    for k in K_RANGE:
+        x = _values_with_exponents(rng, [k])
+        with_zeros = np.concatenate([zeros[:2], x, zeros[2:]])
+        assert_printf_text(with_zeros)
+        staged = np.empty((VALUE_WORDS, len(with_zeros)), np.uint32)
+        words = _text_words(x, staged[:, : len(x)])
+        assert _text_words(with_zeros, staged) == words
+    assert_printf_text(np.array([-0.0] * 3))
+    assert_printf_text(np.array([0.0, -0.0, 5e-324, -np.inf, 1e-300, 0.0]))
+
+
 def _float64_path_only(x):
     """x, asserted to hold no value that "%.17g" formats one at a time."""
     assert np.all((np.abs(x) > 1e-6) & (np.abs(x) < 1e15))

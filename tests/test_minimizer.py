@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from qdisk import minimizer as minimizer_module
 from qdisk.blowup import rings_read
 from qdisk.errors import AmbiguousClass, NotStationary, ZeroSpectrum
 from qdisk.field import (
+    RING_BLOCK,
     DiskField,
     PolarGrid,
     dirichlet_energy,
@@ -327,6 +330,33 @@ def test_inner_extension_rows_equal_harmonic_extension(kind, n_r, n_theta):
             assert got.tobytes() == want[: m + 1].tobytes()
     assert rings_read(grid, 1.0) == grid.n_r
     assert rings_read(PolarGrid(256, 1024), 0.4) == 103
+
+
+@pytest.mark.parametrize("inner", [False, True], ids=["harmonic", "inner"])
+def test_extension_holds_one_field_and_block_work(inner):
+    """tracemalloc over the swap-class extension on rings 0..m: the peak is
+    the sheets (one field of m + 1 rings) and, per block, its spectrum and
+    inverse FFT, each RING_BLOCK rings of the double cover, plus the mode
+    products. A double-cover array with contiguous copies of its halves
+    holds two fields, 4.8 blocks more at m = rings_read(grid, 0.4)."""
+    grid = PolarGrid(384, 64)
+    spectrum = analyze_spectrum(lift_boundary(
+        random_trace(np.random.default_rng(5), Continuation.SWAP, n=64, kmax=6)))
+    m = rings_read(grid, 0.4) if inner else grid.n_r
+    field_bytes = 2 * (m + 1) * grid.n_theta * 2 * 8
+    block_bytes = RING_BLOCK * 2 * grid.n_theta * 2 * 8
+    tracemalloc.start()
+    try:
+        if inner:
+            source = inner_extension(spectrum, grid, m)
+        else:
+            source = harmonic_extension(spectrum, grid)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= field_bytes + 0.1 * block_bytes
+    assert peak <= field_bytes + 2.5 * block_bytes
+    assert source.sheet1.shape == source.sheet2.shape == (m + 1, grid.n_theta, 2)
 
 
 def test_minimize_two_collisions_ambiguous(grid64):
