@@ -24,6 +24,7 @@ from .field import (
     _energy_ladder,
     boundary_mass,
     frequency_profile,
+    scaled_tol,
 )
 from .forms import FourTuple, HomogeneousPair, sheet_eval
 from .qpoint import pair_distance_arrays, pair_distance_buffers, squared_pair_distance
@@ -80,7 +81,7 @@ def rescale_normalize(field, r: float) -> DiskField:
             high *= fr[rings]
             out += high
     scale = _energy_ladder(grid, *sheets, field.seam)[grid.n_r]
-    if scale <= ENERGY_EPS:
+    if scale <= scaled_tol(ENERGY_EPS, np.square(sheets[:, -1])):
         raise ZeroEnergy("rescaled field has numerically zero energy")
     sheets /= np.sqrt(scale)
     return DiskField(grid, *sheets, field.seam)
@@ -169,6 +170,9 @@ def boundary_mass_identity(g: DiskField, N0: float) -> tuple[float, float]:
 
 
 _FIT_RADII = (0.25, 0.5, 0.75, 1.0)
+# Classification tolerance of the tuples fitted from finite-resolution
+# blow-up limits; exact input is classified far below this fit noise.
+BLOWUP_FIT_TOL = 0.05
 
 
 def check_fit_grid(grid: PolarGrid) -> None:
@@ -188,9 +192,7 @@ def _fit_sheet_tuple(values: np.ndarray, thetas: np.ndarray, N: float) -> FourTu
     return FourTuple(*sol.T.ravel().tolist())
 
 
-def identify_catalog(
-    g: DiskField, tol: float
-) -> tuple[HomogeneousPair, float, float]:
+def identify_catalog(g: DiskField) -> tuple[HomogeneousPair, float, float]:
     """Fit a normalized blow-up limit to a concrete catalog entry.
 
     Fits N as the median of the frequency profile at _FIT_RADII and rounds
@@ -200,13 +202,14 @@ def identify_catalog(
     fitted N and the sup-norm boundary residual.
     Raises NoCatalogMatch when the fitted degree is farther than 0.1 from a
     half-integer, when the trace has almost no content at that degree, or
-    with validate's reason when the fitted entry fails it at ``tol``;
+    with validate's reason when the fitted entry fails it at BLOWUP_FIT_TOL;
     GridTooCoarse (``check_fit_grid``) when the grid cannot resolve
     _FIT_RADII.
     """
     check_fit_grid(g.grid)
-    profile = frequency_profile(g, _FIT_RADII)
-    fitted = float(np.median(profile.N))
+    # the median of the profile, taken by hand: np.median imports numpy.ma
+    N = np.sort(frequency_profile(g, _FIT_RADII).N)
+    fitted = float((N[(len(N) - 1) // 2] + N[len(N) // 2]) / 2)
     rounded = round(2.0 * fitted) / 2.0
     if abs(fitted - rounded) > 0.1:
         raise NoCatalogMatch(
@@ -224,7 +227,7 @@ def identify_catalog(
 
     entry = HomogeneousPair(rounded, t1, t2, g.seam)
     try:
-        entry.validate(tol)
+        entry.validate(BLOWUP_FIT_TOL)
     except DegeneratePair as exc:
         raise NoCatalogMatch("fitted sheets are numerically zero") from exc
     except ValueError as exc:

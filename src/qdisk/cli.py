@@ -87,9 +87,6 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-# Classification tolerance for tuples fitted from finite-resolution blow-up
-# limits; the exact-input tolerance (--tol) is far below fit noise.
-BLOWUP_FIT_TOL = 0.05
 # |H(1) N - 1| above criterion 5's tolerance: the blow-up limit is not converged
 MASS_IDENTITY_TOL = 0.02
 
@@ -253,9 +250,7 @@ def cmd_minimize(args) -> int:
 
     if args.oracle:
         relaxed = relax_oracle(result.spectrum, grid)
-        gap = abs(dirichlet_energy(relaxed, 1.0) - result.energy) / max(
-            result.energy, 1e-30
-        )
+        gap = abs(dirichlet_energy(relaxed, 1.0) - result.energy) / (result.energy or 1.0)
         print(f"oracle gap: {gap:.3e}")
         if gap > oracle_tol:
             print(f"oracle gap exceeds {oracle_tol:g}", file=sys.stderr)
@@ -294,7 +289,7 @@ def cmd_blowup(args) -> int:
         radii, keep_fields=bool(dumps),
     )
     limit = seq.fields[-1]
-    entry, fitted, residual = identify_catalog(limit, BLOWUP_FIT_TOL)
+    entry, fitted, residual = identify_catalog(limit)
     report = blowup_report(limit, entry, fitted, residual)
     mass_error = abs(report["boundary_mass"] * entry.N - 1.0)
     if mass_error > MASS_IDENTITY_TOL:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +33,15 @@ EPS_BOUNDARY_MASS = 1e-14
 # and blow-up radii outside them and the blow-up's sup norms skip them,
 # since interpolation noise amplifies there
 CENTER_EXCLUSION_RINGS = 3
+
+
+def scaled_tol(eps: float, reference) -> float:
+    """A threshold ``eps`` on data whose largest |value| lies in [1, 2),
+    for data like ``reference`` (an array, or arrays of one shape): eps *
+    2^k, where the largest |reference| lies in [2^k, 2^(k+1)). Data scaled
+    by 2^j meets every comparison as the data did: both sides scale exactly."""
+    _, exponent = np.frexp(np.max(np.abs(reference)))
+    return math.ldexp(eps, int(exponent) - 1)
 
 
 @dataclass(frozen=True)
@@ -253,7 +263,7 @@ def frequency_profile(field: DiskField, radii) -> FrequencyProfile:
     radii, ascending.
 
     ``radii`` of the result are those rings' radii; fields vanishing on one
-    of the rings raise ZeroBoundaryMass.
+    of the rings (EPS_BOUNDARY_MASS, scaled) raise ZeroBoundaryMass.
     """
     grid = field.grid
     rings = grid.rings(radii)
@@ -261,8 +271,9 @@ def frequency_profile(field: DiskField, radii) -> FrequencyProfile:
         raise ValueError("a frequency profile needs at least one radius")
     r = grid.radii[rings]
     H = np.array([boundary_mass(field, x) for x in r])
+    eps = scaled_tol(EPS_BOUNDARY_MASS, np.square((field.sheet1[-1], field.sheet2[-1])))
     for x, h_val in zip(r, H):
-        if h_val <= EPS_BOUNDARY_MASS:
+        if h_val <= eps:
             raise ZeroBoundaryMass(f"boundary mass {h_val:.3e} at r={x}")
     D = field._cumulative_energy[rings]
     N = r * D / H

@@ -21,7 +21,6 @@ by an FFT in angle and one tridiagonal solve in r per mode
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
@@ -31,14 +30,14 @@ import numpy as np
 
 from . import _kernels
 from .errors import AmbiguousClass, NotStationary, ZeroSpectrum
-from .field import RING_BLOCK, DiskField, PolarGrid, dirichlet_energy
+from .field import RING_BLOCK, DiskField, PolarGrid, dirichlet_energy, scaled_tol
 from .forms import Continuation
 
-# A mode is present when a coefficient exceeds this, for data whose largest
-# |coordinate| lies in [1, 2); Spectrum.coeff_eps scales it with the data.
+# A mode is present when a coefficient exceeds this, scaled to the lift's
+# coordinates (Spectrum.coeff_eps).
 COEFF_EPS = 1e-12
-# Sheets closer than this at a sample collide there; a trace with a collision
-# admits both continuation classes.
+# Sheets closer than this, scaled to the trace's coordinates, collide at a
+# sample; a trace with a collision admits both continuation classes.
 SEP_TOL = 1e-9
 # Largest relative energy decrease one reference Gauss-Seidel sweep may find
 # in the oracle's solution; rounding leaves about 1e-16.
@@ -154,19 +153,18 @@ def _track_selection(trace: BoundaryTrace) -> tuple[np.ndarray, np.ndarray, bool
 
 def _collisions(trace: BoundaryTrace) -> np.ndarray:
     """Mask of the samples where the sheets collide."""
-    return np.linalg.norm(trace.p1 - trace.p2, axis=1) < SEP_TOL
+    return np.linalg.norm(trace.p1 - trace.p2, axis=1) < scaled_tol(SEP_TOL, (trace.p1, trace.p2))
 
 
 def lift_boundary(trace: BoundaryTrace) -> BoundaryLift:
     """Decide the continuation class by tracking values around the circle.
 
-    Raises AmbiguousClass when the sheets collide anywhere (within SEP_TOL);
-    colliding data admits both classes and the caller must choose.
+    Raises AmbiguousClass when the sheets collide anywhere (within SEP_TOL,
+    scaled); colliding data admits both classes and the caller must choose.
     """
-    if trace.separation() < SEP_TOL:
-        raise AmbiguousClass(
-            f"sheet separation {trace.separation():.3e} below {SEP_TOL:.3e}"
-        )
+    tol = scaled_tol(SEP_TOL, (trace.p1, trace.p2))
+    if trace.separation() < tol:
+        raise AmbiguousClass(f"sheet separation {trace.separation():.3e} below {tol:.3e}")
     sel, comp, closes = _track_selection(trace)
     if closes:
         return BoundaryLift(Continuation.IDENTITY, (sel, comp))
@@ -198,32 +196,23 @@ class Spectrum:
     One coefficient table per loop; table k holds the cosine and sine
     coefficient vectors of mode k. Mode k has frequency k for unbranched
     loops (period 2*pi) and k/2 for the branched double loop (period 4*pi).
-    ``scale_exp`` is the k for which the lift's largest |coordinate| lies in
-    [2^k, 2^(k+1)).
+    A mode is present when a coefficient exceeds ``coeff_eps``.
     """
 
     kind: Continuation
     cos_coeffs: tuple  # per loop: array (m//2 + 1, 2)
     sin_coeffs: tuple
-    scale_exp: int = 0
+    coeff_eps: float = COEFF_EPS
 
     @property
     def frequency_unit(self) -> float:
         return 1.0 if self.kind is Continuation.IDENTITY else 0.5
 
-    @property
-    def coeff_eps(self) -> float:
-        """Presence threshold COEFF_EPS * 2^scale_exp: a mode is present
-        exactly when it would be under COEFF_EPS for the data divided by
-        2^scale_exp, since both sides scale without rounding."""
-        return math.ldexp(COEFF_EPS, self.scale_exp)
-
 
 def analyze_spectrum(lift: BoundaryLift) -> Spectrum:
     """Discrete Fourier analysis of each loop; exact on band-limited data.
-    ``scale_exp`` comes from np.frexp of the loops' largest |coordinate|."""
+    ``coeff_eps`` is COEFF_EPS scaled to the loops' coordinates."""
     cos_all, sin_all = [], []
-    _, exponent = np.frexp(max(np.abs(loop).max() for loop in lift.loops))
     for loop in lift.loops:
         m = loop.shape[0]
         coeffs = np.fft.rfft(loop, axis=0) / m
@@ -235,7 +224,7 @@ def analyze_spectrum(lift: BoundaryLift) -> Spectrum:
             sin[-1] = 0.0
         cos_all.append(cos)
         sin_all.append(sin)
-    return Spectrum(lift.kind, tuple(cos_all), tuple(sin_all), int(exponent) - 1)
+    return Spectrum(lift.kind, tuple(cos_all), tuple(sin_all), scaled_tol(COEFF_EPS, lift.loops))
 
 
 def _present(cos: np.ndarray, sin: np.ndarray, eps: float) -> np.ndarray:
@@ -417,7 +406,7 @@ class MinimizeResult:
     _energy: float | None = None
 
     def __post_init__(self):
-        if self.alt_energy is not None and not self.energy <= self.alt_energy + 1e-12:
+        if self.alt_energy is not None and not self.energy <= self.alt_energy * (1 + 1e-12):
             raise ValueError(
                 f"energy {self.energy!r} exceeds the other class's {self.alt_energy!r}"
             )
@@ -497,7 +486,7 @@ def _sweep_decrease(u: np.ndarray, dtheta: float) -> float:
     _kernels.gs_sweep(swept, dtheta, 1)
     _kernels.gs_center(swept)
     energy = _kernels.gs_energy(u, dtheta)
-    return (energy - _kernels.gs_energy(swept, dtheta)) / max(energy, 1e-30)
+    return (energy - _kernels.gs_energy(swept, dtheta)) / (energy or 1.0)
 
 
 def relax_oracle(spectrum: Spectrum, grid: PolarGrid) -> DiskField:

@@ -166,7 +166,7 @@ def test_criterion_5_blowup_identity():
     trace = BoundaryTrace.from_values(loop[:n], loop[n:])
     field = minimize(trace, GRID).field
     limit = blowup_sequence(field, (0.4, 0.2, 0.1)).fields[-1]
-    entry, fitted, _residual = identify_catalog(limit, 0.05)
+    entry, fitted, _residual = identify_catalog(limit)
     profile = frequency_profile(limit, (0.25, 0.5, 0.75, 1.0))
     assert fitted == float(np.median(profile.N))
     H1, inv_n = boundary_mass_identity(limit, entry.N)

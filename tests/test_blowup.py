@@ -155,7 +155,7 @@ def test_boundary_mass_identity_values(grid64):
 def test_identify_catalog_branched_minimizer(grid64):
     field = minimize(single_mode_trace(1.5), grid64).field
     limit = blowup_sequence(field, [0.4, 0.2, 0.1]).fields[-1]
-    entry, _fitted, residual = identify_catalog(limit, 0.05)
+    entry, _fitted, residual = identify_catalog(limit)
     assert entry.N == 1.5
     assert entry.continuation is Continuation.SWAP
     assert residual <= 0.01
@@ -165,7 +165,8 @@ def test_identify_catalog_branched_minimizer(grid64):
 
 def test_identify_catalog_doubled_z(grid64):
     g = rescale_normalize(sample_field(DOUBLED_Z, grid64), 1.0)
-    entry, _fitted, residual = identify_catalog(g, 1e-6)
+    entry, _fitted, residual = identify_catalog(g)
+    entry.validate(1e-6)  # the exact sample fits far inside the fit tolerance
     assert entry.N == 1.0
     assert entry.continuation is Continuation.IDENTITY
     assert residual <= 1e-9
@@ -185,7 +186,7 @@ def test_identify_catalog_rejects_offgrid_frequency(grid64):
     f = DiskField(grid64, sheet, -sheet, Continuation.IDENTITY)
     g = rescale_normalize(f, 1.0)
     with pytest.raises(NoCatalogMatch):
-        identify_catalog(g, 0.05)
+        identify_catalog(g)
 
 
 def test_no_catalog_match_reports_plain_floats(grid64):
@@ -195,7 +196,7 @@ def test_no_catalog_match_reports_plain_floats(grid64):
     sheet = np.stack([r * np.cos(th), np.zeros_like(r * th)], axis=-1)
     f = DiskField(grid64, sheet, -sheet, Continuation.IDENTITY)
     with pytest.raises(NoCatalogMatch, match="not conformal") as exc:
-        identify_catalog(rescale_normalize(f, 1.0), 0.05)
+        identify_catalog(rescale_normalize(f, 1.0))
     assert "FourTuple(a=" in str(exc.value)
     assert "np.float64" not in str(exc.value)
 
@@ -221,7 +222,7 @@ def test_identify_catalog_seam_messages(grid64, t2, seam, message):
     entry = HomogeneousPair(1.0, FourTuple(1.0, 0.0, 0.0, 1.0), FourTuple(*t2), seam)
     g = rescale_normalize(sample_field(entry, grid64), 1.0)
     with pytest.raises(NoCatalogMatch) as exc:
-        identify_catalog(g, 0.05)
+        identify_catalog(g)
     assert str(exc.value) == message
 
 
@@ -242,7 +243,7 @@ def test_identify_catalog_rejects_slit_jump_field(grid64):
     f = DiskField(grid64, sheet, -sheet, Continuation.IDENTITY)
     g = rescale_normalize(f, 1.0)
     with pytest.raises(NoCatalogMatch):
-        identify_catalog(g, 0.05)
+        identify_catalog(g)
 
 
 def test_blowup_parity(grid64):
@@ -542,5 +543,5 @@ def test_identify_catalog_names_the_fit_radii_on_a_coarse_grid():
     g = sample_field(DOUBLED_Z, PolarGrid(10, 64))
     with pytest.raises(GridTooCoarse, match=r"^the catalog fit reads radii 0\.25, 0\.5, "
                        r"0\.75, 1: radius 0\.25 is below 3 grid rings$"):
-        identify_catalog(g, 0.05)
-    identify_catalog(sample_field(DOUBLED_Z, PolarGrid(11, 64)), 0.05)
+        identify_catalog(g)
+    identify_catalog(sample_field(DOUBLED_Z, PolarGrid(11, 64)))

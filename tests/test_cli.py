@@ -295,6 +295,29 @@ def test_minimize_keeps_its_answer_at_scale(tmp_path, capsys, scale):
     assert lines[1][-2] == lines[0][-2] == "N0: 1.5  monotonicity defect: 0.000422"
 
 
+@pytest.mark.parametrize("scale", [1e-8, 1e-12, 1e-17])
+def test_commands_keep_their_answer_at_small_scale(perturbed_trace_file, tmp_path, capsys,
+                                                   scale):
+    """Every data threshold scales with the data, and the oracle gap is
+    relative to the energy however small it is: minimize --oracle prints the
+    class, N0 and oracle gap of scale 1, and blowup reads its entry."""
+    trace = load_trace(perturbed_trace_file)
+    small = tmp_path / "small.json"
+    save_trace(BoundaryTrace.from_values(scale * trace.p1, scale * trace.p2), small)
+    grid = ["--nr", "32", "--ntheta", "128"]
+    outputs = []
+    for path in (perturbed_trace_file, small):
+        assert main(["minimize", str(path), *grid, "--oracle",
+                     "--out", str(tmp_path / "f.csv")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert main(["blowup", str(path), *grid]) == 0
+        report = json.loads(capsys.readouterr().out)
+        outputs.append((lines[0], lines[2], lines[-1], report["rounded_N"],
+                        report["continuation"]))
+    assert outputs[1] == outputs[0]
+    assert outputs[0][0] == "class: swap" and outputs[0][3:] == (1.5, "swap")
+
+
 def test_cmd_blowup_builds_no_minimizer_field(tmp_path, monkeypatch, capsys):
     """The blow-up evaluates the minimizer once, on rings 0..rings_read at
     its largest radius, and computes neither its field on the whole grid
@@ -480,6 +503,34 @@ def test_cli_subprocess_entry(tmp_path, branched_trace_file):
     )
     assert proc.returncode == 0
     assert "F4(b=2)" in proc.stdout
+
+
+def test_trace_commands_do_not_import_numpy_ma(tmp_path, branched_trace_file):
+    """numpy.ma costs each process an import and resident memory; a fresh
+    interpreter running blowup, minimize and minimize --oracle never loads
+    it (np.median and np.unique would)."""
+    import os
+    import subprocess
+
+    grid = ["--nr", "32", "--ntheta", "128"]
+    runs = [
+        ["blowup", branched_trace_file, *grid, "--out", str(tmp_path / "r.json")],
+        ["minimize", branched_trace_file, *grid, "--out", str(tmp_path / "f.csv")],
+        ["minimize", branched_trace_file, *grid, "--out", str(tmp_path / "f.csv"), "--oracle"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from qdisk import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {runs!r}]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0] False\n", proc.stderr
 
 
 def _branched_trace_with_mode(n, k):

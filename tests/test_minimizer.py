@@ -641,7 +641,9 @@ def test_extension_on_mismatched_grid_resolution():
 
 
 def test_minimize_result_rejects_higher_energy_under_optimize():
-    """The class-order check is a real check, not an assert that -O strips."""
+    """The class-order check is a real check, not an assert that -O strips,
+    and its slack is relative: an energy twice the other class's is
+    rejected at any scale."""
     import os
     import subprocess
     import sys
@@ -654,10 +656,11 @@ def test_minimize_result_rejects_higher_energy_under_optimize():
         "from qdisk.forms import Continuation\n"
         "from qdisk.minimizer import MinimizeResult\n"
         "print(sys.flags.optimize)\n"
-        "try:\n"
-        "    MinimizeResult(Continuation.SWAP, None, None, alt_energy=1.0, _energy=5.0)\n"
-        "except ValueError:\n"
-        "    print('rejected')\n"
+        "for alt, energy in ((1.0, 5.0), (1e-16, 2e-16)):\n"
+        "    try:\n"
+        "        MinimizeResult(Continuation.SWAP, None, None, alt_energy=alt, _energy=energy)\n"
+        "    except ValueError:\n"
+        "        print('rejected')\n"
     )
     src = str(Path(qdisk.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -667,7 +670,7 @@ def test_minimize_result_rejects_higher_energy_under_optimize():
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "rejected"]
+    assert proc.stdout.split() == ["1", "rejected", "rejected"]
     MinimizeResult(Continuation.SWAP, None, None, alt_energy=5.0, _energy=1.0)
 
 

@@ -140,3 +140,35 @@ def test_test_only_definitions_are_listed():
         f"test-only but not listed: {sorted(test_only - set(TEST_ONLY))}; "
         f"listed but used by the program: {sorted(set(TEST_ONLY) - test_only)}"
     )
+
+
+# Thresholds on data, each stated for data whose largest |value| lies in [1, 2)
+DATA_THRESHOLDS = {"COEFF_EPS", "SEP_TOL", "EPS_BOUNDARY_MASS", "ENERGY_EPS"}
+
+
+def test_data_thresholds_are_read_through_scaled_tol():
+    """The package reads each data threshold only as the first argument of
+    scaled_tol, which scales it to the data it tests, so an absolute
+    comparison cannot come back unseen. Spectrum's coeff_eps default, for a
+    spectrum built by hand, is the one exception."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _referred_name(node.func) == "scaled_tol":
+                allowed.add(id(node.args[0]))
+            if isinstance(node, ast.ClassDef) and node.name == "Spectrum":
+                allowed.update(
+                    id(item.value) for item in node.body
+                    if isinstance(item, ast.AnnAssign) and _referred_name(item.target) == "coeff_eps"
+                )
+        found += [
+            f"{path.name}:{node.lineno} {_referred_name(node)}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)
+            and _referred_name(node) in DATA_THRESHOLDS
+            and id(node) not in allowed
+        ]
+    assert not found, f"data thresholds read without scaled_tol: {found}"
