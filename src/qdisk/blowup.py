@@ -5,7 +5,8 @@ energy produces, along shrinking radii, approximations of the blow-up limit
 at the origin. For minimizers vanishing at the origin the limit is
 homogeneous of degree N(0), its boundary mass equals 1/N(0), and its sheets
 belong to the conformal catalog. ``identify_catalog`` checks the first and
-the last by fitting a catalog entry; ``boundary_mass_identity`` the second.
+the last by fitting a catalog entry; ``blowup_report`` sets the boundary
+mass beside 1/N(0).
 """
 
 from __future__ import annotations
@@ -32,18 +33,10 @@ from .qpoint import pair_distance_arrays, pair_distance_buffers, squared_pair_di
 ENERGY_EPS = 1e-14
 
 
-def _lerp_rule(grid: PolarGrid, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ring i of the rescale at r reads source rings i0[i] and i0[i] + 1,
-    the second with weight fr[i]; i0 ascends."""
-    x = np.clip(r * grid.radii, 0.0, 1.0) * grid.n_r
-    i0 = np.minimum(x.astype(int), grid.n_r - 1)
-    return i0, x - i0
-
-
 def rings_read(grid: PolarGrid, r: float) -> int:
     """The outermost source ring ``rescale_normalize`` reads at r: rings
     0..rings_read(grid, r) of a source are all it needs (n_r at r = 1)."""
-    return int(_lerp_rule(grid, r)[0][-1]) + 1
+    return int(grid.lerp(r)[0]) + 1
 
 
 def rescale_normalize(field, r: float) -> DiskField:
@@ -59,7 +52,7 @@ def rescale_normalize(field, r: float) -> DiskField:
     is nothing to normalize, ValueError when the source lacks a ring read.
     """
     grid = field.grid
-    i0, fr = _lerp_rule(grid, r)
+    i0, fr = grid.lerp(r * grid.radii)
     fr = fr[:, None, None]
     if min(len(field.sheet1), len(field.sheet2)) < i0[-1] + 2:
         raise ValueError(f"the rescale at r={r} reads {i0[-1] + 2} rings of the source")
@@ -132,41 +125,22 @@ def check_radii(radii, grid: PolarGrid) -> tuple:
     return radii
 
 
-def blowup_steps(field, radii):
-    """Yield (r, g, defect) along the checked radii: g is
-    ``rescale_normalize(field, r)`` and defect the Cauchy defect between the
-    previous g and this one, None at the first radius. ``field`` is a
-    DiskField or a source that holds the rings the first radius reads
-    (``rescale_normalize``). The generator keeps only the previous g, so a
-    caller that drops each g once it has the next holds at most two
-    rescaled fields."""
-    previous = None
-    for r in check_radii(radii, field.grid):
-        g = rescale_normalize(field, r)
-        yield r, g, None if previous is None else _cauchy_defect(previous, g)
-        previous = g
-
-
 def blowup_sequence(field, radii, keep_fields: bool = True) -> BlowupSequence:
-    """The steps of ``blowup_steps`` collected. With keep_fields=False only
-    the last field, the limit, is kept: at most two rescaled fields are
-    alive at once, and ``fields`` holds the limit alone."""
-    checked, fields, defects = [], [], []
-    for r, g, defect in blowup_steps(field, radii):
-        checked.append(r)
-        if defect is not None:
-            defects.append(defect)
-        if not keep_fields:
-            fields.clear()
+    """``rescale_normalize(field, r)`` along the checked radii, with the
+    Cauchy defect of each field against the one before. ``field`` is a
+    DiskField or a source that holds the rings the first radius reads. With
+    keep_fields=False only the last field, the limit, is kept: at most two
+    rescaled fields are alive at once, and ``fields`` holds the limit alone."""
+    radii = check_radii(radii, field.grid)
+    fields, defects = [], []
+    for r in radii:
+        g = rescale_normalize(field, r)
+        if fields:
+            defects.append(_cauchy_defect(fields[-1], g))
+            if not keep_fields:
+                fields.clear()
         fields.append(g)
-    return BlowupSequence(tuple(checked), tuple(fields), tuple(defects))
-
-
-def boundary_mass_identity(g: DiskField, N0: float) -> tuple[float, float]:
-    """Return (H(1), 1/N0); equal for unit-energy blow-up limits."""
-    if N0 <= 0:
-        raise ValueError("N0 must be positive")
-    return boundary_mass(g, 1.0), 1.0 / N0
+    return BlowupSequence(radii, tuple(fields), tuple(defects))
 
 
 _FIT_RADII = (0.25, 0.5, 0.75, 1.0)
@@ -244,14 +218,13 @@ def blowup_report(
     g: DiskField, entry: HomogeneousPair, fitted_N: float, residual: float
 ) -> dict:
     """JSON-ready summary of a blow-up identification."""
-    H1, inv_n = boundary_mass_identity(g, entry.N)
     return {
         "fitted_N": fitted_N,
         "rounded_N": entry.N,
         "continuation": entry.continuation.value,
         "residual": residual,
-        "boundary_mass": H1,
-        "1/N": inv_n,
+        "boundary_mass": boundary_mass(g, 1.0),
+        "1/N": 1.0 / entry.N,
     }
 
 

@@ -17,8 +17,8 @@ both trace commands check the grid, their radii (PolarGrid.rings, the one
 radius rule; for blowup also the radii of the catalog fit) and their output
 paths, none of which may overwrite the input trace or another output
 (exit 2). minimize prints its results only after writing its files, and a
-run that fails while writing removes the files it wrote, so a run that
-exits 2 leaves no results.
+run that fails while writing removes the files it wrote, the one it was
+writing included, so a run that exits 2 leaves no results.
 
 File formats:
     boundary trace  JSON array of {"theta": t, "p1": [x, y], "p2": [x, y]}
@@ -30,7 +30,9 @@ File formats:
     match table     CSV columns form_i, form_j, continuation,
                     frequency_class, constraints (JSON: same records)
     blow-up report  JSON {fitted_N, rounded_N, continuation, residual,
-                    boundary_mass, 1/N}
+                    boundary_mass, 1/N, cauchy_defects}; at frequency 0
+                    both N are 0, the next four null, and a note stands
+                    in place of cauchy_defects
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from .field import (
     dirichlet_energy,
     dump_files,
     frequency_profile,
+    output_file,
     save_field,
 )
 from .forms import (
@@ -129,7 +132,8 @@ def _write_out(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        with output_file(out) as fh:
+            fh.write(text.encode())
 
 
 def cmd_classify(args) -> int:
@@ -197,11 +201,11 @@ def _refuse_overwrite(trace: str, outputs) -> None:
 @contextlib.contextmanager
 def _removed_on_error():
     """Yield a list for the paths of the files a run has written; when the
-    block fails with OSError, remove them before the error propagates."""
+    block fails, remove them before the error propagates."""
     written = []
     try:
         yield written
-    except OSError:
+    except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
         raise
@@ -281,9 +285,8 @@ def cmd_blowup(args) -> int:
         _write_out(report_to_json(report), args.out)
         return EXIT_OK
 
-    # the steps collected: all fields only when they are dumped, else the
-    # limit. They read the minimizer only out to the largest radius, and
-    # those rings are freed once the sequence is done.
+    # every rescaled field when they are dumped, else the limit alone; the
+    # minimizer's rings out to the largest radius are freed once it is made
     seq = blowup_sequence(
         inner_extension(result.spectrum, grid, rings_read(grid, radii[0])),
         radii, keep_fields=bool(dumps),

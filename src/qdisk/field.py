@@ -14,6 +14,7 @@ and its limit at 0 is the homogeneity degree of the blow-up.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -29,6 +30,8 @@ from .forms import Continuation, HomogeneousPair, sheet_eval
 from .qpoint import pair_distance_arrays
 
 EPS_BOUNDARY_MASS = 1e-14
+# how far a sheet's center ring may depart from one value
+CENTER_RING_ATOL = 1e-9
 # innermost rings below grid resolution: PolarGrid.rings keeps the profile
 # and blow-up radii outside them and the blow-up's sup norms skip them,
 # since interpolation noise amplifies there
@@ -92,6 +95,13 @@ class PolarGrid:
             rings.add(i)
         return sorted(rings)
 
+    def lerp(self, rho):
+        """(i0, fr): radius rho, clipped to [0, 1], reads rings i0 and i0 + 1,
+        the second with weight fr (elementwise; i0 ascends with rho)."""
+        x = np.clip(rho, 0.0, 1.0) * self.n_r
+        i0 = np.minimum(x.astype(int), self.n_r - 1)
+        return i0, x - i0
+
 
 @dataclass(frozen=True)
 class DiskField:
@@ -113,7 +123,7 @@ class DiskField:
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             if arr.shape != expected:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {expected}")
-            if not np.allclose(arr[0], arr[0, 0], atol=1e-9):
+            if not np.allclose(arr[0], arr[0, 0], atol=scaled_tol(CENTER_RING_ATOL, arr[-1])):
                 raise ValueError(f"{name} center ring is not angle independent")
             view = arr.view()
             view.flags.writeable = False
@@ -254,7 +264,7 @@ class FrequencyProfile:
         """r, D, H, N rows as %.17g, lines ending in CRLF."""
         values = np.column_stack([self.radii, self.D, self.H, self.N])
         rows = "%.17g,%.17g,%.17g,%.17g\r\n" * len(values)
-        with open(path, "wb") as fh:
+        with output_file(path) as fh:
             fh.write(("r,D,H,N\r\n" + rows % tuple(values.ravel().tolist())).encode())
 
 
@@ -294,9 +304,7 @@ def values_at(field: DiskField, r, theta) -> tuple[np.ndarray, np.ndarray]:
     r = np.atleast_1d(np.asarray(r, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float)) % (2.0 * np.pi)
 
-    x = np.clip(r, 0.0, 1.0) * grid.n_r
-    i0 = np.minimum(x.astype(int), grid.n_r - 1)
-    fr = x - i0
+    i0, fr = grid.lerp(r)
 
     def interp(stack: np.ndarray, angles: np.ndarray) -> np.ndarray:
         cols = stack.shape[1]
@@ -591,6 +599,20 @@ def _csv_rows(values: np.ndarray, rings: np.ndarray, angles: np.ndarray) -> byte
     return staged.translate(None, b"\0")
 
 
+@contextlib.contextmanager
+def output_file(path):
+    """Open path to write bytes; when a write or the close fails, remove
+    the file before the error propagates, so no part of it is left. An open
+    that fails creates nothing and removes nothing."""
+    fh = open(path, "wb")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
+
+
 def dump_files(csv_path) -> tuple[Path, Path]:
     """The two files of a field dump: the CSV and its JSON header sidecar."""
     csv_path = Path(csv_path)
@@ -602,6 +624,7 @@ def save_field(field: DiskField, csv_path) -> None:
 
     One row per node, sheet 1 before sheet 2, ring by ring, angle by angle;
     values as %.17g (which round-trips every double), lines end in CRLF.
+    A dump that fails leaves neither file.
     """
     csv_path, sidecar = dump_files(csv_path)
     header = {
@@ -609,21 +632,21 @@ def save_field(field: DiskField, csv_path) -> None:
         "n_theta": field.grid.n_theta,
         "seam": field.seam.value,
     }
-    sidecar.write_text(json.dumps(header, indent=2) + "\n")
+    with output_file(sidecar) as fh:
+        fh.write((json.dumps(header, indent=2) + "\n").encode())
     n_r, cols = field.grid.n_r, field.grid.n_theta
     rings = _label_words(f"{i}," for i in range(n_r + 1))
     step = max(1, DUMP_ROWS // cols)  # whole rings per block
     try:
-        fh = open(csv_path, "wb")
-    except OSError:
+        with output_file(csv_path) as fh:
+            fh.write(",".join(DUMP_COLUMNS).encode() + b"\r\n")
+            for sheet_id, sheet in ((1, field.sheet1), (2, field.sheet2)):
+                angles = _label_words(f"{j},{sheet_id}," for j in range(cols))
+                for lo in range(0, n_r + 1, step):
+                    fh.write(_csv_rows(sheet[lo : lo + step], rings[:, lo : lo + step], angles))
+    except BaseException:
         sidecar.unlink()  # no sidecar without its dump
         raise
-    with fh:
-        fh.write(",".join(DUMP_COLUMNS).encode() + b"\r\n")
-        for sheet_id, sheet in ((1, field.sheet1), (2, field.sheet2)):
-            angles = _label_words(f"{j},{sheet_id}," for j in range(cols))
-            for lo in range(0, n_r + 1, step):
-                fh.write(_csv_rows(sheet[lo : lo + step], rings[:, lo : lo + step], angles))
 
 
 def load_field(csv_path) -> DiskField:

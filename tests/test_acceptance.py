@@ -11,9 +11,10 @@ import pytest
 
 from conftest import random_trace
 
-from qdisk.blowup import blowup_sequence, boundary_mass_identity, identify_catalog
+from qdisk.blowup import blowup_sequence, identify_catalog
 from qdisk.field import (
     PolarGrid,
+    boundary_mass,
     dirichlet_energy,
     energy_decay_check,
     frequency_profile,
@@ -169,7 +170,7 @@ def test_criterion_5_blowup_identity():
     entry, fitted, _residual = identify_catalog(limit)
     profile = frequency_profile(limit, (0.25, 0.5, 0.75, 1.0))
     assert fitted == float(np.median(profile.N))
-    H1, inv_n = boundary_mass_identity(limit, entry.N)
+    H1 = boundary_mass(limit, 1.0)
     elapsed = time.perf_counter() - start
     ok = (
         abs(fitted - 1.5) <= 0.02

@@ -12,8 +12,6 @@ from qdisk.blowup import (
     BlowupSequence,
     _cauchy_defect,
     blowup_sequence,
-    blowup_steps,
-    boundary_mass_identity,
     check_radii,
     identify_catalog,
     rescale_normalize,
@@ -24,6 +22,7 @@ from qdisk.field import (
     RING_BLOCK,
     DiskField,
     PolarGrid,
+    boundary_mass,
     dirichlet_energy,
     frequency_profile,
     sample_field,
@@ -147,9 +146,7 @@ def test_boundary_mass_identity_values(grid64):
                 Continuation.SWAP,
             )
         g = rescale_normalize(sample_field(entry, grid64), 1.0)
-        lhs, rhs = boundary_mass_identity(g, nu)
-        np.testing.assert_allclose(lhs, rhs, rtol=0.02)
-        np.testing.assert_allclose(rhs, 1.0 / nu)
+        np.testing.assert_allclose(boundary_mass(g, 1.0), 1.0 / nu, rtol=0.02)
 
 
 def test_identify_catalog_branched_minimizer(grid64):
@@ -269,8 +266,8 @@ def test_blowup_parity(grid64):
                 assert int(round(k)) % 2 == 1
             else:
                 assert int(round(k)) % 2 == 0
-            lhs, rhs = boundary_mass_identity(limit, round(k) / 2.0)
-            assert abs(lhs - rhs) <= 0.02 * rhs
+            rhs = 1.0 / (round(k) / 2.0)
+            assert abs(boundary_mass(limit, 1.0) - rhs) <= 0.02 * rhs
 
 
 def test_blowup_sequence_unit_energy(grid64):
@@ -449,23 +446,21 @@ def test_energy_ladder_computed_once_per_field(grid64, monkeypatch):
 
 
 @pytest.mark.parametrize("seam", [Continuation.IDENTITY, Continuation.SWAP])
-def test_blowup_sequence_collects_blowup_steps_bitwise(seam):
-    """blowup_sequence is blowup_steps collected: the same radii, fields and
-    defects, bit for bit; with keep_fields=False the last field alone."""
+def test_blowup_sequence_is_rescales_and_their_defects_bitwise(seam):
+    """blowup_sequence holds rescale_normalize at each radius and the
+    _cauchy_defect of each consecutive two, bit for bit; with
+    keep_fields=False the last field alone."""
     grid = PolarGrid(40, 64)
     field = random_field(grid, seam, np.random.default_rng(5))
     radii = (1.0, 0.5, 0.37, 0.2)
-    steps = list(blowup_steps(field, radii))
-    assert tuple(r for r, _, _ in steps) == radii
-    assert steps[0][2] is None
-    for (_, f, _), (_, g, defect) in zip(steps, steps[1:]):
-        assert defect == _cauchy_defect(f, g)
-    for seq, kept in ((blowup_sequence(field, radii), steps),
-                      (blowup_sequence(field, radii, keep_fields=False), steps[-1:])):
+    rescaled = [rescale_normalize(field, r) for r in radii]
+    defects = tuple(_cauchy_defect(f, g) for f, g in zip(rescaled, rescaled[1:]))
+    for seq, kept in ((blowup_sequence(field, radii), rescaled),
+                      (blowup_sequence(field, radii, keep_fields=False), rescaled[-1:])):
         assert seq.radii == radii
-        assert seq.cauchy_defects == tuple(d for _, _, d in steps[1:])
+        assert seq.cauchy_defects == defects
         assert len(seq.fields) == len(kept)
-        for got, (_, want, _) in zip(seq.fields, kept):
+        for got, want in zip(seq.fields, kept):
             assert got.sheet1.tobytes() == want.sheet1.tobytes()
             assert got.sheet2.tobytes() == want.sheet2.tobytes()
 

@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 from conftest import conformal_swap_trace, random_trace, single_mode_trace
 
 from qdisk import cli, minimizer
+from qdisk import field as field_module
 from qdisk.blowup import rings_read
 from qdisk.cli import main
 from qdisk.field import PolarGrid, load_field
@@ -70,15 +73,18 @@ def test_classify_exit_codes(capsys):
         ["classify", "1,0,0,inf"],
         ["classify", "1,0,0,1", "--tol", "nan"],
         ["classify", "1,0,0,1", "--tol=-1"],
+        ["classify", "1,2,x,4"],
     ],
 )
 def test_classify_rejects_non_finite_input(argv, capsys):
     """NaN slipped past the defect gate (nan > tol is False) and printed
-    not-conformal with exit 1."""
+    not-conformal with exit 1. A tuple that does not parse exits 2 too."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    if argv[1] == "1,2,x,4":
+        assert captured.err == "error: bad tuple '1,2,x,4'\n"
 
 
 def test_table_csv_and_json(tmp_path):
@@ -447,6 +453,61 @@ def test_failed_write_removes_written_files(perturbed_trace_file, tmp_path, caps
     assert sorted(tmp_path.iterdir()) == before
 
 
+class _FullAfter:
+    """A binary file that takes ``room`` bytes, then fails its write with
+    ENOSPC as a full disk does, after writing what fitted."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def write(self, data):
+        if len(data) > self.room:
+            self.fh.write(data[: self.room])
+            self.room = 0
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= len(data)
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize(
+    "argv, name, room",
+    [(["minimize", "{trace}", "--out", "{dir}/f.csv"], "f.json", 10),
+     (["minimize", "{trace}", "--out", "{dir}/f.csv"], "f.csv", 1_000_000),
+     (["minimize", "{trace}", "--out", "{dir}/f.csv"], "f_profile.csv", 100),
+     (["blowup", "{trace}", "--radii", "0.4,0.2", "--dump-fields", "{dir}/P",
+       "--out", "{dir}/report"], "P_r0.4.csv", 1_000_000),
+     (["blowup", "{trace}", "--radii", "0.4,0.2", "--dump-fields", "{dir}/P",
+       "--out", "{dir}/report"], "P_r0.2.csv", 1_000_000),
+     (["blowup", "{trace}", "--radii", "0.4,0.2", "--dump-fields", "{dir}/P",
+       "--out", "{dir}/report"], "report", 10)],
+    ids=["minimize-sidecar", "minimize-dump", "minimize-profile",
+         "blowup-first-dump", "blowup-second-dump", "blowup-report"],
+)
+def test_write_that_fails_midway_leaves_nothing(perturbed_trace_file, tmp_path, capsys,
+                                                monkeypatch, argv, name, room):
+    """A disk that fills while an output is written, after some of its
+    blocks: the run exits 2 and removes that output and every one it wrote
+    before. It left the partial file, and a dump's sidecar beside it."""
+
+    def full_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return _FullAfter(fh, room) if Path(path).name == name else fh
+
+    monkeypatch.setattr(field_module, "open", full_open, raising=False)
+    before = sorted(tmp_path.iterdir())
+    assert main([a.format(trace=perturbed_trace_file, dir=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "error: [Errno 28] No space left on device"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_blowup_bad_radii(perturbed_trace_file):
     assert main(["blowup", perturbed_trace_file, "--radii", "0.4,0.01"]) == 2
     assert main(["blowup", perturbed_trace_file, "--radii", "0.4,nope"]) == 2
@@ -630,6 +691,7 @@ def _trace_text_with(name, convert):
         pytest.param(_trace_text_with("p1", lambda p: [str(v) for v in p]), id="string-coordinates"),
         pytest.param(_trace_text_with("p2", lambda p: [True, p[1]]), id="bool-coordinate"),
         pytest.param(_trace_text_with("theta", str), id="string-theta"),
+        pytest.param(_trace_text_with("p1", lambda p: 3), id="number-point"),
     ],
 )
 def test_trace_that_is_not_an_array_of_rows(tmp_path, capsys, content):

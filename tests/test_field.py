@@ -273,6 +273,29 @@ def test_sheets_and_energy_ladder_are_read_only(grid32):
     assert dirichlet_energy(field, 1.0) == ladder[-1]
 
 
+def test_disk_field_refuses_a_wrong_shape(grid32):
+    good = np.zeros((grid32.n_r + 1, grid32.n_theta, 2))
+    with pytest.raises(ValueError, match=r"sheet2 has shape \(33, 127, 2\), expected \(33, 128, 2\)"):
+        DiskField(grid32, good, good[:, 1:], Continuation.IDENTITY)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-40], ids=["scale-1", "scale-2^-40"])
+def test_disk_field_center_ring_check_scales_with_the_data(scale):
+    """A center ring holding one 0.5 among zeros is refused and one holding
+    1e-12 among zeros accepted, whatever the scale of the sheet: the check's
+    absolute term scales with the outer ring. (It was an absolute 1e-9,
+    which accepted the 0.5 at scale 2^-40.)"""
+    grid = PolarGrid(8, 16)
+    sheet = np.random.default_rng(7).normal(size=(grid.n_r + 1, grid.n_theta, 2))
+    sheet[0] = 0.0
+    good = sheet * scale
+    sheet[0, 3, 0] = 1e-12
+    DiskField(grid, sheet * scale, good, Continuation.IDENTITY)
+    sheet[0, 3, 0] = 0.5
+    with pytest.raises(ValueError, match="sheet1 center ring is not angle independent"):
+        DiskField(grid, sheet * scale, good, Continuation.IDENTITY)
+
+
 @pytest.mark.parametrize("seam", list(Continuation))
 def test_from_stacks_takes_the_arrays(grid32, seam):
     """Identity stacks become the sheets without a copy; the halves of the

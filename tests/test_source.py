@@ -143,7 +143,9 @@ def test_test_only_definitions_are_listed():
 
 
 # Thresholds on data, each stated for data whose largest |value| lies in [1, 2)
-DATA_THRESHOLDS = {"COEFF_EPS", "SEP_TOL", "EPS_BOUNDARY_MASS", "ENERGY_EPS"}
+DATA_THRESHOLDS = {
+    "COEFF_EPS", "SEP_TOL", "EPS_BOUNDARY_MASS", "ENERGY_EPS", "CENTER_RING_ATOL",
+}
 
 
 def test_data_thresholds_are_read_through_scaled_tol():
