@@ -33,6 +33,17 @@ File formats:
                     boundary_mass, 1/N, cauchy_defects}; at frequency 0
                     both N are 0, the next four null, and a note stands
                     in place of cauchy_defects
+
+blowup rescales the spectral minimizer exactly: at radius r, mode nu times
+r^nu / sqrt(D(r)), D(r) the closed-form energy, a spectrum of unit energy.
+The report reads the limit (the last radius) from the spectrum in closed
+form: fitted_N is the median of N = rD/H at the grid rings of the catalog
+fit radii, boundary_mass is H/D at 1; the fitted tuples and residual read
+the limit on the unit circle at the grid's angles. cauchy_defects[k] is the
+largest labelled distance (sheet 1 to sheet 1, sheet 2 to sheet 2) on that
+circle between the rescales at radii k and k+1: the sheets' difference is
+harmonic, so it bounds their pair distance over the whole disk. A dump is
+the extension of a rescale on the grid, with unit closed-form energy.
 """
 
 from __future__ import annotations
@@ -52,7 +63,6 @@ from .blowup import (
     check_radii,
     identify_catalog,
     report_to_json,
-    rings_read,
 )
 from .errors import NoCatalogMatch, NotStationary, QdiskError
 from .field import (
@@ -78,7 +88,7 @@ from .minimizer import (
     folded_modes,
     forced_lift,
     frequency_from_spectrum,
-    inner_extension,
+    harmonic_extension,
     lift_boundary,
     load_trace,
     minimize,
@@ -285,12 +295,9 @@ def cmd_blowup(args) -> int:
         _write_out(report_to_json(report), args.out)
         return EXIT_OK
 
-    # every rescaled field when they are dumped, else the limit alone; the
-    # minimizer's rings out to the largest radius are freed once it is made
-    seq = blowup_sequence(
-        inner_extension(result.spectrum, grid, rings_read(grid, radii[0])),
-        radii, keep_fields=bool(dumps),
-    )
+    # the exact rescales of the spectrum: every one when they are dumped,
+    # else the limit alone; none of them builds a grid field
+    seq = blowup_sequence(result, radii, keep_fields=bool(dumps))
     limit = seq.fields[-1]
     entry, fitted, residual = identify_catalog(limit)
     report = blowup_report(limit, entry, fitted, residual)
@@ -301,7 +308,8 @@ def cmd_blowup(args) -> int:
     report["cauchy_defects"] = list(seq.cauchy_defects)
     with _removed_on_error() as written:
         for path, rescaled in zip(dumps, seq.fields):
-            save_field(rescaled, path)
+            # one grid field at a time, freed once written
+            save_field(harmonic_extension(rescaled.spectrum, grid), path)
             written.extend(dump_files(path))
         _write_out(report_to_json(report), args.out)
     return EXIT_OK

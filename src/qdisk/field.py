@@ -260,6 +260,17 @@ class FrequencyProfile:
     N: np.ndarray
     monotonicity_defect: float
 
+    @classmethod
+    def of(cls, radii, D, H, eps: float) -> "FrequencyProfile":
+        """The profile of D and H at ascending radii, N = r D / H; a boundary
+        mass H at most eps raises ZeroBoundaryMass."""
+        for r, h_val in zip(radii, H):
+            if h_val <= eps:
+                raise ZeroBoundaryMass(f"boundary mass {h_val:.3e} at r={r}")
+        N = radii * D / H
+        defect = float(np.max(N[:-1] - N[1:])) if len(N) > 1 else 0.0
+        return cls(radii, D, H, N, defect)
+
     def to_csv(self, path) -> None:
         """r, D, H, N rows as %.17g, lines ending in CRLF."""
         values = np.column_stack([self.radii, self.D, self.H, self.N])
@@ -282,13 +293,7 @@ def frequency_profile(field: DiskField, radii) -> FrequencyProfile:
     r = grid.radii[rings]
     H = np.array([boundary_mass(field, x) for x in r])
     eps = scaled_tol(EPS_BOUNDARY_MASS, np.square((field.sheet1[-1], field.sheet2[-1])))
-    for x, h_val in zip(r, H):
-        if h_val <= eps:
-            raise ZeroBoundaryMass(f"boundary mass {h_val:.3e} at r={x}")
-    D = field._cumulative_energy[rings]
-    N = r * D / H
-    defect = float(np.max(N[:-1] - N[1:])) if len(N) > 1 else 0.0
-    return FrequencyProfile(r, D, H, N, defect)
+    return FrequencyProfile.of(r, field._cumulative_energy[rings], H, eps)
 
 
 def values_at(field: DiskField, r, theta) -> tuple[np.ndarray, np.ndarray]:

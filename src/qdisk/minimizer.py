@@ -24,13 +24,20 @@ import json
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import _kernels
 from .errors import AmbiguousClass, NotStationary, ZeroSpectrum
-from .field import RING_BLOCK, DiskField, PolarGrid, dirichlet_energy, scaled_tol
+from .field import (
+    EPS_BOUNDARY_MASS,
+    RING_BLOCK,
+    DiskField,
+    FrequencyProfile,
+    PolarGrid,
+    dirichlet_energy,
+    scaled_tol,
+)
 from .forms import Continuation
 
 # A mode is present when a coefficient exceeds this, scaled to the lift's
@@ -313,14 +320,6 @@ def harmonic_extension(spectrum: Spectrum, grid: PolarGrid) -> DiskField:
     return DiskField(grid, *_eval_modes(spectrum, grid, grid.radii), spectrum.kind)
 
 
-def inner_extension(spectrum: Spectrum, grid: PolarGrid, m: int) -> SimpleNamespace:
-    """Rings 0..m of ``harmonic_extension(spectrum, grid)``, bit for bit (the
-    evaluator works ring by ring), as a blow-up source: ``grid``, ``seam``
-    and contiguous ``sheet1`` and ``sheet2`` of m + 1 rings."""
-    sheet1, sheet2 = _eval_modes(spectrum, grid, grid.radii[: m + 1])
-    return SimpleNamespace(grid=grid, seam=spectrum.kind, sheet1=sheet1, sheet2=sheet2)
-
-
 def spectral_energy(spectrum: Spectrum, r: float = 1.0) -> float:
     """Closed-form Dirichlet energy of the spectral extension over the disk
     of radius r.
@@ -337,6 +336,27 @@ def spectral_energy(spectrum: Spectrum, r: float = 1.0) -> float:
         weight = k * np.power(float(r), 2 * k * spectrum.frequency_unit)
         total += np.pi * np.sum(weight * (np.sum(cos**2, axis=1) + np.sum(sin**2, axis=1)))
     return float(total)
+
+
+def spectral_profile(spectrum: Spectrum, radii) -> FrequencyProfile:
+    """D, H and N of the spectral extension in closed form at the radii, as
+    given: D is ``spectral_energy``; H per loop of period P (2*pi, or 4*pi
+    for the double loop) is r (P |A_0|^2 + (P/2) sum_k r^(2 nu_k) (|A_k|^2 +
+    |B_k|^2)), the modes being orthogonal on every circle. N = r D / H is a
+    mean of the nu_k whose weights move to larger nu_k as r grows, so it
+    never decreases. ZeroBoundaryMass below EPS_BOUNDARY_MASS, scaled to
+    the squared coefficients."""
+    radii = np.array(radii, dtype=float)
+    unit = spectrum.frequency_unit
+    H, masses = 0.0, []
+    for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs):
+        mass = np.sum(cos**2, axis=1) + np.sum(sin**2, axis=1)
+        mass[0] *= 2.0  # P |A_0|^2 of the constant mode
+        H = H + np.power(radii[:, None], 2 * unit * np.arange(len(mass))) @ mass
+        masses.append(mass)
+    H *= np.pi / unit * radii  # P / 2 = pi / unit
+    D = np.array([spectral_energy(spectrum, r) for r in radii])
+    return FrequencyProfile.of(radii, D, H, scaled_tol(EPS_BOUNDARY_MASS, masses))
 
 
 def folded_modes(spectrum: Spectrum, grid: PolarGrid) -> tuple[int, float]:

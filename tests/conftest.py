@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -104,3 +108,14 @@ def random_field(grid, seam, rng):
     sheets = rng.normal(size=(2, grid.n_r + 1, grid.n_theta, 2))
     sheets[:, 0] = sheets[:, 0, :1]
     return DiskField(grid, sheets[0], sheets[1], seam)
+
+
+def perfbench_inputs(monkeypatch):
+    """perfbench/inputs.py, loaded by path with bytecode writing off."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look it up
+    spec.loader.exec_module(inputs)
+    return inputs

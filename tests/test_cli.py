@@ -1,6 +1,5 @@
 import errno
 import hashlib
-import importlib.util
 import json
 import os
 import sys
@@ -9,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import conformal_swap_trace, random_trace, single_mode_trace
+from conftest import conformal_swap_trace, perfbench_inputs, random_trace, single_mode_trace
 
+from qdisk import blowup as blowup_module
 from qdisk import cli, minimizer
 from qdisk import field as field_module
-from qdisk.blowup import rings_read
 from qdisk.cli import main
 from qdisk.field import PolarGrid, load_field
 from qdisk.forms import Continuation
@@ -325,26 +324,35 @@ def test_commands_keep_their_answer_at_small_scale(perturbed_trace_file, tmp_pat
 
 
 def test_cmd_blowup_builds_no_minimizer_field(tmp_path, monkeypatch, capsys):
-    """The blow-up evaluates the minimizer once, on rings 0..rings_read at
-    its largest radius, and computes neither its field on the whole grid
-    nor a quadrature energy."""
+    """Without --dump-fields the blow-up evaluates one ring per radius, the
+    unit circle of each exact rescale, and computes no grid field, no
+    quadrature energy and no lerp. With it, each dump is the extension of
+    one rescale: one whole field per radius on top."""
     calls, evaluated = [], []
-    for owner, name in ((minimizer, "harmonic_extension"), (minimizer, "dirichlet_energy"),
-                        (cli, "dirichlet_energy")):
-        monkeypatch.setattr(owner, name, lambda *args, name=name: calls.append(name))
-    eval_modes = minimizer._eval_modes
+    eval_modes, extension = minimizer._eval_modes, minimizer.harmonic_extension
 
     def recorded(spectrum, grid, radial):
         evaluated.append(len(radial))
         return eval_modes(spectrum, grid, radial)
 
-    monkeypatch.setattr(minimizer, "_eval_modes", recorded)
+    for owner, name in ((minimizer, "dirichlet_energy"), (cli, "dirichlet_energy"),
+                        (field_module, "_ring_energy"), (blowup_module, "rescale_normalize")):
+        monkeypatch.setattr(owner, name, lambda *args, name=name: calls.append(name))
+    for owner in (minimizer, blowup_module):
+        monkeypatch.setattr(owner, "_eval_modes", recorded)
+    for owner in (minimizer, cli):
+        monkeypatch.setattr(owner, "harmonic_extension",
+                            lambda *args: calls.append("harmonic_extension") or extension(*args))
     path = tmp_path / "t.json"
     save_trace(single_mode_trace(1.5), path)
     out = tmp_path / "report.json"
-    assert main(["blowup", str(path), "--radii", "0.1,0.4,0.2", "--out", str(out)]) == 0
-    assert (calls, evaluated) == ([], [rings_read(PolarGrid(64, 256), 0.4) + 1])
+    argv = ["blowup", str(path), "--radii", "0.1,0.4,0.2", "--out", str(out)]
+    assert main(argv) == 0
+    assert (calls, evaluated) == ([], [1, 1, 1])
     assert json.loads(out.read_text())["rounded_N"] == 1.5
+    evaluated.clear()
+    assert main(argv + ["--dump-fields", str(tmp_path / "P")]) == 0
+    assert (calls, evaluated) == (["harmonic_extension"] * 3, [1, 1, 1] + [65] * 3)
 
 
 def test_subcommands_reject_flags_they_do_not_read():
@@ -873,9 +881,10 @@ def test_blowup_checks_fit_radii_before_minimize(perturbed_trace_file, tmp_path,
 
 # SHA-256 of the blow-up report, and of sidecar + CSV of the limit's dump,
 # for conformal_swap_trace(default_rng(1)) at 32x128 with the default radii,
-# pinned before the blow-up kept only the fields it reads (x86-64, numpy 2)
-GOLDEN_BLOWUP_REPORT_SHA256 = "43391ec975dafe864fd260074cf3a6cee6e87c153137c37b6145318f310cc598"
-GOLDEN_BLOWUP_DUMP_SHA256 = "5c11af2e40cf73dc4a3cbe76fdbd8630961f4f7e65c084d91753bd1802ecd223"
+# pinned when the blow-up became the exact rescale of the spectrum (x86-64,
+# numpy 2)
+GOLDEN_BLOWUP_REPORT_SHA256 = "b663eea8c859608796fd1f570c7c2d7cd460ab0d77aa0aa5af0d633d4c28d09d"
+GOLDEN_BLOWUP_DUMP_SHA256 = "74f635b0f994105d6fe030c7d2e6b4aa40db5acb5ca24dd93f476b038b3c5660"
 
 
 def test_blowup_golden_bytes(tmp_path):
@@ -942,21 +951,12 @@ def test_minimize_golden_bytes_on_consecutive_modes(tmp_path, monkeypatch, capsy
     assert digests == GOLDEN_MINIMIZE_SHA256[kind]
 
 
-def _perfbench_inputs(monkeypatch):
-    """perfbench/inputs.py, loaded by path with bytecode writing off."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look it up
-    spec.loader.exec_module(inputs)
-    return inputs
-
-
 # The first input of each benchmark workload that writes a field dump, as
 # perfbench/run.py invokes it with its outputs in D/ (the blow-up also dumps
 # its fields): the make_traces arguments, the command line, and the SHA-256
-# of every file written, as BENCH_16.json records them under outputs.per_input.
+# of every file written, as BENCH_16.json records them under outputs.per_input,
+# apart from the blow-up's, pinned again when it moved to the exact rescales
+# of the spectrum.
 BENCH_OUTPUTS = {
     "broad-0": (
         ("broadband", 101, 1024, 1),
@@ -981,13 +981,13 @@ BENCH_OUTPUTS = {
         ["blowup", "--nr", "256", "--ntheta", "1024", "--radii", "0.4,0.2,0.1",
          "--out", "D/report.json", "--dump-fields", "D/F"],
         {
-            "F_r0.1.csv": "37e2a960838f15dc158e81fa193c5dc9acd37b90300d017836cd1bb38cf69b35",
+            "F_r0.1.csv": "63f71707d673fae901421f1271cb7ed7bc059c8b8ed57e305db2fba67429ebf0",
             "F_r0.1.json": "429e61e04efb551a384c1e44d7a06b00e3afb264dbbfca60e225c987e5bdd7c7",
-            "F_r0.2.csv": "24c24531bfd0859d69ae7451136a3f03e696a64ee10bdb7a068dea1fc8350c08",
+            "F_r0.2.csv": "f316ab3565ccadeeb4cf3fa1544a276addfae38165b75a5aab24741e0b361d29",
             "F_r0.2.json": "429e61e04efb551a384c1e44d7a06b00e3afb264dbbfca60e225c987e5bdd7c7",
-            "F_r0.4.csv": "aec86176fe30cd305810a2384bb72d03c9c55c6b20dff8e9c3967163cad409fc",
+            "F_r0.4.csv": "eea5e3ea2a940801121b26ef49a9d4c9071ffc948a52160fd4ab353c2aeb130e",
             "F_r0.4.json": "429e61e04efb551a384c1e44d7a06b00e3afb264dbbfca60e225c987e5bdd7c7",
-            "report.json": "53a65841153a56e9b91b84f8aeb380b24c610dd42dc206ded7a42c7413e3f708",
+            "report.json": "4444f3269baf25048e2dd38c5e41968da1d0af06d8e9ceac01e2524a0a7aba60",
         },
     ),
 }
@@ -999,7 +999,7 @@ def test_benchmark_outputs_keep_their_bytes(tmp_path, monkeypatch, name):
     32 rings and a one-ring tail, keep the bytes the benchmark recorded."""
     traces, (command, *options), digests = BENCH_OUTPUTS[name]
     monkeypatch.chdir(tmp_path)
-    _perfbench_inputs(monkeypatch).make_traces(*traces)[0].write(Path("trace.json"))
+    perfbench_inputs(monkeypatch).make_traces(*traces)[0].write(Path("trace.json"))
     Path("D").mkdir()
     assert main([command, "trace.json", *options]) == 0
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -1009,24 +1009,36 @@ def test_benchmark_outputs_keep_their_bytes(tmp_path, monkeypatch, name):
 
 def test_blowup_warns_when_mass_identity_misses(perturbed_trace_file, tmp_path, monkeypatch,
                                                 capsys):
-    """A broadband trace at 64x256 has an unconverged limit at r = 0.1: H(1)
-    misses 1/N by 3.6%, one stderr line says so, the report is unchanged.
-    The criterion-5 trace meets the identity and gets no warning."""
-    path = tmp_path / "broadband.json"
-    _perfbench_inputs(monkeypatch).make_traces("broadband", 1, 256, 2)[0].write(path)
+    """The criterion-5 trace (3/2 plus 0.2 times 7/2) blown up at r = 0.9
+    alone has an unconverged limit: its H(1), the closed form 1/N(0.9) =
+    0.6447, misses 1/N = 2/3 by 3.3%, and one stderr line says so. At the
+    default radii it meets the identity and gets no warning; so does a
+    broadband trace at 64x256, whose exact limit reads N within 0.005 of
+    1/2 and H(1) within 1e-4 of 2."""
     out = tmp_path / "report.json"
-    assert main(["blowup", str(path), "--out", str(out)]) == 0
+    assert main(["blowup", perturbed_trace_file, "--radii", "0.9", "--out", str(out)]) == 0
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "detected class: swap (separation 2.95)",
-        "warning: boundary mass 1.927 differs from 1/N 2 by 3.6%",
+        "detected class: swap (separation 1.6)",
+        "warning: boundary mass 0.6447 differs from 1/N 0.6667 by 3.3%",
     ]
     report = json.loads(out.read_text())
-    assert (report["rounded_N"], report["1/N"]) == (0.5, 2.0)
-    assert abs(report["boundary_mass"] - 1.9270927807466325) <= 1e-12
+    weights = np.array([1.0, 0.2**2]) * 0.9 ** np.array([3, 7])  # |c_k|^2 r^(2 nu_k)
+    closed = weights.sum() / (weights @ [1.5, 3.5])
+    assert (report["rounded_N"], report["1/N"]) == (1.5, 1 / 1.5)
+    assert abs(report["boundary_mass"] - closed) <= 1e-12
     assert main(["blowup", perturbed_trace_file, "--out", str(out)]) == 0
     assert capsys.readouterr().err == "detected class: swap (separation 1.6)\n"
+
+    path = tmp_path / "broadband.json"
+    perfbench_inputs(monkeypatch).make_traces("broadband", 1, 256, 2)[0].write(path)
+    assert main(["blowup", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "detected class: swap (separation 2.95)\n"
+    report = json.loads(out.read_text())
+    assert (report["rounded_N"], report["1/N"]) == (0.5, 2.0)
+    assert abs(report["fitted_N"] - 0.5) <= 0.005
+    assert abs(report["boundary_mass"] - 2.0) <= 1e-4
 
 
 def test_blowup_reports_folded_modes_at_frequency_zero(tmp_path, capsys):
@@ -1054,7 +1066,7 @@ def test_forced_swap_keeps_the_detected_sheet_order(monkeypatch, tmp_path, capsy
     the dump, its sidecar and the profile equal those of the run without
     --class, and so does the energy."""
     path = tmp_path / "band.json"
-    _perfbench_inputs(monkeypatch).make_traces("band", 101, 256, 8)[0].write(path)
+    perfbench_inputs(monkeypatch).make_traces("band", 101, 256, 8)[0].write(path)
     outs = []
     for name, extra in (("auto", []), ("forced", ["--class", "swap"])):
         assert main(["minimize", str(path), "--out", str(tmp_path / f"{name}.csv"), *extra]) == 0
@@ -1066,8 +1078,9 @@ def test_forced_swap_keeps_the_detected_sheet_order(monkeypatch, tmp_path, capsy
 
 
 def test_blowup_reports_non_conformal_fit(tmp_path, capsys):
-    """The first criterion-4 trace: its limit at r = 0.1 on 64x256 fits
-    non-conformal tuples, and blowup says so on one line, exit 3."""
+    """The first criterion-4 trace: its exact limit at r = 0.1, read on the
+    unit circle at 256 angles, fits non-conformal tuples, and blowup says so
+    on one line, exit 3."""
     path = tmp_path / "crit4.json"
     save_trace(random_trace(np.random.default_rng(2), Continuation.IDENTITY), path)
     out = tmp_path / "report.json"
@@ -1077,9 +1090,9 @@ def test_blowup_reports_non_conformal_fit(tmp_path, capsys):
     assert captured.err == (
         "detected class: identity (separation 0.473)\n"
         "error: NoCatalogMatch: fitted tuples not conformal at tol=0.05: "
-        "FourTuple(a=0.23549591328727218, b=-0.08180858646566762, c=-0.10353203946177644, "
-        "d=-0.28548733214698546), FourTuple(a=-0.09005705818303715, b=0.02511867014819565, "
-        "c=-0.12025511479587704, d=-0.37477106652279446)\n"
+        "FourTuple(a=0.23548558381371237, b=-0.08180499812471062, c=-0.10352749827272023, "
+        "d=-0.28547480991758495), FourTuple(a=-0.09005310804229637, b=0.025117568376893017, "
+        "c=-0.1202498400885101, d=-0.37475462807268045)\n"
     )
     assert not out.exists()
 

@@ -11,14 +11,13 @@ import pytest
 from conftest import conformal_swap_trace, random_trace
 
 from qdisk import QdiskError
-from qdisk.blowup import blowup_report, blowup_sequence, identify_catalog, rings_read
+from qdisk.blowup import blowup_report, blowup_sequence, identify_catalog
 from qdisk.cli import DEFAULT_BLOWUP_RADII, DEFAULT_PROFILE_RADII
 from qdisk.field import PolarGrid, frequency_profile
 from qdisk.forms import Continuation
 from qdisk.minimizer import (
     BoundaryTrace,
     frequency_from_spectrum,
-    inner_extension,
     minimize,
 )
 
@@ -40,16 +39,16 @@ def _draws() -> tuple:
 
 def _run(trace: BoundaryTrace):
     """The minimizer, N0 and the blow-up as the CLI reads them on GRID: the
-    blow-up is its report, the exception it raises, or None at frequency 0.
-    The profile is taken for its ZeroBoundaryMass check."""
+    blow-up, from the exact rescales of the spectrum, is its report, the
+    exception it raises, or None at frequency 0. The profile is taken for
+    its ZeroBoundaryMass check."""
     result = minimize(trace, GRID)
     N0 = frequency_from_spectrum(result.spectrum)
     frequency_profile(result.field, DEFAULT_PROFILE_RADII)
     if N0 == 0.0:
         return result, N0, None
-    source = inner_extension(result.spectrum, GRID, rings_read(GRID, DEFAULT_BLOWUP_RADII[0]))
     try:
-        limit = blowup_sequence(source, DEFAULT_BLOWUP_RADII, keep_fields=False).fields[-1]
+        limit = blowup_sequence(result, DEFAULT_BLOWUP_RADII, keep_fields=False).fields[-1]
         return result, N0, blowup_report(limit, *identify_catalog(limit))
     except QdiskError as exc:
         return result, N0, exc

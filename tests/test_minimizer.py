@@ -3,11 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_trace, single_mode_trace
+from conftest import perfbench_inputs, random_trace, single_mode_trace
 
 from qdisk import _kernels
 from qdisk import minimizer as minimizer_module
-from qdisk.blowup import rings_read
 from qdisk.errors import AmbiguousClass, NotStationary, ZeroSpectrum
 from qdisk.field import (
     RING_BLOCK,
@@ -25,19 +24,20 @@ from qdisk.minimizer import (
     MinimizeResult,
     Spectrum,
     _boundary_rows,
+    _eval_modes,
     _track_selection,
     analyze_spectrum,
     folded_modes,
     forced_lift,
     frequency_from_spectrum,
     harmonic_extension,
-    inner_extension,
     lift_boundary,
     load_trace,
     minimize,
     relax_oracle,
     save_trace,
     spectral_energy,
+    spectral_profile,
 )
 from qdisk.qpoint import pair_distance_arrays
 
@@ -315,21 +315,22 @@ def test_minimize_single_collision_builds_each_field_once(grid32, monkeypatch):
 @pytest.mark.parametrize("kind", [Continuation.IDENTITY, Continuation.SWAP])
 @pytest.mark.parametrize("n_r, n_theta", [(64, 256), (256, 1024)])
 def test_inner_extension_rows_equal_harmonic_extension(kind, n_r, n_theta):
-    """Rings 0..m of the evaluator are those rows of the full extension, bit
-    for bit, from the blow-up's largest radius out to m = n_r."""
+    """The evaluator works ring by ring: the extension's inner rings 0..m
+    alone, within one block, across one and out to m = n_r, and the unit
+    circle alone (an exact rescale's ring) are those rows of the full
+    extension, bit for bit."""
     grid = PolarGrid(n_r, n_theta)
     spectrum = analyze_spectrum(lift_boundary(
         random_trace(np.random.default_rng(n_r), kind, n=n_theta, kmax=6)))
     assert spectrum.kind is kind
     full = harmonic_extension(spectrum, grid)
-    for m in (rings_read(grid, 0.1), rings_read(grid, 0.4), grid.n_r):
-        inner = inner_extension(spectrum, grid, m)
-        assert (inner.grid, inner.seam) == (grid, kind)
-        for got, want in ((inner.sheet1, full.sheet1), (inner.sheet2, full.sheet2)):
+    for m in (n_r // 8, n_r // 2 + 1, n_r):
+        inner = _eval_modes(spectrum, grid, grid.radii[: m + 1])
+        for got, want in zip(inner, (full.sheet1, full.sheet2)):
             assert got.flags.c_contiguous and got.shape == (m + 1, n_theta, 2)
             assert got.tobytes() == want[: m + 1].tobytes()
-    assert rings_read(grid, 1.0) == grid.n_r
-    assert rings_read(PolarGrid(256, 1024), 0.4) == 103
+    circle = _eval_modes(spectrum, grid, np.ones(1))
+    assert circle.tobytes() == np.stack([full.sheet1[-1:], full.sheet2[-1:]]).tobytes()
 
 
 @pytest.mark.parametrize("inner", [False, True], ids=["harmonic", "inner"])
@@ -338,25 +339,26 @@ def test_extension_holds_one_field_and_block_work(inner):
     the sheets (one field of m + 1 rings) and, per block, its spectrum and
     inverse FFT, each RING_BLOCK rings of the double cover, plus the mode
     products. A double-cover array with contiguous copies of its halves
-    holds two fields, 4.8 blocks more at m = rings_read(grid, 0.4)."""
+    holds two fields, 4.8 blocks more at m = 153 (inner rings to r = 0.4)."""
     grid = PolarGrid(384, 64)
     spectrum = analyze_spectrum(lift_boundary(
         random_trace(np.random.default_rng(5), Continuation.SWAP, n=64, kmax=6)))
-    m = rings_read(grid, 0.4) if inner else grid.n_r
+    m = 2 * grid.n_r // 5 if inner else grid.n_r
     field_bytes = 2 * (m + 1) * grid.n_theta * 2 * 8
     block_bytes = RING_BLOCK * 2 * grid.n_theta * 2 * 8
     tracemalloc.start()
     try:
         if inner:
-            source = inner_extension(spectrum, grid, m)
+            sheet1, sheet2 = _eval_modes(spectrum, grid, grid.radii[: m + 1])
         else:
-            source = harmonic_extension(spectrum, grid)
+            field = harmonic_extension(spectrum, grid)
+            sheet1, sheet2 = field.sheet1, field.sheet2
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert held <= field_bytes + 0.1 * block_bytes
     assert peak <= field_bytes + 2.5 * block_bytes
-    assert source.sheet1.shape == source.sheet2.shape == (m + 1, grid.n_theta, 2)
+    assert sheet1.shape == sheet2.shape == (m + 1, grid.n_theta, 2)
 
 
 def test_minimize_two_collisions_ambiguous(grid64):
@@ -422,6 +424,56 @@ def _closed_form_mass(spectrum: Spectrum, r: float) -> float:
         weight = np.where(k == 0, period, period / 2) * r ** (2 * k * unit)
         total += np.sum(weight * (np.sum(cos**2, axis=1) + np.sum(sin**2, axis=1)))
     return r * total
+
+
+# The quadrature's largest relative error in D over the profile radii on the
+# benchmark traces, as measured (ROADMAP item 8): 1.25e-2 on the broadband
+# traces at 64x256 and 4.37e-5 on the band traces at 256x1024.
+SPECTRAL_PROFILE_CASES = {
+    "broadband-64x256": (("broadband", 1, 256, 2), (64, 256), 1.3e-2),
+    "band-256x1024": (("band", 101, 1024, 2), (256, 1024), 5e-5),
+}
+
+
+@pytest.mark.parametrize("case", list(SPECTRAL_PROFILE_CASES))
+def test_spectral_profile_matches_the_quadrature(monkeypatch, case):
+    """spectral_profile at the rings frequency_profile reads: H equals the
+    quadrature's to 1e-14 relative (no mode reaches the Nyquist), D lies
+    within the quadrature's measured error, N does not decrease, and data
+    scaled by 2^-30 or 2^30 give the same N bit for bit."""
+    traces, (n_r, n_theta), d_tol = SPECTRAL_PROFILE_CASES[case]
+    grid = PolarGrid(n_r, n_theta)
+    for generated in perfbench_inputs(monkeypatch).make_traces(*traces):
+        trace = BoundaryTrace.from_values(*generated.sheets())
+        spectrum = analyze_spectrum(lift_boundary(trace))
+        assert folded_modes(spectrum, grid) == (0, 0.0)
+        quadrature = frequency_profile(harmonic_extension(spectrum, grid),
+                                       np.linspace(0.25, 1.0, 16))
+        closed = spectral_profile(spectrum, quadrature.radii)
+        assert closed.radii.tolist() == quadrature.radii.tolist()
+        np.testing.assert_allclose(closed.H, quadrature.H, rtol=1e-14)
+        np.testing.assert_allclose(closed.D, quadrature.D, rtol=d_tol)
+        assert np.all(np.diff(closed.N) >= 0) and closed.monotonicity_defect <= 0
+        for k in (-30, 30):
+            scaled = BoundaryTrace.from_values(2.0**k * trace.p1, 2.0**k * trace.p2)
+            profile = spectral_profile(analyze_spectrum(lift_boundary(scaled)), closed.radii)
+            assert profile.N.tobytes() == closed.N.tobytes()
+
+
+@pytest.mark.parametrize("kind", [Continuation.IDENTITY, Continuation.SWAP])
+def test_spectral_profile_is_the_closed_form(kind):
+    """D is spectral_energy and H the per-mode mass of an independent sum,
+    with a constant mode too; N = r D / H rises on every draw."""
+    rng = np.random.default_rng(17)
+    radii = np.linspace(0.1, 1.0, 10)
+    for mode0 in (False, True):
+        spectrum = analyze_spectrum(lift_boundary(random_trace(rng, kind, mode0=mode0)))
+        profile = spectral_profile(spectrum, radii)
+        assert profile.D.tolist() == [spectral_energy(spectrum, r) for r in radii]
+        np.testing.assert_allclose(
+            profile.H, [_closed_form_mass(spectrum, r) for r in radii], rtol=1e-14)
+        assert profile.N.tolist() == (radii * profile.D / profile.H).tolist()
+        assert np.all(np.diff(profile.N) > 0)
 
 
 # Quadrature errors measured on the 3/2 + 0.1 * 7/2 trace: the relative
