@@ -96,13 +96,16 @@ def gs_center(u):
 
 
 def gs_energy(u, dtheta):
-    """Discrete Dirichlet energy of one periodic sheet stack."""
+    """Discrete Dirichlet energy of one periodic sheet stack: per ring the
+    sum of its squared differences, dotted with the ring weights. Both
+    differences are taken in one buffer."""
     n_rings = u.shape[0] - 1
-    dr = u[1:] - u[:-1]
+    d = np.subtract(u[1:], u[:-1])
     w_r = (np.arange(n_rings) + 0.5) * dtheta
-    radial = np.einsum("i,ijc->", w_r, dr * dr)
+    radial = w_r @ np.einsum("ijc,ijc->i", d, d)
 
-    da = np.roll(u[1:], -1, axis=1) - u[1:]
+    np.subtract(u[1:, 1:], u[1:, :-1], out=d[:, :-1])
+    np.subtract(u[1:, :1], u[1:, -1:], out=d[:, -1:])
     w_a = 1.0 / (np.arange(1, n_rings + 1) * dtheta)
-    angular = np.einsum("i,ijc->", w_a, da * da)
+    angular = w_a @ np.einsum("ijc,ijc->i", d, d)
     return float(radial + angular)

@@ -154,8 +154,11 @@ def _circle_defect(f: ExactRescale, g: ExactRescale) -> float:
     sheets' difference is harmonic (on the double cover in the swap class),
     so by the maximum principle the labelled distance, and with it the pair
     distance, is largest on the circle: up to the circle's sampling, the
-    defect bounds the two fields' pair distance over the whole disk."""
-    return float(np.sqrt(np.max(np.sum(np.square(f.ring - g.ring), axis=(0, 2)))))
+    defect bounds the two fields' pair distance over the whole disk. The
+    squared distance adds its four terms in the order of ``np.sum(...,
+    axis=(0, 2))``, without the reduction (see ``minimizer._present``)."""
+    d = np.square(f.ring - g.ring)
+    return float(np.sqrt(np.max((d[0, :, 0] + d[0, :, 1]) + (d[1, :, 0] + d[1, :, 1]))))
 
 
 def check_radii(radii, grid: PolarGrid) -> tuple:

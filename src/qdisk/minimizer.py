@@ -79,8 +79,16 @@ class BoundaryTrace:
     def n(self) -> int:
         return len(self.thetas)
 
+    def gaps(self) -> np.ndarray:
+        """Distance between the sheets at each sample, sqrt(dx^2 + dy^2):
+        ``np.linalg.norm(p1 - p2, axis=1)`` bit for bit, without a reduction
+        over the coordinate pair (see ``_present``)."""
+        d = self.p1 - self.p2
+        dx, dy = d[:, 0], d[:, 1]
+        return np.sqrt(dx * dx + dy * dy)
+
     def separation(self) -> float:
-        return float(np.min(np.linalg.norm(self.p1 - self.p2, axis=1)))
+        return float(np.min(self.gaps()))
 
     @classmethod
     def from_values(cls, p1, p2) -> "BoundaryTrace":
@@ -100,8 +108,8 @@ def save_trace(trace: BoundaryTrace, path) -> None:
 def load_trace(path) -> BoundaryTrace:
     """Read a save_trace file. Raises ValueError unless it is a JSON array
     of row objects whose theta is a JSON number and whose p1 and p2 are
-    lists of them; a bool or a string is not a number (KeyError for a row
-    without one of them)."""
+    lists of two of them; a bool or a string is not a number (KeyError for
+    a row without one of them)."""
     rows = json.loads(Path(path).read_text())
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise ValueError("trace must be a JSON array of {theta, p1, p2} objects")
@@ -115,8 +123,14 @@ def load_trace(path) -> BoundaryTrace:
         numeric = False
     if not numeric:
         raise ValueError("trace values must be numbers: theta one, p1 and p2 lists of them")
-    return BoundaryTrace(np.array(thetas, dtype=float), np.array(p1, dtype=float),
-                         np.array(p2, dtype=float))
+    try:
+        p1, p2 = np.array(p1, dtype=float), np.array(p2, dtype=float)
+        pairs = not rows or p1.shape[1:] == p2.shape[1:] == (2,)
+    except ValueError:  # points of different lengths
+        pairs = False
+    if not pairs:
+        raise ValueError("trace points must be [x, y] pairs")
+    return BoundaryTrace(np.array(thetas, dtype=float), p1, p2)
 
 
 @dataclass(frozen=True)
@@ -137,30 +151,36 @@ def _track_selection(trace: BoundaryTrace) -> tuple[np.ndarray, np.ndarray, bool
     Returns the selected and complementary value sequences plus whether the
     selection returns to its start after a full turn. Sample j continues
     with p1[j] when it is at least as close to the previous selection as
-    p2[j]; the walk runs on Python floats, which is much faster than numpy
-    on two-element rows and rounds the same squared distances.
+    p2[j]. The previous selection is p1[j-1] or p2[j-1], so both comparisons
+    are made for every sample at once, each as ax^2 + ay^2 <= bx^2 + by^2
+    (a square that overflows is inf, as on Python floats); the walk then
+    picks one of them per sample.
     """
-    p1, p2 = trace.p1.tolist(), trace.p2.tolist()
+    p1, p2 = trace.p1, trace.p2
 
-    def nearer_first(j: int, x: float, y: float) -> bool:
-        (ax, ay), (bx, by) = p1[j], p2[j]
-        ax, ay, bx, by = ax - x, ay - y, bx - x, by - y
-        return ax * ax + ay * ay <= bx * bx + by * by
+    def nearer_first(prev: np.ndarray) -> list:
+        """Per sample j: p1[j] is at least as close as p2[j] to prev[j-1]
+        (to prev[n-1] at j = 0)."""
+        prev = np.roll(prev, 1, axis=0)
+        a, b = p1 - prev, p2 - prev
+        ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+        with np.errstate(over="ignore"):
+            return (ax * ax + ay * ay <= bx * bx + by * by).tolist()
 
+    after_first, after_second = nearer_first(p1), nearer_first(p2)
     take_first = [True] * trace.n
-    x, y = p1[0]
+    first = True
     for j in range(1, trace.n):
-        take_first[j] = nearer_first(j, x, y)
-        x, y = p1[j] if take_first[j] else p2[j]
+        first = take_first[j] = after_first[j] if first else after_second[j]
     take = np.array(take_first)[:, None]
-    sel = np.where(take, trace.p1, trace.p2)
-    comp = np.where(take, trace.p2, trace.p1)
-    return sel, comp, nearer_first(0, x, y)
+    sel = np.where(take, p1, p2)
+    comp = np.where(take, p2, p1)
+    return sel, comp, (after_first if first else after_second)[0]
 
 
 def _collisions(trace: BoundaryTrace) -> np.ndarray:
     """Mask of the samples where the sheets collide."""
-    return np.linalg.norm(trace.p1 - trace.p2, axis=1) < scaled_tol(SEP_TOL, (trace.p1, trace.p2))
+    return trace.gaps() < scaled_tol(SEP_TOL, (trace.p1, trace.p2))
 
 
 def lift_boundary(trace: BoundaryTrace) -> BoundaryLift:
@@ -234,10 +254,23 @@ def analyze_spectrum(lift: BoundaryLift) -> Spectrum:
     return Spectrum(lift.kind, tuple(cos_all), tuple(sin_all), scaled_tol(COEFF_EPS, lift.loops))
 
 
+# A coefficient table is (modes, 2). Here and in ``_mass`` its two columns
+# are combined term by term, in the order numpy's reduction over the
+# length-2 axis takes them, which keeps every bit: that reduction costs
+# 20-50 times its two terms (the rule of ``qpoint._squared_distance``).
+
+
 def _present(cos: np.ndarray, sin: np.ndarray, eps: float) -> np.ndarray:
     """Indices of the modes with a coefficient above eps."""
-    peak = np.maximum(np.abs(cos).max(axis=1), np.abs(sin).max(axis=1))
+    a, b = np.abs(cos), np.abs(sin)
+    peak = np.maximum(np.maximum(a[:, 0], a[:, 1]), np.maximum(b[:, 0], b[:, 1]))
     return np.nonzero(peak > eps)[0]
+
+
+def _mass(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """|A_k|^2 + |B_k|^2 per mode of the tables: ``np.sum(cos**2, axis=1) +
+    np.sum(sin**2, axis=1)`` bit for bit."""
+    return (cos[:, 0] ** 2 + cos[:, 1] ** 2) + (sin[:, 0] ** 2 + sin[:, 1] ** 2)
 
 
 def _columns(spectrum: Spectrum, grid: PolarGrid) -> int:
@@ -334,7 +367,7 @@ def spectral_energy(spectrum: Spectrum, r: float = 1.0) -> float:
     for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs):
         k = np.arange(cos.shape[0])
         weight = k * np.power(float(r), 2 * k * spectrum.frequency_unit)
-        total += np.pi * np.sum(weight * (np.sum(cos**2, axis=1) + np.sum(sin**2, axis=1)))
+        total += np.pi * np.sum(weight * _mass(cos, sin))
     return float(total)
 
 
@@ -350,7 +383,7 @@ def spectral_profile(spectrum: Spectrum, radii) -> FrequencyProfile:
     unit = spectrum.frequency_unit
     H, masses = 0.0, []
     for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs):
-        mass = np.sum(cos**2, axis=1) + np.sum(sin**2, axis=1)
+        mass = _mass(cos, sin)
         mass[0] *= 2.0  # P |A_0|^2 of the constant mode
         H = H + np.power(radii[:, None], 2 * unit * np.arange(len(mass))) @ mass
         masses.append(mass)
@@ -377,11 +410,10 @@ def folded_modes(spectrum: Spectrum, grid: PolarGrid) -> tuple[int, float]:
         k = _present(cos, sin, eps)
         k = k[k > half]
         count += len(k)
-        mass = np.sum(cos[k] ** 2, axis=1) + np.sum(sin[k] ** 2, axis=1)
-        energy += np.pi * np.sum(k * mass)
-        if half < len(sin) and np.abs(sin[half]).max() > eps:
+        energy += np.pi * np.sum(k * _mass(cos[k], sin[k]))
+        if half < len(sin) and max(abs(sin[half, 0]), abs(sin[half, 1])) > eps:
             count += 1
-            energy += np.pi * half * np.sum(sin[half] ** 2)
+            energy += np.pi * half * (sin[half, 0] ** 2 + sin[half, 1] ** 2)
     return count, (float(energy / spectral_energy(spectrum)) if count else 0.0)
 
 

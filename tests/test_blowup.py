@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qdisk.blowup import (
     CENTER_EXCLUSION_RINGS,
     BlowupSequence,
     _cauchy_defect,
+    _circle_defect,
     blowup_sequence,
     check_radii,
     identify_catalog,
@@ -522,6 +524,21 @@ def test_circle_defect_bounds_the_pair_distance_of_the_fields(grid64, kind):
             dist = pair_distance_arrays(F.sheet1[annulus], F.sheet2[annulus],
                                         G.sheet1[annulus], G.sheet2[annulus])
             assert dist.max() <= defect
+
+
+def test_circle_defect_adds_as_the_axis_reduction():
+    """The defect's squared distance adds its four terms in the order of
+    np.sum over axes (0, 2) at the shape of a 256-angle ring: the defect
+    keeps its bits, on terms of comparable size and on terms spanning 32
+    decades."""
+    rng = np.random.default_rng(29)
+    for decades in (1, 16):
+        for _ in range(100):
+            f, g = (SimpleNamespace(ring=rng.normal(size=(2, 256, 2))
+                                    * 10.0 ** rng.uniform(-decades, decades, size=(2, 256, 2)))
+                    for _ in range(2))
+            want = np.sqrt(np.max(np.sum(np.square(f.ring - g.ring), axis=(0, 2))))
+            assert _circle_defect(f, g) == want
 
 
 @pytest.mark.parametrize("dump", [False, True], ids=["streamed", "dump-fields"])

@@ -712,6 +712,29 @@ def test_trace_that_is_not_an_array_of_rows(tmp_path, capsys, content):
         assert capsys.readouterr().err.startswith(f"error: cannot load trace {path}")
 
 
+@pytest.mark.parametrize("point", [
+    pytest.param(lambda p: p[:1], id="one-coordinate"),
+    pytest.param(lambda p: p + [1.0], id="three-coordinates"),
+])
+def test_trace_point_that_is_not_a_pair(tmp_path, capsys, point):
+    """A point of one or three coordinates exits 2 with a message that names
+    the problem, not numpy's ragged-array error; so does such a point in
+    every row."""
+    ragged, uniform = tmp_path / "ragged.json", tmp_path / "uniform.json"
+    rows = json.loads(_trace_text_with("p1", point))  # row 1's point changed
+    ragged.write_text(json.dumps(rows))
+    for row in rows[:1] + rows[2:]:
+        row["p1"] = point(row["p1"])
+    uniform.write_text(json.dumps(rows))
+    for path in (ragged, uniform):
+        with pytest.raises(ValueError, match=r"^trace points must be \[x, y\] pairs$"):
+            load_trace(path)
+        for command in ("minimize", "blowup"):
+            assert main([command, str(path), "--out", str(tmp_path / "out.csv")]) == 2
+            assert capsys.readouterr().err == (
+                f"error: cannot load trace {path}: trace points must be [x, y] pairs\n")
+
+
 def test_stdout_carries_only_data(perturbed_trace_file, branched_trace_file, tmp_path, capsys):
     assert main(["blowup", perturbed_trace_file, "--radii", "0.4,0.2,0.1"]) == 0
     captured = capsys.readouterr()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import perfbench_inputs, random_trace, single_mode_trace
+from test_invariance import _draws as invariance_draws
 
 from qdisk import _kernels
 from qdisk import minimizer as minimizer_module
@@ -766,6 +767,144 @@ def test_track_selection_matches_reference_loop():
         want_sel, want_comp, want_closes = _track_selection_reference(trace)
         assert np.array_equal(sel, want_sel) and np.array_equal(comp, want_comp)
         assert closes == want_closes
+
+
+def _track_selection_walk(trace: BoundaryTrace):
+    """The former walk of _track_selection: one sample at a time on Python
+    floats, each comparison made against the selection just taken."""
+    p1, p2 = trace.p1.tolist(), trace.p2.tolist()
+
+    def nearer_first(j, x, y):
+        (ax, ay), (bx, by) = p1[j], p2[j]
+        ax, ay, bx, by = ax - x, ay - y, bx - x, by - y
+        return ax * ax + ay * ay <= bx * bx + by * by
+
+    take_first = [True] * trace.n
+    x, y = p1[0]
+    for j in range(1, trace.n):
+        take_first[j] = nearer_first(j, x, y)
+        x, y = p1[j] if take_first[j] else p2[j]
+    take = np.array(take_first)[:, None]
+    return np.where(take, trace.p1, trace.p2), np.where(take, trace.p2, trace.p1), \
+        nearer_first(0, x, y)
+
+
+def _walk_traces():
+    """The invariance draws and 100 random_trace draws per class at n = 256
+    and at n = 1024, each with a noisy copy that makes the walk jump sheets,
+    and one scaled by 1e154, all under both labellings."""
+    rng = np.random.default_rng(25)
+    traces = list(invariance_draws())
+    for kind in (Continuation.IDENTITY, Continuation.SWAP):
+        for n in (256, 1024):
+            for _ in range(100):
+                trace = random_trace(rng, kind, n=n)
+                noise = 0.3 * rng.normal(size=(2, n, 2))
+                traces += [trace, BoundaryTrace.from_values(*(trace.p1, trace.p2) + noise)]
+    # squared distances that overflow, which the walk took as inf
+    traces.append(BoundaryTrace.from_values(1e154 * traces[-1].p1, 1e154 * traces[-1].p2))
+    for trace in traces:
+        yield trace
+        yield BoundaryTrace.from_values(trace.p2, trace.p1)
+
+
+def test_track_selection_is_the_walk_bit_for_bit():
+    """The comparisons made up front pick what the walk picked, byte for
+    byte, with the same closing flag; the draws reach both comparisons and
+    both closing flags."""
+    jumps, closing = 0, set()
+    for trace in _walk_traces():
+        with np.errstate(over="raise"):  # as the CLI runs
+            sel, comp, closes = _track_selection(trace)
+        want_sel, want_comp, want_closes = _track_selection_walk(trace)
+        assert sel.tobytes() == want_sel.tobytes() and comp.tobytes() == want_comp.tobytes()
+        assert closes is want_closes
+        jumps += int(np.any(sel != trace.p1))
+        closing.add(closes)
+    assert jumps > 100 and closing == {True, False}
+
+
+def _coefficient_tables(rng, modes: int, decades: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine and sine tables (modes, 2) of magnitudes from 10^-decades to
+    10^decades, with exact zeros and signed zeros."""
+    tables = rng.normal(size=(2, modes, 2)) * 10.0 ** rng.uniform(-decades, decades,
+                                                                 size=(2, modes, 2))
+    tables[rng.random(tables.shape) < 0.1] = 0.0
+    tables[rng.random(tables.shape) < 0.1] = -0.0
+    return tables[0], tables[1]
+
+
+def _axis_present(cos, sin, eps):
+    return np.nonzero(np.maximum(np.abs(cos).max(axis=1), np.abs(sin).max(axis=1)) > eps)[0]
+
+
+def _axis_mass(cos, sin):
+    return np.sum(cos**2, axis=1) + np.sum(sin**2, axis=1)
+
+
+def _axis_folded_modes(spectrum: Spectrum, grid: PolarGrid) -> tuple[int, float]:
+    """folded_modes with the mass and the Nyquist test as reductions over
+    the coordinate pair."""
+    half = minimizer_module._columns(spectrum, grid) // 2
+    eps = spectrum.coeff_eps
+    count, energy = 0, 0.0
+    for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs):
+        k = _axis_present(cos, sin, eps)
+        k = k[k > half]
+        count += len(k)
+        energy += np.pi * np.sum(k * _axis_mass(cos[k], sin[k]))
+        if half < len(sin) and np.abs(sin[half]).max() > eps:
+            count += 1
+            energy += np.pi * half * np.sum(sin[half] ** 2)
+    return count, (float(energy / spectral_energy(spectrum)) if count else 0.0)
+
+
+@pytest.mark.parametrize("kind", [Continuation.IDENTITY, Continuation.SWAP])
+def test_coordinate_pairs_as_columns_keep_every_bit(monkeypatch, kind):
+    """_present, _mass, spectral_energy, spectral_profile, folded_modes and
+    the sheet gaps equal their reductions over the length-2 axis bit for
+    bit; the spectral functions are compared with _present and _mass
+    swapped for those reductions. The tables span 1e-150 to 1e150, or 0.1
+    to 10 for terms of comparable size; every other one ends at the Nyquist
+    mode, so its folded energy is the Nyquist sine part's alone."""
+    rng = np.random.default_rng(251)
+    loops = 2 if kind is Continuation.IDENTITY else 1
+    grid = PolarGrid(16, 48)
+    half = 24 if kind is Continuation.IDENTITY else 48  # modes above it fold
+    radii = np.array([0.99, 1.0])
+    folds = {97: 0, half + 1: 0}
+    for draw in range(40):
+        modes, decades = (97, half + 1)[draw % 2], (150, 1)[draw // 20]
+        tables = [_coefficient_tables(rng, modes, decades) for _ in range(loops)]
+        for cos, sin in tables:
+            # reach the Nyquist test, with one coordinate below eps at times
+            sin[half] = rng.normal(size=2) * 10.0 ** rng.uniform(-20, 5, size=2)
+            for eps in (0.0, 1e-140, 1e-12, 1.0, 1e140):
+                assert minimizer_module._present(cos, sin, eps).tolist() == \
+                    _axis_present(cos, sin, eps).tolist()
+            assert minimizer_module._mass(cos, sin).tobytes() == _axis_mass(cos, sin).tobytes()
+        spectrum = Spectrum(kind, *map(tuple, zip(*tables)), coeff_eps=1e-12)
+        folded = folded_modes(spectrum, grid)
+        assert folded == _axis_folded_modes(spectrum, grid)
+        folds[modes] += folded[0] > 0
+        energies = spectral_energy(spectrum), spectral_energy(spectrum, 0.7)
+        profile = spectral_profile(spectrum, radii)
+        with monkeypatch.context() as patch:
+            patch.setattr(minimizer_module, "_present", _axis_present)
+            patch.setattr(minimizer_module, "_mass", _axis_mass)
+            assert energies == (spectral_energy(spectrum), spectral_energy(spectrum, 0.7))
+            want = spectral_profile(spectrum, radii)
+        for name in ("D", "H", "N"):
+            assert getattr(profile, name).tobytes() == getattr(want, name).tobytes()
+        p1, p2 = (rng.normal(size=(97, 2)) * 10.0 ** rng.uniform(-150, 150, size=(97, 2))
+                  for _ in range(2))
+        p1[:5] = p2[:5]
+        p1[5:10], p2[5:8] = -0.0, 0.0
+        trace = BoundaryTrace.from_values(p1, p2)
+        norm = np.linalg.norm(p1 - p2, axis=1)
+        assert trace.gaps().tobytes() == norm.tobytes()
+        assert trace.separation() == float(np.min(norm))
+    assert folds[97] == 20 and folds[half + 1] > 5
 
 
 def _swap_spectrum(modes: dict, m: int = 64) -> Spectrum:
