@@ -6,9 +6,8 @@ at the origin. For minimizers vanishing at the origin the limit is
 homogeneous of degree N(0), its boundary mass equals 1/N(0), and its sheets
 belong to the conformal catalog. ``identify_catalog`` checks the first and
 the last by fitting a catalog entry; ``blowup_report`` sets the boundary
-mass beside 1/N(0). A spectral minimizer's rescale is exact
-(``rescale_exact``) and read without a grid field; ``rescale_normalize``
-resamples a field that has no spectrum.
+mass beside 1/N(0). The rescales are exact (``rescale_exact``): each is a
+spectrum, read in closed form and on the unit circle, never on a grid.
 """
 
 from __future__ import annotations
@@ -20,57 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePair, GridTooCoarse, NoCatalogMatch, ZeroEnergy
-from .field import (
-    CENTER_EXCLUSION_RINGS,
-    RING_BLOCK,
-    DiskField,
-    FrequencyProfile,
-    PolarGrid,
-    _energy_ladder,
-    frequency_profile,
-    scaled_tol,
-)
+from .field import FrequencyProfile, PolarGrid, scaled_tol
 from .forms import Continuation, FourTuple, HomogeneousPair, sheet_eval
 from .minimizer import Spectrum, _eval_modes, _present, spectral_energy, spectral_profile
-from .qpoint import pair_distance_arrays, pair_distance_buffers, squared_pair_distance
+from .qpoint import pair_distance_arrays
 
 ENERGY_EPS = 1e-14
-
-
-def rescale_normalize(field: DiskField, r: float) -> DiskField:
-    """Dilate the disk of radius r to the unit disk and normalize energy.
-
-    Node (rho, theta) of the result takes the field's value at (r * rho,
-    theta). Those are the grid's own angles, so the resample is linear in r
-    between two whole rings at each angle and never crosses the seam. The
-    result has unit discrete Dirichlet energy on the grid (exactly, by
-    construction). Raises ZeroEnergy when there is nothing to normalize.
-    """
-    grid = field.grid
-    i0, fr = grid.lerp(r * grid.radii)
-    fr = fr[:, None, None]
-    # s[i0] * (1 - fr) + s[i0 + 1] * fr, RING_BLOCK output rings at a time.
-    # The indices lie in the field's rings, so mode="clip" changes nothing,
-    # but unlike the default it writes into out without a temporary copy.
-    low, i1 = 1 - fr, i0 + 1
-    # both sheets in one block, allocated before the block temporary
-    sheets = np.empty((2, grid.n_r + 1) + field.sheet1.shape[1:])
-    upper = np.empty((RING_BLOCK,) + field.sheet1.shape[1:])
-    for sheet, lerp in zip((field.sheet1, field.sheet2), sheets):
-        for lo in range(0, grid.n_r + 1, RING_BLOCK):
-            rings = slice(lo, lo + RING_BLOCK)
-            out = lerp[rings]
-            high = upper[: len(out)]
-            np.take(sheet, i0[rings], axis=0, out=out, mode="clip")
-            out *= low[rings]
-            np.take(sheet, i1[rings], axis=0, out=high, mode="clip")
-            high *= fr[rings]
-            out += high
-    scale = _energy_ladder(grid, *sheets, field.seam)[grid.n_r]
-    if scale <= scaled_tol(ENERGY_EPS, np.square(sheets[:, -1])):
-        raise ZeroEnergy("rescaled field has numerically zero energy")
-    sheets /= np.sqrt(scale)
-    return DiskField(grid, *sheets, field.seam)
 
 
 @dataclass(frozen=True)
@@ -117,35 +71,14 @@ def rescale_exact(source, r: float) -> ExactRescale:
 class BlowupSequence:
     """Normalized rescalings along decreasing radii with Cauchy defects.
 
-    cauchy_defects[k] measures how far the rescales at radii k and k+1 lie
-    apart: ``_cauchy_defect`` of two fields, ``_circle_defect`` of two exact
-    rescales. fields holds one rescale per radius, or only the last (see
+    cauchy_defects[k] is the ``_circle_defect`` of the rescales at radii k
+    and k+1. fields holds one rescale per radius, or only the last (see
     blowup_sequence).
     """
 
     radii: tuple
     fields: tuple
     cauchy_defects: tuple
-
-
-def _cauchy_defect(f: DiskField, g: DiskField) -> float:
-    """Sup pair distance between f and g outside the center exclusion zone,
-    taken RING_BLOCK rings at a time in buffers allocated once: the largest
-    squared distance, then one square root, which is the largest distance
-    bit for bit, since the square root is correctly rounded and monotone.
-    (Temporaries allocated per block fault their pages in again: 2,224
-    minor faults per defect of two 256x1024 fields against 288, and 5.8
-    against 3.5 ms.)"""
-    n = f.grid.n_r + 1
-    block_rings = min(RING_BLOCK, n - CENTER_EXCLUSION_RINGS)
-    buffers = pair_distance_buffers((block_rings,) + f.sheet1.shape[1:])
-    block_max = []
-    for lo in range(CENTER_EXCLUSION_RINGS, n, RING_BLOCK):
-        rings = slice(lo, lo + RING_BLOCK)
-        sheets = f.sheet1[rings], f.sheet2[rings], g.sheet1[rings], g.sheet2[rings]
-        work = [buffer[: len(sheets[0])] for buffer in buffers]
-        block_max.append(squared_pair_distance(*sheets, work).max())
-    return float(np.sqrt(np.max(block_max)))
 
 
 def _circle_defect(f: ExactRescale, g: ExactRescale) -> float:
@@ -164,7 +97,7 @@ def _circle_defect(f: ExactRescale, g: ExactRescale) -> float:
 def check_radii(radii, grid: PolarGrid) -> tuple:
     """The radii as floats; they must pass the grid's radius rule
     (``PolarGrid.rings``) and strictly decrease. They are not snapped: the
-    rescale reads the field at the exact radius."""
+    rescale reads the spectrum at the exact radius."""
     radii = tuple(float(r) for r in radii)
     grid.rings(radii)
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
@@ -173,22 +106,17 @@ def check_radii(radii, grid: PolarGrid) -> tuple:
 
 
 def blowup_sequence(source, radii, keep_fields: bool = True) -> BlowupSequence:
-    """The normalized rescales of ``source`` along the checked radii, with
-    the Cauchy defect of each against the one before: ``rescale_normalize``
-    and ``_cauchy_defect`` for a DiskField, ``rescale_exact`` and
-    ``_circle_defect`` for a spectral source (a MinimizeResult). With
+    """The normalized rescales (``rescale_exact``) of ``source``, a
+    MinimizeResult or an ExactRescale, along the checked radii, with the
+    ``_circle_defect`` of each against the one before. With
     keep_fields=False only the last rescale, the limit, is kept: at most two
     are alive at once, and ``fields`` holds the limit alone."""
     radii = check_radii(radii, source.grid)
-    if isinstance(source, DiskField):
-        rescale, defect = rescale_normalize, _cauchy_defect
-    else:
-        rescale, defect = rescale_exact, _circle_defect
     fields, defects = [], []
     for r in radii:
-        g = rescale(source, r)
+        g = rescale_exact(source, r)
         if fields:
-            defects.append(defect(fields[-1], g))
+            defects.append(_circle_defect(fields[-1], g))
             if not keep_fields:
                 fields.clear()
         fields.append(g)
@@ -218,22 +146,14 @@ def _fit_sheet_tuple(values: np.ndarray, thetas: np.ndarray, N: float) -> FourTu
     return FourTuple(*sol.T.ravel().tolist())
 
 
-def _profile(g, radii) -> FrequencyProfile:
-    """The frequency profile of a rescale at the rings its grid reads for
-    the radii: a field's quadrature, an exact rescale's closed form."""
-    if isinstance(g, DiskField):
-        return frequency_profile(g, radii)
+def _profile(g: ExactRescale, radii) -> FrequencyProfile:
+    """The closed-form frequency profile of a rescale at the rings its grid
+    reads for the radii."""
     return spectral_profile(g.spectrum, g.grid.radii[g.grid.rings(radii)])
 
 
-def _boundary_ring(g) -> tuple[np.ndarray, np.ndarray]:
-    """Both sheets of a rescale on the unit circle at its grid's angles."""
-    return (g.sheet1[-1], g.sheet2[-1]) if isinstance(g, DiskField) else tuple(g.ring)
-
-
-def identify_catalog(g) -> tuple[HomogeneousPair, float, float]:
-    """Fit a normalized blow-up limit, a DiskField or an ExactRescale, to a
-    concrete catalog entry.
+def identify_catalog(g: ExactRescale) -> tuple[HomogeneousPair, float, float]:
+    """Fit a normalized blow-up limit to a concrete catalog entry.
 
     Fits N as the median of the frequency profile at _FIT_RADII and rounds
     it to the nearest half-integer, fits each sheet's boundary trace to the
@@ -257,7 +177,7 @@ def identify_catalog(g) -> tuple[HomogeneousPair, float, float]:
         )
 
     thetas = g.grid.thetas
-    ring1, ring2 = _boundary_ring(g)
+    ring1, ring2 = g.ring
     t1 = _fit_sheet_tuple(ring1, thetas, rounded)
     t2 = _fit_sheet_tuple(ring2, thetas, rounded)
     scale = max(np.abs(ring1).max(), np.abs(ring2).max(), 1e-30)
@@ -279,7 +199,9 @@ def identify_catalog(g) -> tuple[HomogeneousPair, float, float]:
     return entry, fitted, residual
 
 
-def blowup_report(g, entry: HomogeneousPair, fitted_N: float, residual: float) -> dict:
+def blowup_report(
+    g: ExactRescale, entry: HomogeneousPair, fitted_N: float, residual: float
+) -> dict:
     """JSON-ready summary of a blow-up identification. The boundary mass is
     H/D at rho = 1 of the limit ``g``: H(1) of a limit of unit energy."""
     profile = _profile(g, (1.0,))

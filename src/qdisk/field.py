@@ -32,9 +32,9 @@ from .qpoint import pair_distance_arrays
 EPS_BOUNDARY_MASS = 1e-14
 # how far a sheet's center ring may depart from one value
 CENTER_RING_ATOL = 1e-9
-# innermost rings below grid resolution: PolarGrid.rings keeps the profile
-# and blow-up radii outside them and the blow-up's sup norms skip them,
-# since interpolation noise amplifies there
+# innermost rings below grid resolution: PolarGrid.rings keeps the profile,
+# blow-up and catalog fit radii outside them, since quadrature and
+# interpolation noise amplify there
 CENTER_EXCLUSION_RINGS = 3
 
 
@@ -171,9 +171,8 @@ def _ring_sums(d: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->i", d, d)
 
 
-# Rings per block of every blocked pass (_ring_energy, the mode evaluation,
-# the blow-up's rescale and Cauchy defects): a difference array of a block
-# is 512 KiB at n_theta = 1024.
+# Rings per block of every blocked pass (_ring_energy and the mode
+# evaluation): a difference array of a block is 512 KiB at n_theta = 1024.
 RING_BLOCK = 32
 
 

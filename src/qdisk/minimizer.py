@@ -124,13 +124,16 @@ def load_trace(path) -> BoundaryTrace:
     if not numeric:
         raise ValueError("trace values must be numbers: theta one, p1 and p2 lists of them")
     try:
+        thetas = np.array(thetas, dtype=float)
         p1, p2 = np.array(p1, dtype=float), np.array(p2, dtype=float)
         pairs = not rows or p1.shape[1:] == p2.shape[1:] == (2,)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError("trace values must be finite") from None
     except ValueError:  # points of different lengths
         pairs = False
     if not pairs:
         raise ValueError("trace points must be [x, y] pairs")
-    return BoundaryTrace(np.array(thetas, dtype=float), p1, p2)
+    return BoundaryTrace(thetas, p1, p2)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qdisk.blowup import ExactRescale, rescale_exact
 from qdisk.field import DiskField, PolarGrid
-from qdisk.forms import Continuation
-from qdisk.minimizer import BoundaryTrace
+from qdisk.forms import Continuation, sheet_eval
+from qdisk.minimizer import BoundaryLift, BoundaryTrace, analyze_spectrum
 
 
 @pytest.fixture
@@ -100,6 +101,16 @@ def random_trace(rng, kind, n=256, kmax=4, mode0=False, min_sep=0.05, odd_only=F
         if trace.separation() > min_sep:
             return trace
     raise RuntimeError("could not draw a separated trace")
+
+
+def exact_entry(entry, grid):
+    """A catalog entry as a unit-energy ExactRescale on the grid: the
+    spectrum of its outer ring, lifted by its continuation (two closed
+    loops, or sheet 1 then sheet 2 as one double loop), so no walk runs."""
+    rings = [sheet_eval(t, entry.N, 1.0, grid.thetas) for t in (entry.t1, entry.t2)]
+    swap = entry.continuation is Continuation.SWAP
+    lift = BoundaryLift(entry.continuation, (np.concatenate(rings),) if swap else tuple(rings))
+    return rescale_exact(ExactRescale(grid, analyze_spectrum(lift)), 1.0)
 
 
 def random_field(grid, seam, rng):

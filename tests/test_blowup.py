@@ -4,31 +4,24 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import random_field, random_trace, single_mode_trace
+from conftest import exact_entry, random_trace, single_mode_trace
 
 from qdisk import cli
 from qdisk import field as field_module
 from qdisk.blowup import (
-    CENTER_EXCLUSION_RINGS,
-    BlowupSequence,
-    _cauchy_defect,
+    ExactRescale,
     _circle_defect,
     blowup_sequence,
     check_radii,
     identify_catalog,
     rescale_exact,
-    rescale_normalize,
 )
 from qdisk.errors import GridTooCoarse, NoCatalogMatch, ZeroEnergy
 from qdisk.field import (
-    RING_BLOCK,
-    DiskField,
+    CENTER_EXCLUSION_RINGS,
     PolarGrid,
-    boundary_mass,
     dirichlet_energy,
     frequency_profile,
-    sample_field,
-    values_at,
 )
 from qdisk.forms import (
     Continuation,
@@ -40,11 +33,13 @@ from qdisk.forms import (
 )
 from qdisk.minimizer import (
     BoundaryTrace,
+    Spectrum,
     _eval_modes,
     harmonic_extension,
     minimize,
     save_trace,
     spectral_energy,
+    spectral_profile,
 )
 from qdisk.qpoint import pair_distance_arrays
 
@@ -53,35 +48,25 @@ DOUBLED_Z = HomogeneousPair(
 )
 
 
-def test_rescale_normalize_unit_energy(grid64):
-    f = sample_field(DOUBLED_Z, grid64)
-    g = rescale_normalize(f, 0.5)
-    np.testing.assert_allclose(dirichlet_energy(g, 1.0), 1.0, atol=1e-10)
-
-
 def test_rescale_homogeneous_fixed_point(grid64):
+    """A homogeneous entry rescales onto itself: at 0.8 and 0.4 the rings
+    agree to rounding."""
     entry = HomogeneousPair(
         1.5,
         FormClass(6, (0.9, 1.1)).to_tuple(),
         FormClass(6, (0.9, -1.1)).to_tuple(),
         Continuation.SWAP,
     )
-    f = sample_field(entry, grid64)
-    a = rescale_normalize(f, 0.8)
-    b = rescale_normalize(f, 0.4)
-    gap = pair_distance_arrays(a.sheet1, a.sheet2, b.sheet1, b.sheet2)
-    assert gap[3:].max() <= 0.01
+    g = exact_entry(entry, grid64)
+    rings = rescale_exact(g, 0.8).ring, rescale_exact(g, 0.4).ring
+    assert pair_distance_arrays(*rings[0], *rings[1]).max() <= 1e-14
 
 
 def test_rescale_zero_energy_raises(grid64):
-    zero = DiskField(
-        grid64,
-        np.zeros((grid64.n_r + 1, grid64.n_theta, 2)),
-        np.zeros((grid64.n_r + 1, grid64.n_theta, 2)),
-        Continuation.IDENTITY,
-    )
-    with pytest.raises(ZeroEnergy):
-        rescale_normalize(zero, 0.5)
+    zero = tuple(np.zeros((2, 3, 2)))  # two loops of three modes
+    g = ExactRescale(grid64, Spectrum(Continuation.IDENTITY, zero, zero))
+    with pytest.raises(ZeroEnergy, match="^rescaled spectrum has numerically zero energy$"):
+        rescale_exact(g, 0.5)
 
 
 def test_blowup_sequence_defects_decrease(grid64):
@@ -92,32 +77,38 @@ def test_blowup_sequence_defects_decrease(grid64):
     cover = np.concatenate([th, th + 2 * np.pi])
     pert = 0.2 * np.stack([np.cos(3.5 * cover), np.sin(3.5 * cover)], axis=1)
     trace = BoundaryTrace.from_values(trace.p1 + pert[:n], trace.p2 + pert[n:])
-    field = minimize(trace, grid64).field
-    seq = blowup_sequence(field, [0.4, 0.2, 0.1])
+    seq = blowup_sequence(minimize(trace, grid64), [0.4, 0.2, 0.1])
     assert seq.cauchy_defects[1] < seq.cauchy_defects[0]
     assert seq.cauchy_defects[-1] <= 0.02
 
 
 def test_blowup_sequence_catalog_fixed_points(grid64):
-    for entry in enumerate_entries(4, 5)[::5]:
-        f = sample_field(entry, grid64)
-        seq = blowup_sequence(f, [0.5, 0.4, 0.3])
-        assert max(seq.cauchy_defects) <= 0.02
+    """Every entry of enumerate_entries(8, 0), its exact spectrum blown up
+    at 0.4, 0.2 and 0.1, reads back its own N and continuation, with the
+    fitted N within 1e-12 (8.9e-16 measured) and Cauchy defects at rounding
+    (1.8e-16 measured)."""
+    entries = enumerate_entries(8, 0)
+    assert len(entries) == 80
+    for entry in entries:
+        seq = blowup_sequence(exact_entry(entry, grid64), (0.4, 0.2, 0.1))
+        assert max(seq.cauchy_defects) <= 1e-12
+        got, fitted, _residual = identify_catalog(seq.fields[-1])
+        assert (got.N, got.continuation) == (entry.N, entry.continuation)
+        assert abs(fitted - entry.N) <= 1e-12
 
 
 def test_blowup_sequence_single_radius(grid64):
-    f = sample_field(DOUBLED_Z, grid64)
-    seq = blowup_sequence(f, [0.5])
+    seq = blowup_sequence(exact_entry(DOUBLED_Z, grid64), [0.5])
     assert seq.cauchy_defects == ()
     assert len(seq.fields) == 1
 
 
 def test_blowup_sequence_validates_radii(grid64):
-    f = sample_field(DOUBLED_Z, grid64)
+    g = exact_entry(DOUBLED_Z, grid64)
     with pytest.raises(ValueError):
-        blowup_sequence(f, [0.2, 0.4])
+        blowup_sequence(g, [0.2, 0.4])
     with pytest.raises(GridTooCoarse):
-        blowup_sequence(f, [0.5, 0.01])
+        blowup_sequence(g, [0.5, 0.01])
 
 
 def test_check_radii_ring_rule():
@@ -154,13 +145,13 @@ def test_boundary_mass_identity_values(grid64):
                 ).to_tuple(),
                 Continuation.SWAP,
             )
-        g = rescale_normalize(sample_field(entry, grid64), 1.0)
-        np.testing.assert_allclose(boundary_mass(g, 1.0), 1.0 / nu, rtol=0.02)
+        profile = spectral_profile(exact_entry(entry, grid64).spectrum, (1.0,))
+        np.testing.assert_allclose(profile.H / profile.D, 1.0 / nu, rtol=1e-14)
 
 
 def test_identify_catalog_branched_minimizer(grid64):
-    field = minimize(single_mode_trace(1.5), grid64).field
-    limit = blowup_sequence(field, [0.4, 0.2, 0.1]).fields[-1]
+    result = minimize(single_mode_trace(1.5), grid64)
+    limit = blowup_sequence(result, [0.4, 0.2, 0.1]).fields[-1]
     entry, _fitted, residual = identify_catalog(limit)
     assert entry.N == 1.5
     assert entry.continuation is Continuation.SWAP
@@ -170,8 +161,7 @@ def test_identify_catalog_branched_minimizer(grid64):
 
 
 def test_identify_catalog_doubled_z(grid64):
-    g = rescale_normalize(sample_field(DOUBLED_Z, grid64), 1.0)
-    entry, _fitted, residual = identify_catalog(g)
+    entry, _fitted, residual = identify_catalog(exact_entry(DOUBLED_Z, grid64))
     entry.validate(1e-6)  # the exact sample fits far inside the fit tolerance
     assert entry.N == 1.0
     assert entry.continuation is Continuation.IDENTITY
@@ -179,30 +169,33 @@ def test_identify_catalog_doubled_z(grid64):
     assert classify_form(entry.t1, 1e-6).tag == 1
 
 
-def test_identify_catalog_rejects_offgrid_frequency(grid64):
-    """A hand-built field with frequency 0.7 matches no catalog entry.
+def _identity_spectrum(grid, cos, sin) -> ExactRescale:
+    """The unit-energy rescale of an identity spectrum given by its
+    coefficient tables, (loop, mode, coordinate) each."""
+    spectrum = Spectrum(Continuation.IDENTITY, tuple(np.asarray(cos, float)),
+                        tuple(np.asarray(sin, float)))
+    return rescale_exact(ExactRescale(grid, spectrum), 1.0)
 
-    Radial power 1.4 with constant angular profile gives N(r) = 0.7
-    everywhere (r D/H = 1.4/2), which is farther than 0.1 from any
-    half-integer.
-    """
-    r = grid64.radii[:, None]
-    profile = r**1.4 * np.ones((1, grid64.n_theta))
-    sheet = np.stack([0.6 * profile, 0.8 * profile], axis=-1)
-    f = DiskField(grid64, sheet, -sheet, Continuation.IDENTITY)
-    g = rescale_normalize(f, 1.0)
-    with pytest.raises(NoCatalogMatch):
+
+def test_identify_catalog_rejects_offgrid_frequency(grid64):
+    """Modes 1 and 2 of equal weight on both loops, z + z^2 and its
+    negative: N(r) runs between 1 and 2, and its median at the fit radii,
+    1.28, is farther than 0.1 from any half-integer."""
+    cos = np.array([[0, 0], [1, 0], [1, 0]])  # modes 0, 1 and 2
+    sin = np.array([[0, 0], [0, 1], [0, 1]])
+    g = _identity_spectrum(grid64, [cos, -cos], [sin, -sin])
+    with pytest.raises(NoCatalogMatch,
+                       match=r"^fitted degree 1\.2800 is not within 0\.1 of a half-integer$"):
         identify_catalog(g)
 
 
 def test_no_catalog_match_reports_plain_floats(grid64):
-    """A non-conformal fit, r (cos theta, 0), is reported with float reprs."""
-    r = grid64.radii[:, None]
-    th = grid64.thetas[None, :]
-    sheet = np.stack([r * np.cos(th), np.zeros_like(r * th)], axis=-1)
-    f = DiskField(grid64, sheet, -sheet, Continuation.IDENTITY)
-    with pytest.raises(NoCatalogMatch, match="not conformal") as exc:
-        identify_catalog(rescale_normalize(f, 1.0))
+    """A non-conformal fit, (cos theta, 0) and its negative, is reported
+    with float reprs."""
+    cos = [[0, 0], [1, 0]]
+    g = _identity_spectrum(grid64, [cos, np.negative(cos)], np.zeros((2, 2, 2)))
+    with pytest.raises(NoCatalogMatch, match="^fitted tuples not conformal") as exc:
+        identify_catalog(g)
     assert "FourTuple(a=" in str(exc.value)
     assert "np.float64" not in str(exc.value)
 
@@ -224,51 +217,41 @@ def test_no_catalog_match_reports_plain_floats(grid64):
 )
 def test_identify_catalog_seam_messages(grid64, t2, seam, message):
     """Conformal fitted sheets that fail HomogeneousPair.validate under the
-    field's seam report validate's reason."""
+    limit's seam report validate's reason."""
     entry = HomogeneousPair(1.0, FourTuple(1.0, 0.0, 0.0, 1.0), FourTuple(*t2), seam)
-    g = rescale_normalize(sample_field(entry, grid64), 1.0)
     with pytest.raises(NoCatalogMatch) as exc:
-        identify_catalog(g)
+        identify_catalog(exact_entry(entry, grid64))
     assert str(exc.value) == message
 
 
-def test_identify_catalog_rejects_slit_jump_field(grid64):
-    """A degree-0.7 angular profile cannot close across the slit; the
-    seam-aware energy blows up and the fitted sheets carry no content at
-    the implied degree."""
-    r = grid64.radii[:, None]
-    th = grid64.thetas[None, :]
-    nu = 0.7
-    sheet = np.stack(
-        [
-            r**nu * np.cos(nu * th) * np.ones_like(r * th),
-            r**nu * np.sin(nu * th) * np.ones_like(r * th),
-        ],
-        axis=-1,
-    )
-    f = DiskField(grid64, sheet, -sheet, Continuation.IDENTITY)
-    g = rescale_normalize(f, 1.0)
-    with pytest.raises(NoCatalogMatch):
-        identify_catalog(g)
+def test_identify_catalog_rejects_a_limit_without_content_at_its_degree(grid64):
+    """A seeded two-mode identity spectrum, modes 3 and 5: its fitted degree
+    4.09 rounds to 4, which neither mode carries. On the whole circle mode 4
+    is orthogonal to both, so the fitted tuples are zero to rounding."""
+    rng = np.random.default_rng(234)
+    modes = rng.choice(np.arange(1, 7), size=2, replace=False)
+    tables = np.zeros((2, 2, 7, 2))  # cos and sin, loop, mode, coordinate
+    tables[:, :, modes] = rng.normal(size=(2, 2, 2, 2))
+    with pytest.raises(NoCatalogMatch,
+                       match="^boundary trace has almost no content at the fitted degree$"):
+        identify_catalog(_identity_spectrum(grid64, *tables))
 
 
 def test_blowup_parity(grid64):
     """Branched blow-ups give odd 2N, unbranched give integer N.
 
-    N is fitted from the frequency profile of the final rescaling; the
-    lowest spectral mode of the data decides it, odd half-integers in the
-    branched class and integers otherwise.
+    N is fitted from the closed-form frequency profile of the final
+    rescaling; the lowest spectral mode of the data decides it, odd
+    half-integers in the branched class and integers otherwise.
     """
-    from qdisk.field import frequency_profile
-
     rng = np.random.default_rng(41)
-    grid = PolarGrid(128, 512)  # keeps the rescaled core resolved
+    grid = PolarGrid(128, 512)
     for kind in (Continuation.IDENTITY, Continuation.SWAP):
         for _ in range(2):
             trace = random_trace(rng, kind, n=512, odd_only=True)
-            field = minimize(trace, grid).field
-            limit = blowup_sequence(field, [0.4, 0.3, 0.2]).fields[-1]
-            fitted = float(np.median(frequency_profile(limit, [0.5, 0.75, 1.0]).N))
+            limit = blowup_sequence(minimize(trace, grid), [0.4, 0.3, 0.2]).fields[-1]
+            profile = spectral_profile(limit.spectrum, [0.5, 0.75, 1.0])
+            fitted = float(np.median(profile.N))
             k = 2 * fitted
             assert abs(k - round(k)) <= 0.04
             if kind is Continuation.SWAP:
@@ -276,99 +259,22 @@ def test_blowup_parity(grid64):
             else:
                 assert int(round(k)) % 2 == 0
             rhs = 1.0 / (round(k) / 2.0)
-            assert abs(boundary_mass(limit, 1.0) - rhs) <= 0.02 * rhs
+            assert abs(profile.H[-1] / profile.D[-1] - rhs) <= 0.02 * rhs
 
 
 def test_blowup_sequence_unit_energy(grid64):
-    """Every normalized rescaling carries unit discrete energy."""
-    field = minimize(single_mode_trace(1.5), grid64).field
-    seq = blowup_sequence(field, [0.5, 0.3, 0.2])
+    """Every normalized rescaling carries unit closed-form energy."""
+    result = minimize(single_mode_trace(1.5), grid64)
+    seq = blowup_sequence(result, [0.5, 0.3, 0.2])
     for g in seq.fields:
-        assert abs(dirichlet_energy(g, 1.0) - 1.0) <= 1e-10
-
-
-def _bilinear_rescale_normalize(field: DiskField, r: float) -> DiskField:
-    """The former rescale: values_at at every node, then unit energy."""
-    grid = field.grid
-    assert dirichlet_energy(field, r) > 1e-14
-    rr = r * grid.radii[:, None] * np.ones(grid.n_theta)[None, :]
-    tt = np.broadcast_to(grid.thetas[None, :], rr.shape)
-    rescaled = DiskField(grid, *values_at(field, rr, tt), field.seam)
-    root = np.sqrt(dirichlet_energy(rescaled, 1.0))
-    return DiskField(grid, rescaled.sheet1 / root, rescaled.sheet2 / root, field.seam)
-
-
-def _full_grid_cauchy_defect(f: DiskField, g: DiskField) -> float:
-    """The Cauchy defect before it took rings in blocks."""
-    d = pair_distance_arrays(f.sheet1, f.sheet2, g.sheet1, g.sheet2)
-    return float(d[CENTER_EXCLUSION_RINGS:].max())
-
-
-def _bilinear_blowup_sequence(field: DiskField, radii) -> BlowupSequence:
-    fields = tuple(_bilinear_rescale_normalize(field, r) for r in radii)
-    defects = tuple(_full_grid_cauchy_defect(f, g) for f, g in zip(fields, fields[1:]))
-    return BlowupSequence(tuple(radii), fields, defects)
-
-
-def _fancy_index_rescale_normalize(field: DiskField, r: float) -> DiskField:
-    """The rescale before its in-place blocked lerp: fancy-indexed rings and
-    a throwaway field for the energy; kept as its bit-exact reference."""
-    grid = field.grid
-    x = np.clip(r * grid.radii, 0.0, 1.0) * grid.n_r
-    i0 = np.minimum(x.astype(int), grid.n_r - 1)
-    fr = (x - i0)[:, None, None]
-    sheets = []
-    for sheet in (field.sheet1, field.sheet2):
-        lerp = sheet[i0] * (1 - fr)
-        lerp += sheet[i0 + 1] * fr
-        sheets.append(lerp)
-    root = np.sqrt(dirichlet_energy(DiskField(grid, *sheets, field.seam), 1.0))
-    return DiskField(grid, sheets[0] / root, sheets[1] / root, field.seam)
-
-
-def _assert_fields_close(got: DiskField, want: DiskField, rtol: float) -> None:
-    assert got.seam is want.seam and got.grid == want.grid
-    scale = max(np.abs(want.sheet1).max(), np.abs(want.sheet2).max())
-    assert np.abs(got.sheet1 - want.sheet1).max() <= rtol * scale
-    assert np.abs(got.sheet2 - want.sheet2).max() <= rtol * scale
-
-
-def _minimizer_field(kind: Continuation, grid: PolarGrid) -> DiskField:
-    rng = np.random.default_rng(7 if kind is Continuation.SWAP else 8)
-    return minimize(random_trace(rng, kind, n=grid.n_theta), grid).field
-
-
-@pytest.mark.parametrize("kind", [Continuation.IDENTITY, Continuation.SWAP])
-def test_row_rescale_matches_bilinear(grid64, kind):
-    """Rescaling by whole rings equals bilinear values_at at every node.
-
-    values_at divides each grid angle by dtheta again, which can land a
-    rounding step below the node and mix in the previous angle by that
-    step, so the two agree to rounding, not bit for bit.
-    """
-    field = _minimizer_field(kind, grid64)
-    for r in (1.0, 0.5, 0.37, 3 / grid64.n_r):
-        got = rescale_normalize(field, r)
-        _assert_fields_close(got, _bilinear_rescale_normalize(field, r), 1e-13)
-        assert abs(dirichlet_energy(got, 1.0) - 1.0) <= 1e-12
-
-
-@pytest.mark.parametrize("kind", [Continuation.IDENTITY, Continuation.SWAP])
-def test_blowup_sequence_matches_bilinear(grid64, kind):
-    field = _minimizer_field(kind, grid64)
-    radii = (0.4, 0.2, 0.1)
-    got = blowup_sequence(field, radii)
-    want = _bilinear_blowup_sequence(field, radii)
-    for g, w in zip(got.fields, want.fields):
-        _assert_fields_close(g, w, 1e-12)
-    np.testing.assert_allclose(got.cauchy_defects, want.cauchy_defects, rtol=1e-12)
+        assert spectral_energy(g.spectrum) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_blowup_sequence_zero_energy_raises(grid64):
-    zero = np.zeros((grid64.n_r + 1, grid64.n_theta, 2))
-    field = DiskField(grid64, zero, zero, Continuation.SWAP)
+    zero = tuple(np.zeros((1, 3, 2)))  # the double loop, three modes
+    g = ExactRescale(grid64, Spectrum(Continuation.SWAP, zero, zero))
     with pytest.raises(ZeroEnergy):
-        blowup_sequence(field, [0.5, 0.25])
+        blowup_sequence(g, [0.5, 0.25])
 
 
 @pytest.mark.parametrize("kind", [Continuation.IDENTITY, Continuation.SWAP])
@@ -404,73 +310,9 @@ def test_rescale_exact_zero_energy_raises(grid64):
         blowup_sequence(result, [0.5, 0.05])
 
 
-@pytest.mark.parametrize("seam", [Continuation.IDENTITY, Continuation.SWAP])
-@pytest.mark.parametrize("n_r, n_theta", [(16, 32), (64, 256), (40, 64)])
-def test_blowup_sequence_matches_fancy_index_reference_bitwise(seam, n_r, n_theta):
-    """Blocked in-place rescale and blocked Cauchy defects give the same
-    bits as the whole-grid formulas, also when the last block is partial."""
-    grid = PolarGrid(n_r, n_theta)
-    field = random_field(grid, seam, np.random.default_rng(n_theta))
-    radii = (1.0, 0.5, 0.37, 0.2)
-    seq = blowup_sequence(field, radii)
-    want = [_fancy_index_rescale_normalize(field, r) for r in radii]
-    for got, ref in zip(seq.fields, want):
-        assert got.sheet1.tobytes() == ref.sheet1.tobytes()
-        assert got.sheet2.tobytes() == ref.sheet2.tobytes()
-    assert seq.cauchy_defects == tuple(
-        _full_grid_cauchy_defect(f, g) for f, g in zip(want, want[1:])
-    )
-
-
-@pytest.mark.parametrize("seam", [Continuation.IDENTITY, Continuation.SWAP])
-def test_cauchy_defect_blocks_match_full_grid(seam):
-    """A node moved far off on one ring sets the sup exactly when the ring
-    lies outside the center exclusion zone, in any block."""
-    grid = PolarGrid(64, 32)
-    rng = np.random.default_rng(3)
-    f = random_field(grid, seam, rng)
-    for ring in (0, 2, 3, 31, 32, 33, 34, 63, 64):
-        moved = [f.sheet1.copy(), f.sheet2.copy()]
-        nodes = slice(5, 6) if ring else slice(None)  # the center is one node
-        moved[ring % 2][ring, nodes] += 100.0
-        g = DiskField(grid, *moved, seam)
-        got = _cauchy_defect(f, g)
-        assert got == _full_grid_cauchy_defect(f, g)
-        assert (got > 50.0) == (ring >= CENTER_EXCLUSION_RINGS)
-
-
-@pytest.mark.parametrize("n_r", [4, 20, 34])
-def test_cauchy_defect_of_fewer_rings_than_a_block(n_r):
-    """Grids with at most RING_BLOCK rings outside the center exclusion
-    zone take one block, in work arrays of those rings only."""
-    grid = PolarGrid(n_r, 16)
-    rng = np.random.default_rng(n_r)
-    f, g = (random_field(grid, Continuation.SWAP, rng) for _ in range(2))
-    assert _cauchy_defect(f, g) == _full_grid_cauchy_defect(f, g)
-
-
-def test_cauchy_defect_work_is_two_and_a_half_blocks():
-    """tracemalloc over one Cauchy defect at 64x256: its work arrays are one
-    block of squared differences and three half-block sums (a block being
-    RING_BLOCK rings of one sheet), allocated once for all blocks; the
-    measured peak is 2.51 blocks. Square roots and sums as temporaries per
-    block peaked at 3.28."""
-    grid = PolarGrid(64, 256)
-    rng = np.random.default_rng(11)
-    f, g = (random_field(grid, Continuation.SWAP, rng) for _ in range(2))
-    block_bytes = RING_BLOCK * grid.n_theta * 2 * 8
-    tracemalloc.start()
-    try:
-        _cauchy_defect(f, g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.6 * block_bytes
-
-
 def test_energy_ladder_computed_once_per_field(grid64, monkeypatch):
-    """minimize, the profile, the blow-up and further energies of one field
-    share one ring quadrature; each rescaled field adds one of its own."""
+    """minimize, the profile and further energies of one field share one
+    ring quadrature; the blow-up, which reads spectra, adds none."""
     calls = []
     ring_energy = field_module._ring_energy
 
@@ -479,32 +321,30 @@ def test_energy_ladder_computed_once_per_field(grid64, monkeypatch):
         return ring_energy(grid, s1, s2, seam)
 
     monkeypatch.setattr(field_module, "_ring_energy", counting)
-    field = minimize(single_mode_trace(1.5), grid64).field
+    result = minimize(single_mode_trace(1.5), grid64)
+    field = result.field
     frequency_profile(field, np.linspace(0.25, 1.0, 8))
-    blowup_sequence(field, (0.4, 0.2, 0.1))
+    blowup_sequence(result, (0.4, 0.2, 0.1))
     dirichlet_energy(field, 0.5)
-    assert sum(s1 is field.sheet1 for s1 in calls) == 1
-    assert len(calls) == 1 + 3
+    assert len(calls) == 1 and calls[0] is field.sheet1
 
 
 @pytest.mark.parametrize("seam", [Continuation.IDENTITY, Continuation.SWAP])
 def test_blowup_sequence_is_rescales_and_their_defects_bitwise(seam):
-    """blowup_sequence holds rescale_normalize at each radius and the
-    _cauchy_defect of each consecutive two, bit for bit; with
-    keep_fields=False the last field alone."""
-    grid = PolarGrid(40, 64)
-    field = random_field(grid, seam, np.random.default_rng(5))
+    """blowup_sequence holds rescale_exact at each radius and the
+    _circle_defect of each consecutive two, bit for bit; with
+    keep_fields=False the last rescale alone."""
+    result = minimize(random_trace(np.random.default_rng(5), seam), PolarGrid(40, 64))
     radii = (1.0, 0.5, 0.37, 0.2)
-    rescaled = [rescale_normalize(field, r) for r in radii]
-    defects = tuple(_cauchy_defect(f, g) for f, g in zip(rescaled, rescaled[1:]))
-    for seq, kept in ((blowup_sequence(field, radii), rescaled),
-                      (blowup_sequence(field, radii, keep_fields=False), rescaled[-1:])):
+    rescaled = [rescale_exact(result, r) for r in radii]
+    defects = tuple(_circle_defect(f, g) for f, g in zip(rescaled, rescaled[1:]))
+    for seq, kept in ((blowup_sequence(result, radii), rescaled),
+                      (blowup_sequence(result, radii, keep_fields=False), rescaled[-1:])):
         assert seq.radii == radii
         assert seq.cauchy_defects == defects
         assert len(seq.fields) == len(kept)
         for got, want in zip(seq.fields, kept):
-            assert got.sheet1.tobytes() == want.sheet1.tobytes()
-            assert got.sheet2.tobytes() == want.sheet2.tobytes()
+            assert got.seam is want.seam and got.ring.tobytes() == want.ring.tobytes()
 
 
 @pytest.mark.parametrize("kind", [Continuation.IDENTITY, Continuation.SWAP])
@@ -593,8 +433,8 @@ def test_cmd_blowup_holds_two_rescaled_fields(tmp_path, monkeypatch, dump):
 
 def test_identify_catalog_names_the_fit_radii_on_a_coarse_grid():
     """At 10 rings the fit radius 0.25 lies in the center exclusion zone."""
-    g = sample_field(DOUBLED_Z, PolarGrid(10, 64))
+    g = exact_entry(DOUBLED_Z, PolarGrid(10, 64))
     with pytest.raises(GridTooCoarse, match=r"^the catalog fit reads radii 0\.25, 0\.5, "
                        r"0\.75, 1: radius 0\.25 is below 3 grid rings$"):
         identify_catalog(g)
-    identify_catalog(sample_field(DOUBLED_Z, PolarGrid(11, 64)))
+    identify_catalog(exact_entry(DOUBLED_Z, PolarGrid(11, 64)))

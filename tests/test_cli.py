@@ -325,9 +325,9 @@ def test_commands_keep_their_answer_at_small_scale(perturbed_trace_file, tmp_pat
 
 def test_cmd_blowup_builds_no_minimizer_field(tmp_path, monkeypatch, capsys):
     """Without --dump-fields the blow-up evaluates one ring per radius, the
-    unit circle of each exact rescale, and computes no grid field, no
-    quadrature energy and no lerp. With it, each dump is the extension of
-    one rescale: one whole field per radius on top."""
+    unit circle of each exact rescale, and computes no grid field and no
+    quadrature energy. With it, each dump is the extension of one rescale:
+    one whole field per radius on top."""
     calls, evaluated = [], []
     eval_modes, extension = minimizer._eval_modes, minimizer.harmonic_extension
 
@@ -336,7 +336,7 @@ def test_cmd_blowup_builds_no_minimizer_field(tmp_path, monkeypatch, capsys):
         return eval_modes(spectrum, grid, radial)
 
     for owner, name in ((minimizer, "dirichlet_energy"), (cli, "dirichlet_energy"),
-                        (field_module, "_ring_energy"), (blowup_module, "rescale_normalize")):
+                        (field_module, "_ring_energy")):
         monkeypatch.setattr(owner, name, lambda *args, name=name: calls.append(name))
     for owner in (minimizer, blowup_module):
         monkeypatch.setattr(owner, "_eval_modes", recorded)
@@ -733,6 +733,25 @@ def test_trace_point_that_is_not_a_pair(tmp_path, capsys, point):
             assert main([command, str(path), "--out", str(tmp_path / "out.csv")]) == 2
             assert capsys.readouterr().err == (
                 f"error: cannot load trace {path}: trace points must be [x, y] pairs\n")
+
+
+@pytest.mark.parametrize("name, convert", [
+    pytest.param("theta", lambda t: 10**400, id="theta"),
+    pytest.param("p1", lambda p: [p[0], -(10**400)], id="p1"),
+])
+def test_trace_integer_beyond_the_float_range(tmp_path, capsys, name, convert):
+    """A JSON integer too large for a float is not finite, as the float
+    literal 1e400 is: both trace commands exit 2 with that message and no
+    traceback."""
+    path = tmp_path / "big.json"
+    path.write_text(_trace_text_with(name, convert))
+    with pytest.raises(ValueError, match="^trace values must be finite$"):
+        load_trace(path)
+    for command in ("minimize", "blowup"):
+        assert main([command, str(path), "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: cannot load trace {path}: trace values must be finite\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
 
 
 def test_stdout_carries_only_data(perturbed_trace_file, branched_trace_file, tmp_path, capsys):

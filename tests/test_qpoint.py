@@ -77,8 +77,8 @@ def test_vectorized_matches_scalar():
 
 
 def test_vectorized_equals_summed_squares():
-    """Bit-equal to the np.sum form it replaced, on the field shape blow-up
-    defects use."""
+    """Bit-equal to the np.sum form it replaced, on the shape of a field's
+    sheets."""
     rng = np.random.default_rng(12)
     a, b, c, d = rng.normal(size=(4, 17, 64, 2))
 

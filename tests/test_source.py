@@ -174,3 +174,15 @@ def test_data_thresholds_are_read_through_scaled_tol():
             and id(node) not in allowed
         ]
     assert not found, f"data thresholds read without scaled_tol: {found}"
+
+
+def test_blowup_reads_no_grid_field():
+    """One blow-up route: qdisk/blowup.py takes spectra only and does not
+    refer to DiskField, so a grid-field branch cannot come back unseen."""
+    path = PACKAGE / "blowup.py"
+    found = [
+        f"{path.name}:{getattr(node, 'lineno', '?')}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if _referred_name(node) == "DiskField"
+    ]
+    assert not found, f"DiskField referred to in qdisk.blowup: {found}"
