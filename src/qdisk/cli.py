@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 from pathlib import Path
 
@@ -172,7 +171,7 @@ def cmd_table(args) -> int:
 def _load_trace_checked(path: str):
     try:
         return load_trace(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         raise UsageError(f"cannot load trace {path}: {exc}") from exc
 
 
@@ -315,24 +314,17 @@ def cmd_blowup(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qdisk",
-        description="Two-valued Dirichlet minimizers on the unit disk",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="classify a sheet coefficient tuple")
+def _classify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("tuple", help="four comma-separated reals a,b,c,d")
     p.add_argument("--tol", type=float, default=1e-9, help="classification tolerance")
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("table", help="emit the matching table")
+
+def _table_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("minimize", help="minimize boundary data")
+
+def _minimize_args(p: argparse.ArgumentParser) -> None:
     _add_trace_args(p)
     p.add_argument("--oracle", action="store_true", help="run the relaxation oracle")
     p.add_argument(
@@ -341,9 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"max relative oracle gap (default {DEFAULT_ORACLE_TOL:g}; needs --oracle)",
     )
-    p.set_defaults(func=cmd_minimize)
 
-    p = sub.add_parser("blowup", help="blow-up analysis of a minimizer")
+
+def _blowup_args(p: argparse.ArgumentParser) -> None:
     _add_trace_args(p)
     p.add_argument(
         "--dump-fields",
@@ -351,13 +343,41 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write each rescaled field to PREFIX_r<RADIUS>.csv",
     )
-    p.set_defaults(func=cmd_blowup)
 
+
+# name: (help, arguments, command), in the order `qdisk -h` lists them
+SUBCOMMANDS = {
+    "classify": ("classify a sheet coefficient tuple", _classify_args, cmd_classify),
+    "table": ("emit the matching table", _table_args, cmd_table),
+    "minimize": ("minimize boundary data", _minimize_args, cmd_minimize),
+    "blowup": ("blow-up analysis of a minimizer", _blowup_args, cmd_blowup),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The qdisk parser. Every subcommand is listed with its help, so the
+    top-level help and usage errors do not depend on ``command``; the
+    subcommands' own arguments are added for ``command`` alone, or for
+    every subcommand when it is None."""
+    parser = argparse.ArgumentParser(
+        prog="qdisk",
+        description="Two-valued Dirichlet minimizers on the unit disk",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, func) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_arguments(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no option with a value, so the first word
+    # that is not an option names the subcommand, if any does
+    command = next((word for word in argv if not word.startswith("-")), None)
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -21,6 +21,7 @@ by an FFT in angle and one tridiagonal solve in r per mode
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
@@ -49,6 +50,10 @@ SEP_TOL = 1e-9
 # Largest relative energy decrease one reference Gauss-Seidel sweep may find
 # in the oracle's solution; rounding leaves about 1e-16.
 STATIONARY_TOL = 1e-10
+# Base-2 exponent below which a closed form's power r^(step k) is taken as
+# 0.0: a power below 2^-1075 rounds to zero, and one binade is left to spare
+# for the rounding of step * k * log2(r) and of the power.
+UNDERFLOW_LOG2 = -1076
 
 
 @dataclass(frozen=True)
@@ -66,7 +71,7 @@ class BoundaryTrace:
         n = len(thetas)
         if n < 8 or p1.shape != (n, 2) or p2.shape != (n, 2):
             raise ValueError("trace needs >= 8 samples of matching shape")
-        if not (np.isfinite(p1).all() and np.isfinite(p2).all()):
+        if not all(np.isfinite(values).all() for values in (thetas, p1, p2)):
             raise ValueError("trace values must be finite")
         expected = 2.0 * np.pi * np.arange(n) / n
         if not np.allclose(thetas, expected, atol=1e-9):
@@ -356,6 +361,28 @@ def harmonic_extension(spectrum: Spectrum, grid: PolarGrid) -> DiskField:
     return DiskField(grid, *_eval_modes(spectrum, grid, grid.radii), spectrum.kind)
 
 
+def _live_count(mass: np.ndarray, step: float, r: float) -> int:
+    """Number of leading modes that hold every closed-form term mass_k *
+    r^(step * k) that can differ from 0.0 times mass_k at radius r. For
+    |r| <= 1 such a term has a nonzero mass and a power that does not round
+    to 0.0: step * k * log2|r| >= UNDERFLOW_LOG2. For |r| > 1 it is every
+    mode, since a power may overflow, and infinity times a zero mass is NaN.
+    So a sum that leaves 0.0 in place of the powers past the count adds the
+    dense sum's terms in its order, bit for bit. The powers are taken for
+    the whole prefix, zero masses within it included: np.power takes a
+    shortcut (x * x for exponent 2) when its exponent operand does not
+    advance, as in a table of one column, and the shortcut rounds
+    differently from the dense table's power."""
+    a = abs(r)
+    if not a <= 1:
+        return len(mass)
+    cut = len(mass)
+    if a < 1:
+        cut = 1 if a == 0 else int(UNDERFLOW_LOG2 / (step * math.log2(a))) + 1
+    modes = np.flatnonzero(mass[:cut])
+    return int(modes[-1]) + 1 if len(modes) else 0
+
+
 def spectral_energy(spectrum: Spectrum, r: float = 1.0) -> float:
     """Closed-form Dirichlet energy of the spectral extension over the disk
     of radius r.
@@ -364,13 +391,18 @@ def spectral_energy(spectrum: Spectrum, r: float = 1.0) -> float:
     same index formula covers both classes: an unbranched mode k has
     frequency k over one period 2*pi, a branched mode k has frequency k/2
     integrated over the double cover. Modes are orthogonal on every circle,
-    so no cross terms appear.
+    so no cross terms appear. The powers are taken for the ``_live_count``
+    leading modes only; the other weights stay 0.0.
     """
+    r = float(r)
+    step = 2 * spectrum.frequency_unit
     total = 0.0
     for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs):
-        k = np.arange(cos.shape[0])
-        weight = k * np.power(float(r), 2 * k * spectrum.frequency_unit)
-        total += np.pi * np.sum(weight * _mass(cos, sin))
+        mass = _mass(cos, sin)
+        k = np.arange(_live_count(mass, step, r))
+        weight = np.zeros(len(mass))
+        weight[: len(k)] = k * np.power(r, step * k)
+        total += np.pi * np.sum(weight * mass)
     return float(total)
 
 
@@ -381,14 +413,20 @@ def spectral_profile(spectrum: Spectrum, radii) -> FrequencyProfile:
     |B_k|^2)), the modes being orthogonal on every circle. N = r D / H is a
     mean of the nu_k whose weights move to larger nu_k as r grows, so it
     never decreases. ZeroBoundaryMass below EPS_BOUNDARY_MASS, scaled to
-    the squared coefficients."""
+    the squared coefficients. H's table of powers fills the ``_live_count``
+    leading modes of the largest |radius|, and holds 0.0 past them: a power
+    that rounds to 0.0 there does so at every smaller radius."""
     radii = np.array(radii, dtype=float)
     unit = spectrum.frequency_unit
+    largest = float(np.max(np.abs(radii), initial=0.0))
     H, masses = 0.0, []
     for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs):
         mass = _mass(cos, sin)
         mass[0] *= 2.0  # P |A_0|^2 of the constant mode
-        H = H + np.power(radii[:, None], 2 * unit * np.arange(len(mass))) @ mass
+        count = _live_count(mass, 2 * unit, largest)
+        powers = np.zeros((len(radii), len(mass)))
+        powers[:, :count] = np.power(radii[:, None], 2 * unit * np.arange(count))
+        H = H + powers @ mass
         masses.append(mass)
     H *= np.pi / unit * radii  # P / 2 = pi / unit
     D = np.array([spectral_energy(spectrum, r) for r in radii])

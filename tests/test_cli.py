@@ -530,6 +530,43 @@ def test_usage_errors():
     assert main([]) == 2
 
 
+PARSER_ARGVS = [
+    ([], None), (["-h"], None), (["frobnicate"], "frobnicate"),
+    (["blowup"], "blowup"), (["classify"], "classify"),
+    *(([name, "-h"], name) for name in ("classify", "table", "minimize", "blowup")),
+    (["blowup", "t.json", "--bogus"], "blowup"),
+    (["minimize", "t.json", "--oracle-tol", "x"], "minimize"),
+]
+
+
+def test_one_subcommand_parser_prints_the_same_bytes(monkeypatch, capsys):
+    """main builds the arguments of the invoked subcommand only, the first
+    word that is not an option; help and usage errors keep their exit code,
+    stdout and stderr byte for byte against a parser holding every
+    subcommand's arguments."""
+    assert list(cli.SUBCOMMANDS) == ["classify", "table", "minimize", "blowup"]
+    build, asked = cli.build_parser, []
+
+    def recorded(command=None):
+        asked.append(command)
+        return build(command)
+
+    def printed(builder):
+        monkeypatch.setattr(cli, "build_parser", builder)
+        results = []
+        for argv, _ in PARSER_ARGVS:
+            rc = main(argv)
+            results.append((rc, *capsys.readouterr()))
+        return results
+
+    whole = printed(lambda command=None: build())
+    assert printed(recorded) == whole
+    assert asked == [command for _, command in PARSER_ARGVS]
+    assert [rc for rc, _, _ in whole] == [2, 0, 2, 2, 2, 0, 0, 0, 0, 2, 2]
+    assert "unrecognized arguments: --bogus" in whole[-2][2]
+    assert "invalid float value: 'x'" in whole[-1][2]
+
+
 def test_blowup_dump_fields(perturbed_trace_file, tmp_path):
     out = tmp_path / "report.json"
     prefix = tmp_path / "dump"
@@ -752,6 +789,24 @@ def test_trace_integer_beyond_the_float_range(tmp_path, capsys, name, convert):
         assert capsys.readouterr() == (
             "", f"error: cannot load trace {path}: trace values must be finite\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
+
+
+@pytest.mark.parametrize("literal", ["1e400", "NaN", "Infinity"])
+def test_trace_angle_that_is_not_finite(tmp_path, capsys, literal):
+    """A theta that parses as inf or NaN is not finite, as a coordinate that
+    does is not: both trace commands exit 2 with that message, not with the
+    rule for uniform angles, on a grid that passes every radius check."""
+    path = tmp_path / "bad.json"
+    path.write_text(_trace_text_with("theta", lambda t: 777.0).replace("777.0", literal))
+    with pytest.raises(ValueError, match="^trace values must be finite$"):
+        load_trace(path)
+    for command in ("minimize", "blowup"):
+        argv = [command, str(path), "--nr", "32", "--ntheta", "128",
+                "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: cannot load trace {path}: trace values must be finite\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
 def test_stdout_carries_only_data(perturbed_trace_file, branched_trace_file, tmp_path, capsys):

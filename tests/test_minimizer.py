@@ -8,14 +8,18 @@ from test_invariance import _draws as invariance_draws
 
 from qdisk import _kernels
 from qdisk import minimizer as minimizer_module
-from qdisk.errors import AmbiguousClass, NotStationary, ZeroSpectrum
+from qdisk.blowup import rescale_exact
+from qdisk.errors import AmbiguousClass, NotStationary, ZeroBoundaryMass, ZeroSpectrum
 from qdisk.field import (
+    EPS_BOUNDARY_MASS,
     RING_BLOCK,
     DiskField,
+    FrequencyProfile,
     PolarGrid,
     dirichlet_energy,
     frequency_profile,
     sample_field,
+    scaled_tol,
 )
 from qdisk.forms import Continuation, FourTuple, HomogeneousPair
 from qdisk.minimizer import (
@@ -942,3 +946,138 @@ def test_folded_modes_counts_nyquist_sine():
     assert share == pytest.approx(np.pi * 16 * 0.01 / spectral_energy(lost), rel=1e-12)
     kept = _swap_spectrum({3: unit, 16: ((0.1, 0.0), (0.0, 0.0))})
     assert folded_modes(kept, grid) == (0, 0.0)
+
+
+def _dense_energy(spectrum: Spectrum, r: float) -> float:
+    """spectral_energy with a power for every mode, k * np.power(r, 2 k unit)."""
+    total = 0.0
+    for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs):
+        k = np.arange(cos.shape[0])
+        weight = k * np.power(float(r), 2 * k * spectrum.frequency_unit)
+        total += np.pi * np.sum(weight * minimizer_module._mass(cos, sin))
+    return float(total)
+
+
+def _dense_profile(spectrum: Spectrum, radii):
+    """spectral_profile with H's table of powers over every mode and every
+    radius; a ZeroBoundaryMass comes back as its message."""
+    radii = np.array(radii, dtype=float)
+    unit = spectrum.frequency_unit
+    H, masses = 0.0, []
+    for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs):
+        mass = minimizer_module._mass(cos, sin)
+        mass[0] *= 2.0
+        H = H + np.power(radii[:, None], 2 * unit * np.arange(len(mass))) @ mass
+        masses.append(mass)
+    H *= np.pi / unit * radii
+    D = np.array([_dense_energy(spectrum, r) for r in radii])
+    return _profile_outcome(FrequencyProfile.of, radii, D, H,
+                            scaled_tol(EPS_BOUNDARY_MASS, masses))
+
+
+def _profile_outcome(profile, *args):
+    """The bytes of radii, D, H and N of a profile, or its ZeroBoundaryMass."""
+    try:
+        result = profile(*args)
+    except ZeroBoundaryMass as exc:
+        return str(exc)
+    return [getattr(result, name).tobytes() for name in ("radii", "D", "H", "N")]
+
+
+def _trimmed_terms(mass: np.ndarray, step: float, radii: np.ndarray) -> np.ndarray:
+    """The terms mass_k r^(step k), one row per radius: powers for the
+    _live_count leading modes of the largest |radius|, 0.0 past them."""
+    powers = np.zeros((len(radii), len(mass)))
+    count = minimizer_module._live_count(mass, step, float(np.max(np.abs(radii))))
+    powers[:, :count] = np.power(radii[:, None], step * np.arange(count))
+    return powers * mass
+
+
+def _underflow_sweep(step: float, modes: int) -> np.ndarray:
+    """At least 1,000 radii at which r^(step k) enters the subnormal range
+    or underflows to 0.0, for modes k spread over 1..modes: 2^(e / (step
+    k)) for e from -1080 to -1070; with 0, 0.1, 0.2, 0.25, 0.4 and 1."""
+    ks = np.unique(np.geomspace(1, modes, 100).astype(int))
+    exps = np.linspace(-1080, -1070, -(-1000 // len(ks)) + 1)
+    radii = np.exp2(exps[:, None] / (step * ks[None, :])).ravel()
+    return np.unique(np.concatenate([radii, [0.0, 0.1, 0.2, 0.25, 0.4, 1.0]]))
+
+
+def _trimming_spectra(monkeypatch, kind: Continuation) -> list:
+    """Lift spectra, whose absent modes carry noise-level masses, of a
+    band-limited and a broadband trace of the class, of a single mode
+    ({z, -z}, or z^(3/2)), and of the band-limited trace scaled by 2^40,
+    2^-40 and 1e-150; with the rescale_exact spectrum of each at 0.4,
+    whose absent modes are exact zeros."""
+    if kind is Continuation.SWAP:
+        inputs = perfbench_inputs(monkeypatch)
+        band, broad = (BoundaryTrace.from_values(*inputs.make_traces(name, 27, 256, 1)[0].sheets())
+                       for name in ("band", "broadband"))
+        single = single_mode_trace(1.5)
+    else:
+        rng = np.random.default_rng(271)
+        band, broad = random_trace(rng, kind), random_trace(rng, kind, kmax=100)
+        single = single_mode_trace(1.0)
+    traces = [band, broad, single] + [BoundaryTrace.from_values(scale * band.p1, scale * band.p2)
+                                      for scale in (2.0**40, 2.0**-40, 1e-150)]
+    spectra = []
+    for trace in traces:
+        result = minimize(trace, PolarGrid(16, 256))
+        assert result.kind is kind
+        spectra += [result.spectrum, rescale_exact(result, 0.4).spectrum]
+    return spectra
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("kind", [Continuation.IDENTITY, Continuation.SWAP])
+def test_trimmed_closed_forms_keep_every_bit(monkeypatch, kind):
+    """spectral_energy and spectral_profile, which take powers only for the
+    _live_count leading modes, equal the dense sums over every mode bit for
+    bit. At 1,000 radii across the underflow of the modes' powers, every
+    dense term past the live count is +0.0, and the energies agree (at
+    every fourth radius for scaled data); so do H's term tables, which take
+    the count of the largest radius, and the profiles, on radii ascending
+    and descending."""
+    step = 2 * (1.0 if kind is Continuation.IDENTITY else 0.5)
+    profiles = 0
+    for index, spectrum in enumerate(_trimming_spectra(monkeypatch, kind)):
+        masses = [minimizer_module._mass(cos, sin)
+                  for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs)]
+        sweep = _underflow_sweep(step, len(masses[0]) - 1)
+        assert len(sweep) >= 1000
+        for mass in masses:
+            dense = np.power(sweep[:, None], step * np.arange(len(mass))) * mass
+            counts = [minimizer_module._live_count(mass, step, r) for r in sweep]
+            past = np.arange(len(mass)) >= np.array(counts)[:, None]
+            assert not dense.view(np.uint64)[past].any()
+            for rows in (slice(None, None, -1), sweep < 0.3, (sweep > 0) & (sweep < 0.05)):
+                terms = _trimmed_terms(mass, step, sweep[rows])
+                assert terms.tobytes() == dense[rows].tobytes()
+        for r in sweep if index < 6 else sweep[::4]:
+            assert _bits(spectral_energy(spectrum, r)) == _bits(_dense_energy(spectrum, r))
+        for radii in (np.geomspace(1e-3, 0.99, 20), [0.1, 0.2, 0.25, 0.4, 1.0],
+                      *(sweep[(sweep > 0) & (sweep < cap)][::-8][:15] for cap in (1e-3, 0.3))):
+            for ordered in (np.sort(radii), np.sort(radii)[::-1]):
+                got = _profile_outcome(spectral_profile, spectrum, ordered)
+                assert got == _dense_profile(spectrum, ordered)
+                profiles += isinstance(got, list)
+    assert profiles > 40
+
+
+def test_trimmed_closed_forms_keep_non_finite_terms():
+    """Where a dense term is NaN, an underflowed power times an infinite mass
+    (a coefficient of 1e200) or an infinite power (r > 1) times a zero
+    mass, the trimmed energy is NaN too: bit for bit the dense one."""
+    cos, sin = np.zeros((65, 2)), np.zeros((65, 2))
+    cos[3] = (1.0, 0.5)
+    huge = cos.copy()
+    huge[60, 0] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        for table, r in ((huge, 1e-12), (huge, 0.5), (cos, 1e10), (cos, 0.5), (cos, np.nan)):
+            spectrum = Spectrum(Continuation.SWAP, (table,), (sin,))
+            energy = spectral_energy(spectrum, r)
+            assert _bits(energy) == _bits(_dense_energy(spectrum, r))
+            assert np.isnan(energy) == (r != 0.5)
