@@ -167,8 +167,13 @@ def sample_field(entry: HomogeneousPair, grid: PolarGrid) -> DiskField:
 
 
 def _ring_sums(d: np.ndarray) -> np.ndarray:
-    """Sum of squares of each ring (axis 0) of a difference array."""
-    return np.einsum("ijk,ijk->i", d, d)
+    """Sum of squares of each ring (axis 0) of a difference array. einsum
+    sets no floating-point flag, so a sum that is not finite raises
+    FloatingPointError here, as an overflowing square does elsewhere."""
+    sums = np.einsum("ijk,ijk->i", d, d)
+    if not np.isfinite(sums).all():
+        raise FloatingPointError("overflow in a ring's sum of squares")
+    return sums
 
 
 # Rings per block of every blocked pass (_ring_energy and the mode

@@ -3,7 +3,9 @@
 Boundary data on the unit circle is an unordered pair of points per angle.
 Going once around the circle, a continuous selection either returns to its
 start (two closed loops: the unbranched class) or lands on the other sheet
-(one double loop of period 4*pi: the branched class). Each class has a
+(one double loop of period 4*pi: the branched class). The selection
+continues the sign of p1 - p2 from sample to sample, which reads the class
+without regard to which point of a pair is labelled first. Each class has a
 spectral minimizer: per-loop integer Fourier modes extend by r^k, and the
 double loop's modes at index k extend by r^(k/2). Minimality of the
 branched extension rests on the double-cover energy identity (unfolding a
@@ -56,6 +58,15 @@ STATIONARY_TOL = 1e-10
 UNDERFLOW_LOG2 = -1076
 
 
+def _binade_rows(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of an (n, 2) array, each divided by the power of two 2^e
+    that brings its larger |coordinate| into [0.5, 1), and the exponents e.
+    The division is exact but for a coordinate that it takes below the
+    normal range, whose square is then too small to count."""
+    _, exp = np.frexp(np.maximum(np.abs(d[:, 0]), np.abs(d[:, 1])))
+    return np.ldexp(d, -exp[:, None]), exp
+
+
 @dataclass(frozen=True)
 class BoundaryTrace:
     """Uniformly sampled pair-valued boundary data on the unit circle."""
@@ -85,12 +96,14 @@ class BoundaryTrace:
         return len(self.thetas)
 
     def gaps(self) -> np.ndarray:
-        """Distance between the sheets at each sample, sqrt(dx^2 + dy^2):
-        ``np.linalg.norm(p1 - p2, axis=1)`` bit for bit, without a reduction
-        over the coordinate pair (see ``_present``)."""
-        d = self.p1 - self.p2
+        """Distance between the sheets at each sample, sqrt(dx^2 + dy^2)
+        taken at the sample's own power of two (``_binade_rows``) and scaled
+        back: ``np.linalg.norm(p1 - p2, axis=1)`` bit for bit wherever no
+        square of the latter underflows or overflows, and without a
+        reduction over the coordinate pair (see ``_present``)."""
+        d, exp = _binade_rows(self.p1 - self.p2)
         dx, dy = d[:, 0], d[:, 1]
-        return np.sqrt(dx * dx + dy * dy)
+        return np.ldexp(np.sqrt(dx * dx + dy * dy), exp)
 
     def separation(self) -> float:
         return float(np.min(self.gaps()))
@@ -154,36 +167,25 @@ class BoundaryLift:
 
 
 def _track_selection(trace: BoundaryTrace) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Nearest-point continuation around the circle.
+    """Sign continuation of the pair around the circle.
 
     Returns the selected and complementary value sequences plus whether the
-    selection returns to its start after a full turn. Sample j continues
-    with p1[j] when it is at least as close to the previous selection as
-    p2[j]. The previous selection is p1[j-1] or p2[j-1], so both comparisons
-    are made for every sample at once, each as ax^2 + ay^2 <= bx^2 + by^2
-    (a square that overflows is inf, as on Python floats); the walk then
-    picks one of them per sample.
+    selection returns to its start after a full turn. With d = p1 - p2,
+    sample j flips when d_j . d_(j-1) < 0 (d_(n-1) before d_0). Sheet 1
+    takes p1 at j while the flips in 1..j are even, and the selection
+    closes when all n flips are even. Relabelling the sheets negates every
+    d and keeps every product, so it exchanges sel and comp and nothing
+    else. Each d enters at its own power of two (``_binade_rows``), which
+    keeps its sign and keeps the products finite at any finite scale.
     """
-    p1, p2 = trace.p1, trace.p2
-
-    def nearer_first(prev: np.ndarray) -> list:
-        """Per sample j: p1[j] is at least as close as p2[j] to prev[j-1]
-        (to prev[n-1] at j = 0)."""
-        prev = np.roll(prev, 1, axis=0)
-        a, b = p1 - prev, p2 - prev
-        ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
-        with np.errstate(over="ignore"):
-            return (ax * ax + ay * ay <= bx * bx + by * by).tolist()
-
-    after_first, after_second = nearer_first(p1), nearer_first(p2)
-    take_first = [True] * trace.n
-    first = True
-    for j in range(1, trace.n):
-        first = take_first[j] = after_first[j] if first else after_second[j]
-    take = np.array(take_first)[:, None]
-    sel = np.where(take, p1, p2)
-    comp = np.where(take, p2, p1)
-    return sel, comp, (after_first if first else after_second)[0]
+    d, _ = _binade_rows(trace.p1 - trace.p2)
+    prev = np.roll(d, 1, axis=0)
+    flips = d[:, 0] * prev[:, 0] + d[:, 1] * prev[:, 1] < 0
+    odd = np.logical_xor.accumulate(flips)  # flips in 0..j are odd
+    take = (odd == flips[0])[:, None]
+    sel = np.where(take, trace.p1, trace.p2)
+    comp = np.where(take, trace.p2, trace.p1)
+    return sel, comp, not odd[-1]
 
 
 def _collisions(trace: BoundaryTrace) -> np.ndarray:
@@ -192,7 +194,9 @@ def _collisions(trace: BoundaryTrace) -> np.ndarray:
 
 
 def lift_boundary(trace: BoundaryTrace) -> BoundaryLift:
-    """Decide the continuation class by tracking values around the circle.
+    """Decide the continuation class by continuing the sign of p1 - p2
+    around the circle (``_track_selection``): the class is the parity of its
+    sign flips.
 
     Raises AmbiguousClass when the sheets collide anywhere (within SEP_TOL,
     scaled); colliding data admits both classes and the caller must choose.
@@ -209,8 +213,9 @@ def lift_boundary(trace: BoundaryTrace) -> BoundaryLift:
 def forced_lift(trace: BoundaryTrace, kind: Continuation) -> BoundaryLift:
     """Canonical splitting for an explicitly requested class.
 
-    Unbranched: the tracked selection and its complement (at collisions
-    the two values agree, so either branch keeps the loops continuous).
+    Unbranched: the sign-continued selection and its complement (at
+    collisions the two values agree, so either branch keeps the loops
+    continuous).
     Branched: the double loop with the crossover at the first collision if
     one exists, else at the wrap angle, where it is lift_boundary's double
     loop: separated data keeps its detected sheet order.

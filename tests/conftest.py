@@ -106,7 +106,8 @@ def random_trace(rng, kind, n=256, kmax=4, mode0=False, min_sep=0.05, odd_only=F
 def exact_entry(entry, grid):
     """A catalog entry as a unit-energy ExactRescale on the grid: the
     spectrum of its outer ring, lifted by its continuation (two closed
-    loops, or sheet 1 then sheet 2 as one double loop), so no walk runs."""
+    loops, or sheet 1 then sheet 2 as one double loop), so the class is
+    given, not detected."""
     rings = [sheet_eval(t, entry.N, 1.0, grid.thetas) for t in (entry.t1, entry.t2)]
     swap = entry.continuation is Continuation.SWAP
     lift = BoundaryLift(entry.continuation, (np.concatenate(rings),) if swap else tuple(rings))

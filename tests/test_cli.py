@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from qdisk import cli, minimizer
 from qdisk import field as field_module
 from qdisk.cli import main
 from qdisk.field import PolarGrid, load_field
-from qdisk.forms import Continuation
+from qdisk.forms import Continuation, enumerate_entries, sheet_eval
 from qdisk.minimizer import (
     BoundaryTrace,
     frequency_from_spectrum,
@@ -868,6 +869,59 @@ def test_blowup_follows_minimize_on_one_collision(tmp_path, capsys):
     assert report["rounded_N"] == 1.5
 
 
+def test_catalog_reads_back_through_the_cli(tmp_path, capsys):
+    """Every entry of enumerate_entries(8, 0), sampled on the unit circle at
+    n = 256: at 64x256 blowup reads the entry's N and continuation, and
+    minimize prints its N0. A lift that continues the nearest point reads
+    entry 51 (identity, N = 3, sheets 0.016 apart) as swap."""
+    th = 2 * np.pi * np.arange(256) / 256
+    path = tmp_path / "entry.json"
+    misread = []
+    for index, entry in enumerate(enumerate_entries(8, 0)):
+        sheets = (sheet_eval(t, entry.N, 1.0, th) for t in (entry.t1, entry.t2))
+        save_trace(BoundaryTrace.from_values(*sheets), path)
+        assert main(["minimize", str(path), "--out", str(tmp_path / "f.csv")]) == 0, index
+        N0 = float(_n0_line(capsys).split()[1])
+        assert main(["blowup", str(path)]) == 0, (index, capsys.readouterr().err)
+        report = json.loads(capsys.readouterr().out)
+        if (N0, report["rounded_N"], report["continuation"]) != \
+                (entry.N, entry.N, entry.continuation.value):
+            misread.append(index)
+    assert index == 79 and not misread
+
+
+@pytest.mark.parametrize("kind", [Continuation.SWAP, Continuation.IDENTITY],
+                         ids=lambda kind: kind.value)
+def test_tiny_data_keeps_its_class(tmp_path, capsys, kind):
+    """Below about 1e-162 the squares of the sheet gaps underflow unless
+    each gap is taken at its own power of two. At 1e-165, 1e-200 and
+    1e-300 both commands print the class detected at scale 1, and either
+    exit 2 with a typed error or answer as at scale 1: none exits 0 with
+    frequency 0."""
+    trace = random_trace(np.random.default_rng(5), kind)
+    path = tmp_path / "tiny.json"
+    answers = {}
+    for scale in (1.0, 1e-165, 1e-200, 1e-300):
+        save_trace(BoundaryTrace.from_values(scale * trace.p1, scale * trace.p2), path)
+        for command in ("minimize", "blowup"):
+            code = main([command, str(path), "--out", str(tmp_path / "out")])
+            out, err = capsys.readouterr()
+            err = err.splitlines()
+            assert err[0].startswith(f"detected class: {kind.value} (separation ")
+            if command == "minimize" and code == 0:
+                answer = out.splitlines()[0], _n0_line_of(out).split()[1]
+            elif command == "blowup" and code == 0:
+                report = json.loads((tmp_path / "out").read_text())
+                answer = report["rounded_N"], report["continuation"]
+            else:
+                answer = err[-1].split(":")[1]
+            if scale == 1.0:
+                answers[command] = code, answer
+            else:
+                typed = re.fullmatch(r"error: [A-Z]\w+: .+", err[-1]) is not None
+                assert (code == 2 and typed) or (code, answer) == answers[command]
+
+
 def test_detected_class_only_when_minimize_detects_it(perturbed_trace_file, tmp_path, capsys):
     for command, out in (("minimize", "f.csv"), ("blowup", "report.json")):
         argv = [command, perturbed_trace_file, "--out", str(tmp_path / out)]
@@ -890,8 +944,12 @@ def test_detected_class_only_when_minimize_detects_it(perturbed_trace_file, tmp_
         )
 
 
+def _n0_line_of(out: str) -> str:
+    return next(line for line in out.splitlines() if line.startswith("N0:"))
+
+
 def _n0_line(capsys):
-    return next(line for line in capsys.readouterr().out.splitlines() if line.startswith("N0:"))
+    return _n0_line_of(capsys.readouterr().out)
 
 
 def test_minimize_prints_n0_from_the_spectrum(tmp_path, capsys):

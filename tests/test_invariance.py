@@ -85,15 +85,8 @@ SYMMETRIES = {
 SCALES = (1e-12, 1e-10, 1e-8, 1e-6, 1e4, 1e8)
 
 
-# The lift's nearest-point walk picks p2[147] of draw 7 after p1[146] and
-# after p2[146] alike, so the class it reads depends on the sheets' labels.
-LABEL_DEPENDENT_LIFT = pytest.mark.xfail(
-    strict=True, reason="lift_boundary's walk reads swap from p1 and identity from p2")
-
-
 @pytest.mark.parametrize("symmetry, draw", [
-    pytest.param(symmetry, draw, id=f"{symmetry}-{draw}", marks=(
-        LABEL_DEPENDENT_LIFT if (symmetry, draw) == ("relabel-sheets", 7) else ()))
+    pytest.param(symmetry, draw, id=f"{symmetry}-{draw}")
     for symmetry in SYMMETRIES for draw in range(11)
 ])
 def test_answers_keep_under_symmetry(symmetry, draw):

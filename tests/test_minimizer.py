@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import perfbench_inputs, random_trace, single_mode_trace
 from test_invariance import _draws as invariance_draws
+from test_invariance import _scaled
 
 from qdisk import _kernels
 from qdisk import minimizer as minimizer_module
@@ -731,48 +733,6 @@ def test_minimize_result_rejects_higher_energy_under_optimize():
     MinimizeResult(Continuation.SWAP, None, None, alt_energy=5.0, _energy=1.0)
 
 
-def _track_selection_reference(trace: BoundaryTrace):
-    """The former per-sample numpy loop of _track_selection."""
-    n = trace.n
-    sel = np.empty((n, 2))
-    comp = np.empty((n, 2))
-    sel[0] = trace.p1[0]
-    comp[0] = trace.p2[0]
-    for j in range(1, n):
-        prev = sel[j - 1]
-        take_first = np.sum((trace.p1[j] - prev) ** 2) <= np.sum((trace.p2[j] - prev) ** 2)
-        sel[j] = trace.p1[j] if take_first else trace.p2[j]
-        comp[j] = trace.p2[j] if take_first else trace.p1[j]
-    d_back = np.sum((trace.p1[0] - sel[-1]) ** 2)
-    d_cross = np.sum((trace.p2[0] - sel[-1]) ** 2)
-    return sel, comp, d_back <= d_cross
-
-
-def _tracking_traces():
-    rng = np.random.default_rng(23)
-    for kind in (Continuation.IDENTITY, Continuation.SWAP):
-        for n in (256, 1024):
-            trace = random_trace(rng, kind, n=n)
-            yield trace
-            # noise large enough to make the nearest-point walk jump sheets
-            yield BoundaryTrace.from_values(
-                trace.p1 + 0.3 * rng.normal(size=trace.p1.shape),
-                trace.p2 + 0.3 * rng.normal(size=trace.p2.shape),
-            )
-    # sheets touching at four angles: ties pick p1
-    th = 2 * np.pi * np.arange(256) / 256
-    p1 = np.stack([np.cos(th), np.sin(2 * th)], axis=1)
-    yield BoundaryTrace.from_values(p1, p1 * [1.0, -1.0])
-
-
-def test_track_selection_matches_reference_loop():
-    for trace in _tracking_traces():
-        sel, comp, closes = _track_selection(trace)
-        want_sel, want_comp, want_closes = _track_selection_reference(trace)
-        assert np.array_equal(sel, want_sel) and np.array_equal(comp, want_comp)
-        assert closes == want_closes
-
-
 def _track_selection_walk(trace: BoundaryTrace):
     """The former walk of _track_selection: one sample at a time on Python
     floats, each comparison made against the selection just taken."""
@@ -793,10 +753,10 @@ def _track_selection_walk(trace: BoundaryTrace):
         nearer_first(0, x, y)
 
 
-def _walk_traces():
+@functools.cache
+def _walk_traces() -> tuple:
     """The invariance draws and 100 random_trace draws per class at n = 256
-    and at n = 1024, each with a noisy copy that makes the walk jump sheets,
-    and one scaled by 1e154, all under both labellings."""
+    and at n = 1024, each with a noisy copy that makes the walk jump sheets."""
     rng = np.random.default_rng(25)
     traces = list(invariance_draws())
     for kind in (Continuation.IDENTITY, Continuation.SWAP):
@@ -805,27 +765,75 @@ def _walk_traces():
                 trace = random_trace(rng, kind, n=n)
                 noise = 0.3 * rng.normal(size=(2, n, 2))
                 traces += [trace, BoundaryTrace.from_values(*(trace.p1, trace.p2) + noise)]
-    # squared distances that overflow, which the walk took as inf
-    traces.append(BoundaryTrace.from_values(1e154 * traces[-1].p1, 1e154 * traces[-1].p2))
-    for trace in traces:
-        yield trace
-        yield BoundaryTrace.from_values(trace.p2, trace.p1)
+    return tuple(traces)
+
+
+def _relabelled(trace: BoundaryTrace) -> BoundaryTrace:
+    return BoundaryTrace.from_values(trace.p2, trace.p1)
+
+
+def _same_lift(got, want) -> bool:
+    """Two (sel, comp, closes) lifts agree byte for byte."""
+    return (got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+            and got[2] is want[2])
 
 
 def test_track_selection_is_the_walk_bit_for_bit():
-    """The comparisons made up front pick what the walk picked, byte for
-    byte, with the same closing flag; the draws reach both comparisons and
-    both closing flags."""
-    jumps, closing = 0, set()
-    for trace in _walk_traces():
+    """Where the walk picks the same lift from both labellings (up to the
+    exchange of sel and comp), the sign continuation picks it too, byte for
+    byte, with the same closing flag; elsewhere its class is one of the two
+    the walk reads. The traces reach both cases, sheet jumps and both
+    closing flags. The last trace's squared distances overflow, which the
+    walk took as inf."""
+    traces = (*_walk_traces(), _scaled(_walk_traces()[-1], 1e154))
+    agree, jumps, closing = 0, 0, set()
+    for trace in traces:
         with np.errstate(over="raise"):  # as the CLI runs
-            sel, comp, closes = _track_selection(trace)
-        want_sel, want_comp, want_closes = _track_selection_walk(trace)
-        assert sel.tobytes() == want_sel.tobytes() and comp.tobytes() == want_comp.tobytes()
-        assert closes is want_closes
-        jumps += int(np.any(sel != trace.p1))
-        closing.add(closes)
+            got = _track_selection(trace)
+        sel, comp, closes = walk = _track_selection_walk(trace)
+        other = _track_selection_walk(_relabelled(trace))
+        if _same_lift(other, (comp, sel, closes)):
+            agree += 1
+            assert _same_lift(got, walk)
+        else:
+            assert got[2] in (closes, other[2])
+        jumps += int(np.any(got[0] != trace.p1))
+        closing.add(got[2])
+    assert 0 < agree < len(traces)
     assert jumps > 100 and closing == {True, False}
+
+
+def test_lift_ignores_labels():
+    """The lift of the relabelled trace is the lift with sel and comp
+    exchanged, bit for bit, with the same closing flag: on the walk's
+    traces, on their copies scaled by 1e154, 1e300 and 1e-300, where no
+    product overflows, and on sheets that cross at four angles, where
+    p1 - p2 is 0 or nearly so."""
+    th = 2 * np.pi * np.arange(256) / 256
+    p1 = np.stack([np.cos(th), np.sin(2 * th)], axis=1)
+    traces = (*_walk_traces(), BoundaryTrace.from_values(p1, p1 * [1.0, -1.0]))
+    for trace in (*traces, *(_scaled(t, s) for s in (1e154, 1e300, 1e-300) for t in traces)):
+        with np.errstate(over="raise"):
+            sel, comp, closes = _track_selection(trace)
+            relabelled = _track_selection(_relabelled(trace))
+        assert _same_lift(relabelled, (comp, sel, closes))
+
+
+def test_lift_keeps_the_benchmark_traces(monkeypatch):
+    """The perfbench traces, band (8 per run, as the workloads draw them)
+    and broadband (1 per run), seeds 1-5, at n = 256 and 1024, lift as the
+    walk lifts them, bit for bit: the benchmark's energies and output
+    digests do not move with the lift."""
+    inputs = perfbench_inputs(monkeypatch)
+    lifts = 0
+    for name, count in (("band", 8), ("broadband", 1)):
+        for seed in range(1, 6):
+            for n in (256, 1024):
+                for generated in inputs.make_traces(name, seed, n, count):
+                    trace = BoundaryTrace.from_values(*generated.sheets())
+                    assert _same_lift(_track_selection(trace), _track_selection_walk(trace))
+                    lifts += 1
+    assert lifts == 90
 
 
 def _coefficient_tables(rng, modes: int, decades: float) -> tuple[np.ndarray, np.ndarray]:
