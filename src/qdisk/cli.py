@@ -20,6 +20,10 @@ paths, none of which may overwrite the input trace or another output
 run that fails while writing removes the files it wrote, the one it was
 writing included, so a run that exits 2 leaves no results.
 
+main parses with the invoked subcommand's parser alone and falls back to
+the parser of every subcommand when no subcommand leads or arguments are
+left over, so each help, usage and error text is that parser's.
+
 File formats:
     boundary trace  JSON array of {"theta": t, "p1": [x, y], "p2": [x, y]}
                     at uniform angles starting from 0
@@ -171,7 +175,7 @@ def cmd_table(args) -> int:
 def _load_trace_checked(path: str):
     try:
         return load_trace(path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot load trace {path}: {exc}") from exc
 
 
@@ -354,11 +358,8 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The qdisk parser. Every subcommand is listed with its help, so the
-    top-level help and usage errors do not depend on ``command``; the
-    subcommands' own arguments are added for ``command`` alone, or for
-    every subcommand when it is None."""
+def build_parser() -> argparse.ArgumentParser:
+    """The qdisk parser: every subcommand with its help and its arguments."""
     parser = argparse.ArgumentParser(
         prog="qdisk",
         description="Two-valued Dirichlet minimizers on the unit disk",
@@ -366,20 +367,33 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments, func) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if command is None or command == name:
-            add_arguments(p)
-            p.set_defaults(func=func)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return parser
+
+
+def parse_args(argv: list) -> argparse.Namespace:
+    """The parsed ``argv``. When ``argv[0]`` names a subcommand, a parser of
+    that subcommand's arguments alone reads the rest; ``build_parser`` reads
+    the whole of ``argv`` when none does or arguments are left over, so the
+    top-level help, usage errors and "unrecognized arguments" keep its
+    bytes."""
+    if argv and argv[0] in SUBCOMMANDS:
+        name = argv[0]
+        _, add_arguments, func = SUBCOMMANDS[name]
+        parser = argparse.ArgumentParser(prog=f"qdisk {name}")
+        add_arguments(parser)
+        parser.set_defaults(command=name, func=func)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level parser takes no option with a value, so the first word
-    # that is not an option names the subcommand, if any does
-    command = next((word for word in argv if not word.startswith("-")), None)
-    parser = build_parser(command)
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

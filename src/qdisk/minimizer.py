@@ -126,14 +126,18 @@ def save_trace(trace: BoundaryTrace, path) -> None:
 def load_trace(path) -> BoundaryTrace:
     """Read a save_trace file. Raises ValueError unless it is a JSON array
     of row objects whose theta is a JSON number and whose p1 and p2 are
-    lists of two of them; a bool or a string is not a number (KeyError for
-    a row without one of them)."""
+    lists of two of them; a bool or a string is not a number."""
     rows = json.loads(Path(path).read_text())
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise ValueError("trace must be a JSON array of {theta, p1, p2} objects")
-    thetas = [row["theta"] for row in rows]
-    p1 = [row["p1"] for row in rows]
-    p2 = [row["p2"] for row in rows]
+    try:
+        thetas = [row["theta"] for row in rows]
+        p1 = [row["p1"] for row in rows]
+        p2 = [row["p2"] for row in rows]
+    except KeyError as exc:
+        key = exc.args[0]
+        k = next(k for k, row in enumerate(rows) if key not in row)
+        raise ValueError(f'trace row {k} has no "{key}"') from None
     try:
         values = chain(thetas, chain.from_iterable(p1), chain.from_iterable(p2))
         numeric = set(map(type, values)) <= {int, float}

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import hashlib
 import json
@@ -531,41 +532,95 @@ def test_usage_errors():
     assert main([]) == 2
 
 
+# argv, and whether main parses it with build_parser: when no subcommand
+# leads or arguments are left over
 PARSER_ARGVS = [
-    ([], None), (["-h"], None), (["frobnicate"], "frobnicate"),
-    (["blowup"], "blowup"), (["classify"], "classify"),
-    *(([name, "-h"], name) for name in ("classify", "table", "minimize", "blowup")),
-    (["blowup", "t.json", "--bogus"], "blowup"),
-    (["minimize", "t.json", "--oracle-tol", "x"], "minimize"),
+    ([], True), (["-h"], True), (["frobnicate"], True),
+    (["blowup"], False), (["classify"], False),
+    *(([name, "-h"], False) for name in ("classify", "table", "minimize", "blowup")),
+    (["blowup", "t.json", "--bogus"], True),
+    (["minimize", "t.json", "--oracle-tol", "x"], False),
+    (["blowup", "t.json", "extra"], True),
+    (["blowup", "t.json", "--rad", "0.4"], False),
+    (["blowup", "--nr=8", "t.json"], False),
+    (["minimize", "t.json", "--o"], False),
+    (["blowup", "t.json", "--", "x"], True),
+    (["blowup", "t.json", "--nr", "8", "--nr", "16"], False),
+    (["blowup", "t.json", "-h", "--bogus"], False),
+    (["table", "--format", "xml"], False),
 ]
 
 
 def test_one_subcommand_parser_prints_the_same_bytes(monkeypatch, capsys):
-    """main builds the arguments of the invoked subcommand only, the first
-    word that is not an option; help and usage errors keep their exit code,
-    stdout and stderr byte for byte against a parser holding every
-    subcommand's arguments."""
+    """main parses with the invoked subcommand's parser alone, and with
+    build_parser when no subcommand leads or arguments are left over; its
+    exit code, stdout, stderr and parsed arguments are byte for byte those
+    of main's SystemExit handling around build_parser().parse_args."""
     assert list(cli.SUBCOMMANDS) == ["classify", "table", "minimize", "blowup"]
-    build, asked = cli.build_parser, []
+    parsed = []
 
-    def recorded(command=None):
-        asked.append(command)
-        return build(command)
+    def record(args):
+        parsed.append(vars(args))
+        return 0
 
-    def printed(builder):
-        monkeypatch.setattr(cli, "build_parser", builder)
-        results = []
-        for argv, _ in PARSER_ARGVS:
-            rc = main(argv)
-            results.append((rc, *capsys.readouterr()))
-        return results
+    monkeypatch.setattr(cli, "SUBCOMMANDS", {
+        name: (help_text, add_arguments, record)
+        for name, (help_text, add_arguments, _) in cli.SUBCOMMANDS.items()})
 
-    whole = printed(lambda command=None: build())
-    assert printed(recorded) == whole
-    assert asked == [command for _, command in PARSER_ARGVS]
-    assert [rc for rc, _, _ in whole] == [2, 0, 2, 2, 2, 0, 0, 0, 0, 2, 2]
-    assert "unrecognized arguments: --bogus" in whole[-2][2]
-    assert "invalid float value: 'x'" in whole[-1][2]
+    def reference(argv):
+        try:
+            args = cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return cli.EXIT_USAGE if exc.code else cli.EXIT_OK
+        return args.func(args)
+
+    whole = []
+    for argv, _ in PARSER_ARGVS:
+        whole.append((reference(argv), *capsys.readouterr(), parsed[:]))
+        parsed.clear()
+
+    build, calls = cli.build_parser, []
+
+    def counted():
+        calls.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    out = []
+    for argv, fallback in PARSER_ARGVS:
+        out.append((main(argv), *capsys.readouterr(), parsed[:]))
+        parsed.clear()
+        assert len(calls) == fallback, argv  # build_parser for the fallback alone
+        calls.clear()
+    assert out == whole
+    assert [rc for rc, _, _, _ in whole] == [2, 0, 2, 2, 2, 0, 0, 0, 0, 2, 2,
+                                             2, 0, 0, 2, 2, 0, 0, 2]
+    err = [err for _, _, err, _ in whole]
+    assert "unrecognized arguments: --bogus" in err[9]
+    assert "invalid float value: 'x'" in err[10]
+    assert "unrecognized arguments: extra" in err[11]
+    assert "ambiguous option: --o could match" in err[14]
+    assert "unrecognized arguments: x" in err[15]
+    assert "invalid choice: 'xml'" in err[18]
+    namespaces = [args for _, _, _, args in whole]
+    assert (namespaces[12][0]["radii"], namespaces[13][0]["nr"]) == ("0.4", 8)
+    assert namespaces[16][0]["nr"] == 16
+    assert whole[17][1] == whole[8][1]  # -h before --bogus prints the help
+
+
+@pytest.mark.parametrize("command", ["minimize", "blowup"])
+def test_trace_command_builds_one_parser(perturbed_trace_file, tmp_path, monkeypatch, command):
+    """A trace command constructs one ArgumentParser, its own; the parser
+    of every subcommand takes five."""
+    init, built = argparse.ArgumentParser.__init__, []
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main([command, perturbed_trace_file, "--out", str(tmp_path / "out.csv")]) == 0
+    assert built == [f"qdisk {command}"]
 
 
 def test_blowup_dump_fields(perturbed_trace_file, tmp_path):
@@ -792,6 +847,28 @@ def test_trace_integer_beyond_the_float_range(tmp_path, capsys, name, convert):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
 
 
+@pytest.mark.parametrize("huge, triple, message", [
+    ("theta", "p1", "trace values must be finite"),
+    ("p1", "p2", "trace values must be finite"),
+    ("p2", "p1", "trace points must be [x, y] pairs"),
+])
+def test_trace_integer_beyond_the_float_range_and_a_point_not_a_pair(
+        tmp_path, capsys, huge, triple, message):
+    """With an integer too large for a float in row 1's ``huge`` and three
+    coordinates in row 2's ``triple``, the message is the first fault met
+    converting the thetas, then p1, then p2."""
+    rows = json.loads(_trace_text_with(huge, lambda v: 10**400 if huge == "theta" else [v[0], 10**400]))
+    rows[2][triple] = rows[2][triple] + [1.0]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(rows))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_trace(path)
+    for command in ("minimize", "blowup"):
+        assert main([command, str(path), "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot load trace {path}: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
 @pytest.mark.parametrize("literal", ["1e400", "NaN", "Infinity"])
 def test_trace_angle_that_is_not_finite(tmp_path, capsys, literal):
     """A theta that parses as inf or NaN is not finite, as a coordinate that
@@ -808,6 +885,35 @@ def test_trace_angle_that_is_not_finite(tmp_path, capsys, literal):
         assert capsys.readouterr() == (
             "", f"error: cannot load trace {path}: trace values must be finite\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+def _trace_text_without(*missing):
+    """A 16-sample branched trace as JSON rows, without the (row, key)
+    values in missing."""
+    rows = json.loads(_trace_text_with("theta", float))
+    for row, key in missing:
+        del rows[row][key]
+    return json.dumps(rows)
+
+
+@pytest.mark.parametrize("content, message", [
+    ('[{"theta": 0, "p1": [1, 0]}]', 'trace row 0 has no "p2"'),
+    *((_trace_text_without((3, key)), f'trace row 3 has no "{key}"')
+      for key in ("theta", "p1", "p2")),
+    (_trace_text_without((2, "p2"), (5, "theta")), 'trace row 5 has no "theta"'),
+])
+def test_trace_row_without_a_value(tmp_path, capsys, content, message):
+    """A row without its theta, p1 or p2 exits 2 with a message that names
+    the row and the key, not a KeyError's bare repr, and writes nothing;
+    the thetas are read first, then p1, then p2."""
+    path = tmp_path / "t.json"
+    path.write_text(content)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_trace(path)
+    for command in ("minimize", "blowup"):
+        assert main([command, str(path), "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot load trace {path}: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json"]
 
 
 def test_stdout_carries_only_data(perturbed_trace_file, branched_trace_file, tmp_path, capsys):
