@@ -7,10 +7,12 @@ to be conformal, which pins the coefficients to
 
     a^2 + c^2 - b^2 - d^2 = 0   and   a*b + c*d = 0.
 
-The real solutions of this pair fall into exactly seven linear families,
-F1..F7, each defined once in ``_FAMILIES`` by the rows that span it and the
-rows that vanish on it; classification, reconstruction and the inverse of
-the value at the slit all read that table. A two-valued function made of
+In complex coordinates the sheet is alpha z^N + beta zbar^N, alpha =
+((a + d) + i(c - b))/2 and beta = ((a - d) + i(c + b))/2, and the pair is
+alpha * conj(beta) = 0. Its real solutions are seven linear families: F1,
+F4 and F5 are holomorphic (beta = 0) with alpha real, imaginary or general;
+F2, F3 and F6 are antiholomorphic (alpha = 0) with beta real, imaginary or
+general; F7 is zero. A two-valued function made of
 two such sheets must in addition close up across the slit at theta = 0 vs
 theta = 2*pi, either sheet-to-same-sheet (identity continuation) or
 sheet-to-other-sheet (swap continuation), and the average of the two sheets
@@ -34,55 +36,6 @@ from .errors import DegeneratePair
 # Admissible frequency classes of a seam system.
 FREQ_INTEGERS = "integers"  # N = k for positive integers k
 FREQ_ODD_HALVES = "odd-halves"  # N = k/2 for odd positive integers k
-
-
-class _Family(NamedTuple):
-    """One conformal family: the span of ``basis`` (rows over (a, b, c, d)
-    with entries in {0, +-1} and exactly one nonzero among a and c), cut
-    out by the vanishing of ``residuals``. The coordinates of a tuple are
-    half its dot products with the basis rows; two-coordinate families
-    carry the parameters (l, c) for the coordinates (l*c, c)."""
-
-    names: tuple
-    basis: tuple
-    residuals: tuple
-
-
-_FAMILIES = {
-    1: _Family(("d",), ((1, 0, 0, 1),), ((1, 0, 0, -1), (0, 1, 0, 0), (0, 0, 1, 0))),
-    2: _Family(("d",), ((-1, 0, 0, 1),), ((1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0))),
-    3: _Family(("b",), ((0, 1, 1, 0),), ((1, 0, 0, 0), (0, 0, 0, 1), (0, 1, -1, 0))),
-    4: _Family(("b",), ((0, 1, -1, 0),), ((1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 1, 0))),
-    5: _Family(("l", "c"), ((1, 0, 0, 1), (0, -1, 1, 0)), ((0, 1, 1, 0), (1, 0, 0, -1))),
-    6: _Family(("l", "c"), ((1, 0, 0, -1), (0, 1, 1, 0)), ((0, 1, -1, 0), (1, 0, 0, 1))),
-    7: _Family((), (), ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
-}
-
-
-def _dot(row, values):
-    """Dot product summing only the terms of nonzero entries, negated for
-    -1: no 0*x term turns -0.0 into +0.0, so results are bitwise those of
-    the written-out sums (d - a == -a + d, -(l*c) == (-l)*c)."""
-    total = None
-    for w, x in zip(row, values):
-        if w:
-            term = x if w > 0 else -x
-            total = term if total is None else total + term
-    return 0.0 if total is None else total
-
-
-def _params_of(coords) -> tuple:
-    """Family parameters of basis coordinates: (l, c) for (l*c, c)."""
-    if len(coords) == 2:
-        return (coords[0] / coords[1], coords[1])
-    return tuple(coords)
-
-
-def _coords_of(params) -> tuple:
-    """Inverse of _params_of."""
-    if len(params) == 2:
-        return (params[0] * params[1], params[1])
-    return tuple(params)
 
 
 class FourTuple(NamedTuple):
@@ -110,12 +63,36 @@ class Continuation(enum.Enum):
     SWAP = "swap"
 
 
+# Parameter names of F1..F7. Holomorphic (beta = 0): F1 alpha = d, F4
+# alpha = -ib, F5 alpha = l c + ic. Antiholomorphic (alpha = 0): F2 beta = -d,
+# F3 beta = ib, F6 beta = l c + ic.
+_PARAM_NAMES = {1: ("d",), 2: ("d",), 3: ("b",), 4: ("b",), 5: ("l", "c"), 6: ("l", "c"), 7: ()}
+
+
+def _family_parts(t) -> dict:
+    """Per family F1..F7, in that order: the residuals that vanish on it and
+    its coordinates at t, the parts of alpha or beta it keeps (F2 -Re beta,
+    F4 -Im alpha)."""
+    a, b, c, d = t
+    re_alpha, im_alpha = 0.5 * (a + d), 0.5 * (c - b)
+    re_beta, im_beta = 0.5 * (a - d), 0.5 * (b + c)
+    return {
+        1: ((a - d, b, c), (re_alpha,)),
+        2: ((a + d, b, c), (0.5 * (d - a),)),
+        3: ((a, d, b - c), (im_beta,)),
+        4: ((a, d, b + c), (0.5 * (b - c),)),
+        5: ((b + c, a - d), (re_alpha, im_alpha)),
+        6: ((b - c, a + d), (re_beta, im_beta)),
+        7: ((a, b, c, d), ()),
+    }
+
+
 @dataclass(frozen=True)
 class FormClass:
     """A conformal family tag (1..7) with its free parameters.
 
-    tag 0 is the non-conformal sentinel NOT_CONFORMAL. Parameter order:
-    F1/F2 -> (d,), F3/F4 -> (b,), F5/F6 -> (l, c), F7 -> (), as in _FAMILIES.
+    tag 0 is the non-conformal sentinel NOT_CONFORMAL; _PARAM_NAMES names
+    the parameters.
     """
 
     tag: int
@@ -130,15 +107,21 @@ class FormClass:
         return f"F{self.tag}" if self.tag else "not-conformal"
 
     def param_names(self) -> tuple:
-        family = _FAMILIES.get(self.tag)
-        return family.names if family else ()
+        return _PARAM_NAMES.get(self.tag, ())
 
     def to_tuple(self) -> FourTuple:
-        family = _FAMILIES.get(self.tag)
-        if family is None or len(self.params) != len(family.names):
+        """The family's sheet, written out so that the zeros the family
+        forces are +0.0 and a negated parameter keeps its sign bit."""
+        names = _PARAM_NAMES.get(self.tag)
+        if names is None or len(self.params) != len(names):
             raise ValueError(f"cannot reconstruct from {self!r}")
-        coords = _coords_of(self.params)
-        return FourTuple(*(_dot([row[k] for row in family.basis], coords) for k in range(4)))
+        if self.tag in (5, 6):
+            l, c = self.params
+            lc = l * c
+            return FourTuple(lc, -c, c, lc) if self.tag == 5 else FourTuple(lc, c, c, -lc)
+        x = self.params[0] if self.params else 0.0
+        return FourTuple(*{1: (x, 0.0, 0.0, x), 2: (-x, 0.0, 0.0, x), 3: (0.0, x, x, 0.0),
+                           4: (0.0, x, -x, 0.0), 7: (0.0, 0.0, 0.0, 0.0)}[self.tag])
 
     def __str__(self):
         if not self.is_conformal:
@@ -199,13 +182,11 @@ def classify_form(t: FourTuple, tol: float = 1e-9) -> FormClass:
 
 def _on_families(t: FourTuple, tol: float):
     """Yield, in the order F1..F7, the form of each family whose residuals
-    vanish on t and whose coordinates are nonzero, both within tol."""
-    for tag, family in _FAMILIES.items():
-        if any(abs(_dot(row, t)) > tol for row in family.residuals):
-            continue
-        coords = [0.5 * _dot(row, t) for row in family.basis]
-        if all(abs(x) > tol for x in coords):
-            yield FormClass(tag, _params_of(coords))
+    vanish on t and whose coordinates are nonzero, both within tol. The
+    parameters (l, c) of F5 and F6 are read off their coordinates (l c, c)."""
+    for tag, (residuals, coords) in _family_parts(t).items():
+        if all(abs(x) <= tol for x in residuals) and all(abs(x) > tol for x in coords):
+            yield FormClass(tag, (coords[0] / coords[1], coords[1]) if tag in (5, 6) else coords)
 
 
 def sheet_eval(t: FourTuple, N: float, r, theta):
@@ -304,7 +285,7 @@ _WITNESS_3 = {"d": 1.37, "b": 0.41, "l": 0.52, "c": 1.93}
 
 
 def _witness_form(tag: int, values: dict) -> FormClass:
-    return FormClass(tag, tuple(values[n] for n in _FAMILIES[tag].names))
+    return FormClass(tag, tuple(values[n] for n in _PARAM_NAMES[tag]))
 
 
 def _params_from_slit_value(tag: int, value: tuple[float, float]):
@@ -313,15 +294,19 @@ def _params_from_slit_value(tag: int, value: tuple[float, float]):
     Returns the parameter tuple of family ``tag`` whose sheet takes the
     given value (a, c) at theta=0, or None when the value is off the
     family's locus (respecting the nonzero side conditions exactly; witness
-    values keep structural zeros exact). Each basis row reads one of a and
-    c, so its coordinate is that slit value, negated for a -1 entry.
+    values keep structural zeros exact). The slit value is alpha + beta =
+    a + ic: F1 and F2 read d = +-a at c = 0, F3 and F4 b = +-c at a = 0, and
+    F5 and F6 (l, c) = (a/c, c).
     """
-    rows = [(row[0], row[2]) for row in _FAMILIES[tag].basis]
-    coords = [_dot(row, value) for row in rows]
-    unread = [v for k, v in enumerate(value) if not any(row[k] for row in rows)]
-    if any(unread) or 0.0 in coords:
+    a, c = value
+    if tag == 7:
+        return None if a or c else ()
+    if tag >= 5:
+        return (a / c, c) if a and c else None
+    kept, other = (a, c) if tag <= 2 else (c, a)
+    if other or not kept:
         return None
-    return _params_of(coords)
+    return (-kept,) if tag in (2, 4) else (kept,)
 
 
 @dataclass(frozen=True)
@@ -456,7 +441,7 @@ class HomogeneousPair:
 def _draw_sheet(rng, tag: int) -> FourTuple:
     """A family-``tag`` sheet with parameters uniform on +-[0.1, 2]."""
     params = []
-    for _ in _FAMILIES[tag].names:
+    for _ in _PARAM_NAMES[tag]:
         sign = 1.0 if rng.random() < 0.5 else -1.0
         params.append(sign * rng.uniform(0.1, 2.0))
     return FormClass(tag, tuple(params)).to_tuple()

@@ -442,6 +442,20 @@ def spectral_profile(spectrum: Spectrum, radii) -> FrequencyProfile:
     return FrequencyProfile.of(radii, D, H, scaled_tol(EPS_BOUNDARY_MASS, masses))
 
 
+def _unit_binade(spectrum: Spectrum) -> Spectrum:
+    """The spectrum with its tables and ``coeff_eps`` divided by the power
+    of two that brings the largest |coefficient| into [0.5, 1). The
+    division is exact but for a coefficient that it takes below the normal
+    range."""
+    _, exp = np.frexp(np.max(np.abs(spectrum.cos_coeffs + spectrum.sin_coeffs)))
+    return replace(
+        spectrum,
+        cos_coeffs=tuple(np.ldexp(cos, -exp) for cos in spectrum.cos_coeffs),
+        sin_coeffs=tuple(np.ldexp(sin, -exp) for sin in spectrum.sin_coeffs),
+        coeff_eps=math.ldexp(spectrum.coeff_eps, -int(exp)),
+    )
+
+
 def folded_modes(spectrum: Spectrum, grid: PolarGrid) -> tuple[int, float]:
     """Modes carrying data that the grid cannot represent: their count and
     the share of ``spectral_energy`` the field loses with them.
@@ -452,7 +466,12 @@ def folded_modes(spectrum: Spectrum, grid: PolarGrid) -> tuple[int, float]:
     A mode at exactly cols/2 keeps its cosine part, but its sine part
     vanishes at every node; it counts when that sine part is above
     ``spectrum.coeff_eps``, with the sine part's energy.
+
+    Both are taken on ``_unit_binade(spectrum)``: no data scale makes them
+    overflow or divide by zero, and they keep their bits wherever the
+    division by a power of two neither underflows nor overflows.
     """
+    spectrum = _unit_binade(spectrum)
     half = _columns(spectrum, grid) // 2
     eps = spectrum.coeff_eps
     count, energy = 0, 0.0

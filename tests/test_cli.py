@@ -67,6 +67,52 @@ def test_classify_exit_codes(capsys):
     assert out[1:] == ["conformal defect: (inf, 0)", "classification: not-conformal"]
 
 
+CLASSIFY_PINS = [
+    # the README's example, one tuple per family (signed zeros among them),
+    # and a tuple that is not conformal
+    (["1,0,0,1"], 0, "(1, 0, 0, 1)", "(0, 0)", "F1(d=1)"),
+    (["2,0,0,2"], 0, "(2, 0, 0, 2)", "(0, 0)", "F1(d=2)"),
+    (["1.5,0,-0,-1.5"], 0, "(1.5, 0, -0, -1.5)", "(0, 0)", "F2(d=-1.5)"),
+    (["0,0.5,0.5,0"], 0, "(0, 0.5, 0.5, 0)", "(0, 0)", "F3(b=0.5)"),
+    (["0,2,-2,-0"], 0, "(0, 2, -2, -0)", "(0, 0)", "F4(b=2)"),
+    (["3,-1,1,3"], 0, "(3, -1, 1, 3)", "(0, 0)", "F5(l=3, c=1)"),
+    (["1.5,0.5,0.5,-1.5"], 0, "(1.5, 0.5, 0.5, -1.5)", "(0, 0)", "F6(l=3, c=0.5)"),
+    (["0,-0,0,0"], 0, "(0, -0, 0, 0)", "(0, 0)", "F7"),
+    (["1,1,1,1"], 1, "(1, 1, 1, 1)", "(0, 2)", "not-conformal"),
+    # both sides of F1's residual a - d, F5's coordinate Re alpha, F5's
+    # coordinate Im alpha and F7's residual d, each at 0.05 * (1 -+ 2^-10)
+    (["0.2749755859375,0.0,0.0,0.2250244140625", "--tol", "0.05"], 0,
+     "(0.274976, 0, 0, 0.225024)", "(0.0249756, 0)", "F1(d=0.25)"),
+    (["0.2750244140625,0.0,0.0,0.2249755859375", "--tol", "0.05"], 1,
+     "(0.275024, 0, 0, 0.224976)", "(0.0250244, 0)", "not-conformal"),
+    (["0.049951171875000006,0.375,-0.375,0.049951171875000006", "--tol", "0.05"], 0,
+     "(0.0499512, 0.375, -0.375, 0.0499512)", "(8.23994e-18, 0)", "F4(b=0.375)"),
+    (["0.050048828125,0.375,-0.375,0.050048828125", "--tol", "0.05"], 0,
+     "(0.0500488, 0.375, -0.375, 0.0500488)", "(0, 0)", "F5(l=-0.133464, c=-0.375)"),
+    (["0.25,-0.049951171875000006,0.049951171875000006,0.25", "--tol", "0.05"], 0,
+     "(0.25, -0.0499512, 0.0499512, 0.25)", "(-6.93889e-18, 0)", "F1(d=0.25)"),
+    (["0.25,-0.050048828125,0.050048828125,0.25", "--tol", "0.05"], 0,
+     "(0.25, -0.0500488, 0.0500488, 0.25)", "(0, 0)", "F5(l=4.99512, c=0.0500488)"),
+    (["0.0,0.0,0.0,-0.049951171875000006", "--tol", "0.05"], 0,
+     "(0, 0, 0, -0.0499512)", "(-0.00249512, 0)", "F7"),
+    (["0.0,0.0,0.0,-0.050048828125", "--tol", "0.05"], 1,
+     "(0, 0, 0, -0.0500488)", "(-0.00250489, 0)", "not-conformal"),
+]
+
+
+@pytest.mark.parametrize("args, code, tuple_, defect, form", CLASSIFY_PINS,
+                         ids=[",".join(pin[0]) for pin in CLASSIFY_PINS])
+def test_classify_stdout_pinned(capsys, args, code, tuple_, defect, form):
+    """qdisk classify's stdout and exit code, as printed before the families
+    were stated through alpha and beta."""
+    assert main(["classify", *args]) == code
+    captured = capsys.readouterr()
+    assert captured.out == (
+        f"tuple: {tuple_}\nconformal defect: {defect}\nclassification: {form}\n"
+    )
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1026,6 +1072,42 @@ def test_tiny_data_keeps_its_class(tmp_path, capsys, kind):
             else:
                 typed = re.fullmatch(r"error: [A-Z]\w+: .+", err[-1]) is not None
                 assert (code == 2 and typed) or (code, answer) == answers[command]
+
+
+@pytest.mark.parametrize("command", ["minimize", "blowup"])
+@pytest.mark.parametrize("kind", [Continuation.SWAP, Continuation.IDENTITY],
+                         ids=lambda kind: kind.value)
+def test_folding_warning_decides_no_exit_code(tmp_path, capsys, kind, command):
+    """The folded-mode warning is only a diagnostic: at 1e-300, 1e156 and
+    1e160 a 16-sample trace on a 16x8 grid prints scale 1's warning line,
+    bit for bit, and then either answers as at scale 1 or exits 2 with a
+    typed error, never with an error of the warning's own arithmetic. The
+    swap draw's blowup answers at every scale."""
+    trace = random_trace(np.random.default_rng(5), kind, n=16)
+    path = tmp_path / "trace.json"
+    out = tmp_path / "out"
+    argv = [command, str(path), "--nr", "16", "--ntheta", "8", "--out", str(out)]
+    argv += ["--radii", "0.5,0.25"] if command == "blowup" else []
+    runs = []
+    for scale in (1.0, 1e-300, 1e156, 1e160):
+        save_trace(BoundaryTrace.from_values(scale * trace.p1, scale * trace.p2), path)
+        code = main(argv)
+        stdout, err = capsys.readouterr()
+        err = err.splitlines()
+        if code == 0:
+            answer = stdout.splitlines()[0] if command == "minimize" else out.read_text()
+        else:
+            answer = err.pop()
+        runs.append((code, answer, err))
+    (code, answer, err), *scaled = runs
+    assert err[-1].startswith("warning: folded modes: ")
+    for got in scaled:
+        typed = re.fullmatch(r"error: [A-Z]\w+: .+", got[1]) is not None
+        assert got[2][-1] == err[-1]
+        assert got[:2] == (code, answer) or (got[0] == 2 and typed)
+    if (kind, command) == (Continuation.SWAP, "blowup"):
+        # frequency 0 at scale 1, read off the spectrum at every scale
+        assert all(got[:2] == (code, answer) for got in scaled)
 
 
 def test_detected_class_only_when_minimize_detects_it(perturbed_trace_file, tmp_path, capsys):

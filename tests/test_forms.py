@@ -14,7 +14,7 @@ from qdisk.forms import (
     FourTuple,
     HomogeneousPair,
     NOT_CONFORMAL,
-    _FAMILIES,
+    _family_parts,
     _params_from_slit_value,
     _swap_constraints,
     build_match_table,
@@ -77,23 +77,21 @@ def test_constraint_form_equivalence_random():
 
 
 def test_family_table_invariants():
-    """Each family is the span of its basis rows and the null space of its
-    residual rows; each basis row reads exactly one of a and c (the slit
-    value); every combination of basis rows is conformal."""
-    assert list(_FAMILIES) == list(range(1, 8))
-    for family in _FAMILIES.values():
-        basis = np.array(family.basis, dtype=float).reshape(-1, 4)
-        residuals = np.array(family.residuals, dtype=float).reshape(-1, 4)
-        assert len(basis) == len(family.names)
-        assert set(np.concatenate([basis, residuals]).ravel()) <= {-1.0, 0.0, 1.0}
-        assert not (residuals @ basis.T).any()
-        assert np.linalg.matrix_rank(np.vstack([basis, residuals])) == 4
-        assert all(np.count_nonzero(row[[0, 2]]) == 1 for row in basis)
-        # a quadratic form that vanishes on a 5-point grid in each coordinate
-        # vanishes identically; small integers keep the arithmetic exact
-        for coords in itertools.product(range(-2, 3), repeat=len(basis)):
-            t = FourTuple(*(np.array(coords, dtype=float) @ basis))
+    """The families come in the order F1..F7. On each family's sheets its
+    residuals vanish and its coordinates give back its parameters, (l, c)
+    through (l c, c); every sheet is conformal."""
+    assert list(_family_parts(FourTuple(0.0, 0.0, 0.0, 0.0))) == list(range(1, 8))
+    for tag in range(1, 8):
+        # a polynomial of degree at most 2 in each parameter that vanishes
+        # on a 5-point grid in each parameter vanishes identically; small
+        # integers keep the arithmetic exact
+        for params in itertools.product(range(-2, 3), repeat=len(FormClass(tag).param_names())):
+            params = tuple(map(float, params))
+            t = FormClass(tag, params).to_tuple()
             assert conformal_defect(t) == (0, 0)
+            residuals, coords = _family_parts(t)[tag]
+            assert not any(residuals)
+            assert coords == ((params[0] * params[1], params[1]) if tag in (5, 6) else params)
 
 
 def test_to_tuple_signed_zeros():
@@ -515,4 +513,62 @@ def test_classify_form_bits_pinned():
             digest.update(str(form).encode())
     assert digest.hexdigest() == (
         "17dfc57d2d28e3e707e80f9088ccb8602ba5dc202286c2d6fabc504f2e08c4c9"
+    )
+
+
+# Per family: its sheet at its coordinates (the parts of alpha or beta it
+# keeps), base coordinates of magnitude <= 0.375, and per residual the
+# direction in (a, b, c, d) that moves that residual alone by 1.
+_BOUNDARY_FAMILIES = {
+    1: (lambda x: (x, 0.0, 0.0, x), [(0.5, 0, 0, -0.5), (0, 1, 0, 0), (0, 0, 1, 0)]),
+    2: (lambda x: (-x, 0.0, 0.0, x), [(0.5, 0, 0, 0.5), (0, 1, 0, 0), (0, 0, 1, 0)]),
+    3: (lambda x: (0.0, x, x, 0.0), [(1, 0, 0, 0), (0, 0, 0, 1), (0, 0.5, -0.5, 0)]),
+    4: (lambda x: (0.0, x, -x, 0.0), [(1, 0, 0, 0), (0, 0, 0, 1), (0, 0.5, 0.5, 0)]),
+    5: (lambda x, y: (x, -y, y, x), [(0, 0.5, 0.5, 0), (0.5, 0, 0, -0.5)]),
+    6: (lambda x, y: (x, y, y, -x), [(0, 0.5, -0.5, 0), (0.5, 0, 0, 0.5)]),
+    7: (lambda: (0.0, 0.0, 0.0, 0.0), [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+}
+
+
+def _boundary_pairs(tol):
+    """Per family boundary at tol, the tuples on its two sides: one
+    residual at +-tol * (1 - 2^-10), inside, and +-tol * (1 + 2^-10),
+    outside; or one coordinate at the same two values, below and above.
+    The rest of the family's coordinates are 0.25 and -0.375, so the defect
+    of each tuple stays below tol and the residual and coordinate gates
+    decide."""
+    for tag, (sheet, directions) in _BOUNDARY_FAMILIES.items():
+        base = [0.25, -0.375][: len(FormClass(tag).param_names())]
+        for sign in (1.0, -1.0):
+            edge = [sign * tol * (1.0 + e * 2.0**-10) for e in (-1.0, 1.0)]
+            for direction in directions:
+                yield tag, "residual", [
+                    FourTuple(*(x + v * w for x, w in zip(sheet(*base), direction)))
+                    for v in edge
+                ]
+            for k in range(len(base)):
+                yield tag, "coordinate", [
+                    FourTuple(*sheet(*base[:k], v, *base[k + 1:])) for v in edge
+                ]
+
+
+def test_classify_form_on_every_family_boundary():
+    """Tag, parameter bits and printed form on both sides of every residual
+    and coordinate boundary of F1..F7 at two tolerances, as classified
+    before the families were stated through alpha and beta. A tuple inside
+    a residual boundary, or above a coordinate boundary, is of the family,
+    and one on the other side is not."""
+    digest = hashlib.sha256()
+    for tol in (1e-9, 0.05):
+        for tag, gate, (inner, outer) in _boundary_pairs(tol):
+            forms = [classify_form(t, tol) for t in (inner, outer)]
+            if gate == "residual":
+                assert forms[0].tag == tag != forms[1].tag
+            else:
+                assert forms[0].tag != tag == forms[1].tag
+            for form in forms:
+                digest.update(struct.pack(f"<b{len(form.params)}d", form.tag, *form.params))
+                digest.update(str(form).encode())
+    assert digest.hexdigest() == (
+        "ef3afba33384f0499bb1bed9cb3ee2ac090e802c18ea7675e76e1b855bb0482d"
     )

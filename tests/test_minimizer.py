@@ -856,7 +856,8 @@ def _axis_mass(cos, sin):
 
 def _axis_folded_modes(spectrum: Spectrum, grid: PolarGrid) -> tuple[int, float]:
     """folded_modes with the mass and the Nyquist test as reductions over
-    the coordinate pair."""
+    the coordinate pair, on the same power-of-two copy of the tables."""
+    spectrum = minimizer_module._unit_binade(spectrum)
     half = minimizer_module._columns(spectrum, grid) // 2
     eps = spectrum.coeff_eps
     count, energy = 0, 0.0
@@ -869,6 +870,23 @@ def _axis_folded_modes(spectrum: Spectrum, grid: PolarGrid) -> tuple[int, float]
             count += 1
             energy += np.pi * half * np.sum(sin[half] ** 2)
     return count, (float(energy / spectral_energy(spectrum)) if count else 0.0)
+
+
+@pytest.mark.parametrize("kind", [Continuation.IDENTITY, Continuation.SWAP])
+def test_folded_modes_at_any_scale(kind):
+    """The count and the share of folded modes keep their bits when the
+    coefficient tables and coeff_eps are scaled by 2^-900 or 2^900, where
+    the spectral energy underflows to 0 or overflows."""
+    trace = random_trace(np.random.default_rng(5), kind, n=16)
+    spectrum = analyze_spectrum(forced_lift(trace, kind))
+    grid = PolarGrid(16, 8)
+    want = folded_modes(spectrum, grid)
+    assert want[0] > 0
+    for e in (-900, 900):
+        scaled = Spectrum(kind, tuple(np.ldexp(c, e) for c in spectrum.cos_coeffs),
+                          tuple(np.ldexp(s, e) for s in spectrum.sin_coeffs),
+                          np.ldexp(spectrum.coeff_eps, e))
+        assert folded_modes(scaled, grid) == want
 
 
 @pytest.mark.parametrize("kind", [Continuation.IDENTITY, Continuation.SWAP])
