@@ -21,7 +21,14 @@ import numpy as np
 from .errors import DegeneratePair, GridTooCoarse, NoCatalogMatch, ZeroEnergy
 from .field import FrequencyProfile, PolarGrid, scaled_tol
 from .forms import Continuation, FourTuple, HomogeneousPair, sheet_eval
-from .minimizer import Spectrum, _eval_modes, _present, spectral_energy, spectral_profile
+from .minimizer import (
+    Spectrum,
+    _eval_modes,
+    _present,
+    _unit_binade,
+    spectral_energy,
+    spectral_profile,
+)
 from .qpoint import pair_distance_arrays
 
 ENERGY_EPS = 1e-14
@@ -52,8 +59,14 @@ def rescale_exact(source, r: float) -> ExactRescale:
     MinimizeResult or an ExactRescale), on its ``grid``: each present mode
     of frequency nu times r^nu / sqrt(spectral_energy(spectrum, r)). The
     others are left out, and the result's ``coeff_eps`` is 0. Raises
-    ZeroEnergy when there is nothing to normalize."""
-    spectrum = source.spectrum
+    ZeroEnergy when there is nothing to normalize. It is taken on
+    ``_unit_binade(spectrum)``: the normalization undoes that exact
+    division by a power of two, and no data scale makes it overflow."""
+    return _rescale(source.grid, _unit_binade(source.spectrum), r)
+
+
+def _rescale(grid: PolarGrid, spectrum: Spectrum, r: float) -> ExactRescale:
+    """``rescale_exact`` of a spectrum already at its unit binade."""
     loops = []  # per loop: its cosine and sine tables, mode nu times r^nu
     for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs):
         k = _present(cos, sin, spectrum.coeff_eps)
@@ -64,7 +77,7 @@ def rescale_exact(source, r: float) -> ExactRescale:
     if energy <= scaled_tol(ENERGY_EPS, np.square(loops)):
         raise ZeroEnergy("rescaled spectrum has numerically zero energy")
     cos, sin = np.stack(loops, axis=1) / np.sqrt(energy)
-    return ExactRescale(source.grid, Spectrum(spectrum.kind, tuple(cos), tuple(sin), 0.0))
+    return ExactRescale(grid, Spectrum(spectrum.kind, tuple(cos), tuple(sin), 0.0))
 
 
 @dataclass(frozen=True)
@@ -72,8 +85,7 @@ class BlowupSequence:
     """Normalized rescalings along decreasing radii with Cauchy defects.
 
     cauchy_defects[k] is the ``_circle_defect`` of the rescales at radii k
-    and k+1. fields holds one rescale per radius, or only the last (see
-    blowup_sequence).
+    and k+1. fields holds one rescale per radius.
     """
 
     radii: tuple
@@ -105,22 +117,16 @@ def check_radii(radii, grid: PolarGrid) -> tuple:
     return radii
 
 
-def blowup_sequence(source, radii, keep_fields: bool = True) -> BlowupSequence:
+def blowup_sequence(source, radii) -> BlowupSequence:
     """The normalized rescales (``rescale_exact``) of ``source``, a
     MinimizeResult or an ExactRescale, along the checked radii, with the
-    ``_circle_defect`` of each against the one before. With
-    keep_fields=False only the last rescale, the limit, is kept: at most two
-    are alive at once, and ``fields`` holds the limit alone."""
+    ``_circle_defect`` of each against the one before. The spectrum is
+    brought to its unit binade once, for every radius."""
     radii = check_radii(radii, source.grid)
-    fields, defects = [], []
-    for r in radii:
-        g = rescale_exact(source, r)
-        if fields:
-            defects.append(_circle_defect(fields[-1], g))
-            if not keep_fields:
-                fields.clear()
-        fields.append(g)
-    return BlowupSequence(radii, tuple(fields), tuple(defects))
+    spectrum = _unit_binade(source.spectrum)
+    fields = tuple(_rescale(source.grid, spectrum, r) for r in radii)
+    defects = tuple(_circle_defect(f, g) for f, g in zip(fields, fields[1:]))
+    return BlowupSequence(radii, fields, defects)
 
 
 _FIT_RADII = (0.25, 0.5, 0.75, 1.0)

@@ -111,13 +111,13 @@ DEFAULT_PROFILE_RADII = tuple(np.linspace(0.25, 1.0, 16))
 DEFAULT_BLOWUP_RADII = (0.4, 0.2, 0.1)
 
 
-def _add_trace_args(parser: argparse.ArgumentParser) -> None:
+def _add_trace_args(parser: argparse.ArgumentParser, out_help: str) -> None:
     """Arguments minimize and blowup share: trace, grid, radii, output, class."""
     parser.add_argument("trace", help="boundary trace JSON file")
     parser.add_argument("--nr", type=int, default=64, help="radial cells")
     parser.add_argument("--ntheta", type=int, default=256, help="angular cells")
     parser.add_argument("--radii", type=str, default=None, help="comma-separated radii")
-    parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+    parser.add_argument("--out", type=str, default=None, help=out_help)
     parser.add_argument(
         "--class",
         dest="klass",
@@ -266,7 +266,7 @@ def cmd_minimize(args) -> int:
     print("\n".join(lines))
 
     if args.oracle:
-        relaxed = relax_oracle(result.spectrum, grid)
+        relaxed = relax_oracle(result.field)
         gap = abs(dirichlet_energy(relaxed, 1.0) - result.energy) / (result.energy or 1.0)
         print(f"oracle gap: {gap:.3e}")
         if gap > oracle_tol:
@@ -298,9 +298,8 @@ def cmd_blowup(args) -> int:
         _write_out(report_to_json(report), args.out)
         return EXIT_OK
 
-    # the exact rescales of the spectrum: every one when they are dumped,
-    # else the limit alone; none of them builds a grid field
-    seq = blowup_sequence(result, radii, keep_fields=bool(dumps))
+    # the exact rescales of the spectrum; none of them builds a grid field
+    seq = blowup_sequence(result, radii)
     limit = seq.fields[-1]
     entry, fitted, residual = identify_catalog(limit)
     report = blowup_report(limit, entry, fitted, residual)
@@ -329,7 +328,8 @@ def _table_args(p: argparse.ArgumentParser) -> None:
 
 
 def _minimize_args(p: argparse.ArgumentParser) -> None:
-    _add_trace_args(p)
+    _add_trace_args(p, "field dump path, with its .json sidecar and _profile.csv "
+                       "beside it (default minimized_field.csv)")
     p.add_argument("--oracle", action="store_true", help="run the relaxation oracle")
     p.add_argument(
         "--oracle-tol",
@@ -340,7 +340,7 @@ def _minimize_args(p: argparse.ArgumentParser) -> None:
 
 
 def _blowup_args(p: argparse.ArgumentParser) -> None:
-    _add_trace_args(p)
+    _add_trace_args(p, "output path (default stdout)")
     p.add_argument(
         "--dump-fields",
         metavar="PREFIX",

@@ -167,13 +167,8 @@ def sample_field(entry: HomogeneousPair, grid: PolarGrid) -> DiskField:
 
 
 def _ring_sums(d: np.ndarray) -> np.ndarray:
-    """Sum of squares of each ring (axis 0) of a difference array. einsum
-    sets no floating-point flag, so a sum that is not finite raises
-    FloatingPointError here, as an overflowing square does elsewhere."""
-    sums = np.einsum("ijk,ijk->i", d, d)
-    if not np.isfinite(sums).all():
-        raise FloatingPointError("overflow in a ring's sum of squares")
-    return sums
+    """Sum of squares of each ring (axis 0) of a difference array."""
+    return np.einsum("ijk,ijk->i", d, d)
 
 
 # Rings per block of every blocked pass (_ring_energy and the mode
@@ -223,13 +218,18 @@ def _energy_ladder(
     An Euler-Maclaurin endpoint correction removes the trapezoid's O(h^2)
     bias, which otherwise reaches percents on the steep ring profiles
     (integrand ~ rho^(2N-1)) of high-degree fields at inner radii.
+    An overflow at any step leaves a ladder entry that is not finite, and
+    raises one FloatingPointError whichever step it was.
     """
-    g = _ring_energy(grid, s1, s2, seam)
-    h = grid.dr
-    out = np.zeros_like(g)
-    out[1:] = np.cumsum(0.5 * (g[:-1] + g[1:]) * h)
-    slope = np.gradient(g, h)
-    out[1:] -= (h * h / 12.0) * (slope[1:] - slope[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _ring_energy(grid, s1, s2, seam)
+        h = grid.dr
+        out = np.zeros_like(g)
+        out[1:] = np.cumsum(0.5 * (g[:-1] + g[1:]) * h)
+        slope = np.gradient(g, h)
+        out[1:] -= (h * h / 12.0) * (slope[1:] - slope[0])
+    if not np.isfinite(out).all():
+        raise FloatingPointError("overflow in a ring's sum of squares")
     return np.maximum(out, 0.0)
 
 

@@ -13,11 +13,11 @@ branched pair through w -> w^2 preserves Dirichlet energy in two
 dimensions); the identity is enforced by a property test rather than
 assumed silently.
 
-The verification oracle is independent of the spectral extension: given
-the same spectrum (the boundary data), it minimizes the discrete
-five-point polar Dirichlet energy with the boundary ring fixed, exactly,
-by an FFT in angle and one tridiagonal solve in r per mode
-(``qdisk._kernels``). The two agree up to discretization error.
+The verification oracle is independent of the spectral extension: it
+reads only the outer ring and the seam of the field the extension built,
+and minimizes the discrete five-point polar Dirichlet energy with that
+ring fixed, exactly, by an FFT in angle and one tridiagonal solve in r per
+mode (``qdisk._kernels``). The two agree up to discretization error.
 """
 
 from __future__ import annotations
@@ -591,15 +591,6 @@ def minimize(
 # --- relaxation oracle ------------------------------------------------------
 
 
-def _boundary_rows(spectrum: Spectrum, grid: PolarGrid) -> list[np.ndarray]:
-    """Band-limited resample of each loop at the grid angles (r = 1): the
-    two sheets' rows, joined into the double cover's row in the swap class."""
-    row1, row2 = _eval_modes(spectrum, grid, np.ones(1))[:, 0]
-    if spectrum.kind is Continuation.IDENTITY:
-        return [row1, row2]
-    return [np.concatenate([row1, row2])]
-
-
 def _sweep_decrease(u: np.ndarray, dtheta: float) -> float:
     """Relative discrete energy one reference Gauss-Seidel sweep removes."""
     swept = u.copy()
@@ -610,24 +601,25 @@ def _sweep_decrease(u: np.ndarray, dtheta: float) -> float:
     return (energy - _kernels.gs_energy(swept, dtheta)) / (energy or 1.0)
 
 
-def relax_oracle(spectrum: Spectrum, grid: PolarGrid) -> DiskField:
+def relax_oracle(field: DiskField) -> DiskField:
     """Independent minimizer of the discrete polar Dirichlet energy.
 
-    Fixes the boundary ring to the band-limited resample of each loop of
-    ``spectrum``, in its class, and minimizes the five-point polar energy
-    exactly (``_kernels.solve``: an FFT in angle and one tridiagonal solve
-    in r per mode). One reference
-    Gauss-Seidel sweep then checks the result: it must not lower the
-    discrete energy by more than ``STATIONARY_TOL`` relative, else
-    NotStationary is raised.
+    Fixes ring n_r of each periodic stack (a sheet, or the swap class's
+    double cover) to the field's outer ring and minimizes the five-point
+    polar energy exactly (``_kernels.solve``: an FFT in angle and one
+    tridiagonal solve in r per mode). One reference Gauss-Seidel sweep then
+    checks the result: it must not lower the discrete energy by more than
+    ``STATIONARY_TOL`` relative, else NotStationary is raised.
     """
-    stacks = [
-        _kernels.solve(bnd, grid.n_r, grid.dtheta) for bnd in _boundary_rows(spectrum, grid)
-    ]
+    grid = field.grid
+    rows = [field.sheet1[-1], field.sheet2[-1]]
+    if field.seam is Continuation.SWAP:
+        rows = [np.concatenate(rows)]
+    stacks = [_kernels.solve(row, grid.n_r, grid.dtheta) for row in rows]
     for u in stacks:
         decrease = _sweep_decrease(u, grid.dtheta)
         if not decrease <= STATIONARY_TOL:
             raise NotStationary(
                 f"a reference sweep lowers the discrete energy by {decrease:.3e}"
             )
-    return DiskField.from_stacks(grid, stacks, spectrum.kind)
+    return DiskField.from_stacks(grid, stacks, field.seam)

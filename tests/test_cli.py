@@ -279,14 +279,13 @@ def _scaled_trace_file(tmp_path, scale):
     return path
 
 
-@pytest.mark.parametrize(
-    "command, scale", [("minimize", 1e153), ("minimize", 1e200), ("blowup", 1e200)]
-)
+@pytest.mark.parametrize("command, scale", [("minimize", 1e153), ("minimize", 1e200)])
 def test_overflowing_trace_exits_2(tmp_path, capsys, command, scale):
     """Finite data whose squares overflow: the run stops at the first
-    overflow or invalid operation, exits 2 with the numpy message, prints no
-    results and writes no files (a leaked warning fails the test too). The
-    blow-up at 1e153 does not overflow: it reads no full-disk energy."""
+    overflow or invalid operation, exits 2 naming it, prints no results and
+    writes no files (a leaked warning fails the test too). The blow-up does
+    not overflow (test_blowup_keeps_its_answer_at_scale): it reads no
+    full-disk energy, and it rescales the spectrum at its unit binade."""
     path = _scaled_trace_file(tmp_path, scale)
     argv = [command, str(path), "--nr", "32", "--ntheta", "128",
             "--out", str(tmp_path / "out.csv")]
@@ -297,7 +296,28 @@ def test_overflowing_trace_exits_2(tmp_path, capsys, command, scale):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
 
 
-SCALES = {"2^20": 2.0**20, "2^-20": 2.0**-20, "1e5": 1e5, "1e150": 1e150, "1e153": 1e153}
+@pytest.mark.parametrize("scale", [1e154, 1e155, 1e200])
+@pytest.mark.parametrize("kind", [Continuation.SWAP, Continuation.IDENTITY],
+                         ids=lambda kind: kind.value)
+def test_minimize_names_every_quadrature_overflow(tmp_path, capsys, kind, scale):
+    """A 16-sample trace on a 16x8 grid overflows minimize's quadrature
+    energy from 1e154, in a weighted ring energy first and from 1e155 in a
+    ring's sum of squares: every such overflow prints the one message, and
+    the run writes no files."""
+    trace = random_trace(np.random.default_rng(5), kind, n=16)
+    path = tmp_path / "t.json"
+    save_trace(BoundaryTrace.from_values(scale * trace.p1, scale * trace.p2), path)
+    argv = ["minimize", str(path), "--nr", "16", "--ntheta", "8", "--out", str(tmp_path / "f.csv")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "error: FloatingPointError: overflow in a ring's sum of squares")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json"]
+
+
+SCALES = {"2^20": 2.0**20, "2^-20": 2.0**-20, "1e5": 1e5, "1e150": 1e150, "1e153": 1e153,
+          "1e200": 1e200, "1e300": 1e300}
 
 
 @pytest.mark.parametrize("scale", list(SCALES.values()), ids=list(SCALES))
@@ -305,7 +325,7 @@ def test_blowup_keeps_its_answer_at_scale(tmp_path, capsys, scale):
     """The presence threshold scales with the data, and the blow-up reads
     no full-disk energy: at 2^20 and 2^-20 the report keeps the bytes of
     scale 1 (powers of two scale without rounding, and the normalization
-    undoes them), and up to 1e153 it reads the same N = 3/2 swap entry
+    undoes them), and up to 1e300 it reads the same N = 3/2 swap entry
     with fitted_N within 1e-12."""
     reports = []
     for factor in (1.0, scale):
@@ -652,6 +672,19 @@ def test_one_subcommand_parser_prints_the_same_bytes(monkeypatch, capsys):
     assert (namespaces[12][0]["radii"], namespaces[13][0]["nr"]) == ("0.4", 8)
     assert namespaces[16][0]["nr"] == 16
     assert whole[17][1] == whole[8][1]  # -h before --bogus prints the help
+
+
+def test_out_help_states_each_commands_default(capsys):
+    """Without --out, table and blowup write to stdout, and minimize writes
+    minimized_field.csv, its sidecar and its profile."""
+    helps = {}
+    for name in ("table", "minimize", "blowup"):
+        assert main([name, "-h"]) == 0
+        helps[name] = " ".join(capsys.readouterr().out.split())
+    assert "--out OUT output path (default stdout)" in helps["table"]
+    assert "--out OUT output path (default stdout)" in helps["blowup"]
+    assert ("--out OUT field dump path, with its .json sidecar and _profile.csv beside it "
+            "(default minimized_field.csv)") in helps["minimize"]
 
 
 @pytest.mark.parametrize("command", ["minimize", "blowup"])
@@ -1081,8 +1114,11 @@ def test_folding_warning_decides_no_exit_code(tmp_path, capsys, kind, command):
     """The folded-mode warning is only a diagnostic: at 1e-300, 1e156 and
     1e160 a 16-sample trace on a 16x8 grid prints scale 1's warning line,
     bit for bit, and then either answers as at scale 1 or exits 2 with a
-    typed error, never with an error of the warning's own arithmetic. The
-    swap draw's blowup answers at every scale."""
+    typed error, never with an error of the warning's own arithmetic. An
+    answer is the exit code and the output, or for a failure its type: the
+    fitted tuples a NoCatalogMatch names keep only the digits that the
+    data's rounding at the scale leaves. Both draws' blowup answers at
+    every scale."""
     trace = random_trace(np.random.default_rng(5), kind, n=16)
     path = tmp_path / "trace.json"
     out = tmp_path / "out"
@@ -1097,16 +1133,17 @@ def test_folding_warning_decides_no_exit_code(tmp_path, capsys, kind, command):
         if code == 0:
             answer = stdout.splitlines()[0] if command == "minimize" else out.read_text()
         else:
-            answer = err.pop()
+            answer = re.fullmatch(r"error: ([A-Z]\w+): .+", err.pop())
+            answer = answer and answer[1]
         runs.append((code, answer, err))
     (code, answer, err), *scaled = runs
     assert err[-1].startswith("warning: folded modes: ")
     for got in scaled:
-        typed = re.fullmatch(r"error: [A-Z]\w+: .+", got[1]) is not None
         assert got[2][-1] == err[-1]
-        assert got[:2] == (code, answer) or (got[0] == 2 and typed)
-    if (kind, command) == (Continuation.SWAP, "blowup"):
-        # frequency 0 at scale 1, read off the spectrum at every scale
+        assert got[:2] == (code, answer) or (got[0] == 2 and got[1] is not None)
+    if command == "blowup":
+        # swap: frequency 0 at scale 1, read off the spectrum at every scale;
+        # identity: the rescale at the spectrum's unit binade fails its fit
         assert all(got[:2] == (code, answer) for got in scaled)
 
 
@@ -1348,6 +1385,42 @@ def test_benchmark_outputs_keep_their_bytes(tmp_path, monkeypatch, name):
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in sorted(Path("D").iterdir())}
     assert written == digests
+
+
+# SHA-256 of the oracle's relaxed sheets (sheet 1, then sheet 2) and of the
+# stdout of `qdisk minimize --oracle` at 64x256, on the first input of the
+# minimize-oracle-64 workload (swap) and on random_trace(default_rng(5),
+# IDENTITY), pinned while the oracle read its boundary ring from the
+# spectrum (x86-64, numpy 2)
+GOLDEN_ORACLE_SHA256 = {
+    Continuation.SWAP: (
+        "64ea34e350d0debcc8522382aa73385f77e7b14688dc56283f8cbbcb4b7895b1",
+        "54e308fb7e398896b6b23ff757b9f690bda7bef0a427933873ac40ecd73d8dc1",
+    ),
+    Continuation.IDENTITY: (
+        "578f85163c790a0c5f3c845319505a39ebe677e55f81ad64904ce9b696ac586b",
+        "4d9c81dd0c26f56ef7e10441864d44ce0e9309cf40bd1dab876297b459572096",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_ORACLE_SHA256, key=lambda k: k.value))
+def test_oracle_golden_bytes(tmp_path, monkeypatch, capsys, kind):
+    """The relaxed field and the `oracle gap:` line keep their bytes."""
+    monkeypatch.chdir(tmp_path)
+    if kind is Continuation.SWAP:
+        perfbench_inputs(monkeypatch).make_traces("band", 101, 256, 8)[0].write(Path("t.json"))
+    else:
+        save_trace(random_trace(np.random.default_rng(5), kind), "t.json")
+    grid = ["--nr", "64", "--ntheta", "256"]
+    assert main(["minimize", "t.json", *grid, "--oracle", "--out", "f.csv"]) == 0
+    stdout = capsys.readouterr().out
+    relaxed = minimizer.relax_oracle(minimize(load_trace("t.json"), PolarGrid(64, 256)).field)
+    digests = tuple(hashlib.sha256(data).hexdigest() for data in (
+        relaxed.sheet1.tobytes() + relaxed.sheet2.tobytes(),
+        stdout.encode(),
+    ))
+    assert digests == GOLDEN_ORACLE_SHA256[kind]
 
 
 def test_blowup_warns_when_mass_identity_misses(perturbed_trace_file, tmp_path, monkeypatch,

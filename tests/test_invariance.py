@@ -37,21 +37,26 @@ def _draws() -> tuple:
     )
 
 
+def _blowup(result):
+    """The blow-up of a minimizer as the CLI reads it, from the exact
+    rescales of its spectrum: its report, the exception it raises, or None
+    at frequency 0."""
+    if frequency_from_spectrum(result.spectrum) == 0.0:
+        return None
+    try:
+        limit = blowup_sequence(result, DEFAULT_BLOWUP_RADII).fields[-1]
+        return blowup_report(limit, *identify_catalog(limit))
+    except QdiskError as exc:
+        return exc
+
+
 def _run(trace: BoundaryTrace):
-    """The minimizer, N0 and the blow-up as the CLI reads them on GRID: the
-    blow-up, from the exact rescales of the spectrum, is its report, the
-    exception it raises, or None at frequency 0. The profile is taken for
-    its ZeroBoundaryMass check."""
+    """The minimizer, N0 and the blow-up (``_blowup``) as the CLI reads them
+    on GRID. The profile is taken for its ZeroBoundaryMass check."""
     result = minimize(trace, GRID)
     N0 = frequency_from_spectrum(result.spectrum)
     frequency_profile(result.field, DEFAULT_PROFILE_RADII)
-    if N0 == 0.0:
-        return result, N0, None
-    try:
-        limit = blowup_sequence(result, DEFAULT_BLOWUP_RADII, keep_fields=False).fields[-1]
-        return result, N0, blowup_report(limit, *identify_catalog(limit))
-    except QdiskError as exc:
-        return result, N0, exc
+    return result, N0, _blowup(result)
 
 
 @functools.cache
@@ -59,14 +64,17 @@ def _runs_at_scale_one() -> tuple:
     return tuple(_run(trace) for trace in _draws())
 
 
-def _answer(run) -> tuple:
-    """Class, N0 and the blow-up's degree and continuation or exception type."""
-    result, N0, blowup = run
+def _blowup_answer(blowup):
+    """The blow-up's degree and continuation, its exception type, or None."""
     if isinstance(blowup, dict):
-        blowup = (blowup["rounded_N"], blowup["continuation"])
-    elif blowup is not None:
-        blowup = type(blowup)
-    return result.kind, N0, blowup
+        return blowup["rounded_N"], blowup["continuation"]
+    return None if blowup is None else type(blowup)
+
+
+def _answer(run) -> tuple:
+    """Class, N0 and the blow-up's answer (``_blowup_answer``)."""
+    result, N0, blowup = run
+    return result.kind, N0, _blowup_answer(blowup)
 
 
 def _rotated_target(trace, angle=0.7):
@@ -131,3 +139,33 @@ def test_power_of_two_scales_every_float(k):
         ):
             failures.append(n)
     assert not failures, f"draws whose run does not scale exactly: {failures}"
+
+
+@functools.cache
+def _blowup_cases() -> tuple:
+    """The draws on GRID, and a 64-sample conformal swap trace on 32x128."""
+    conformal = conformal_swap_trace(np.random.default_rng(3), n=64)
+    return tuple((trace, GRID) for trace in _draws()) + ((conformal, PolarGrid(32, 128)),)
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e200, 1e300, 2.0**520],
+                         ids=["1e154", "1e200", "1e300", "2^520"])
+def test_blowup_keeps_its_answer_at_huge_scale(scale):
+    """The rescale is taken at the spectrum's unit binade, so the blow-up
+    does not overflow where the squares of the coefficients do, from about
+    1e154: it gives scale 1's degree and continuation or exception type,
+    and at 2^520 its report or failure, bit for bit. It is run without the
+    minimizer's grid quadrature, which overflows there, under the CLI's
+    floating-point errors."""
+    failures = []
+    for case, (trace, grid) in enumerate(_blowup_cases()):
+        with np.errstate(over="raise", invalid="raise"):
+            one = _blowup(minimize(trace, grid))
+            got = _blowup(minimize(_scaled(trace, scale), grid))
+        if np.frexp(scale)[0] == 0.5:
+            same = _report_or_failure(got) == _report_or_failure(one)
+        else:
+            same = _blowup_answer(got) == _blowup_answer(one)
+        if not same:
+            failures.append(f"{case}: {_report_or_failure(got)} against {_report_or_failure(one)}")
+    assert not failures

@@ -30,7 +30,6 @@ from qdisk.minimizer import (
     BoundaryTrace,
     MinimizeResult,
     Spectrum,
-    _boundary_rows,
     _eval_modes,
     _track_selection,
     analyze_spectrum,
@@ -186,12 +185,6 @@ def test_extension_matches_direct_sum(kind, n):
     assert np.abs(got.sheet1 - ref.sheet1).max() <= 1e-13 * scale
     assert np.abs(got.sheet2 - ref.sheet2).max() <= 1e-13 * scale
 
-    rows = _boundary_rows(spec, grid)
-    want_rows = [s[0] for s in _direct_stacks(spec, grid, np.ones(1))]
-    assert len(rows) == len(want_rows)
-    for row, want_row in zip(rows, want_rows):
-        assert np.abs(row - want_row).max() <= 1e-13 * np.abs(want_row).max()
-
 
 def test_extension_skips_modes_below_coeff_eps():
     """A 1e-13 mode is left out: the field is bit-equal to one without it."""
@@ -203,11 +196,8 @@ def test_extension_skips_modes_below_coeff_eps():
     cos, sin = cos.copy(), sin.copy()
     cos[5] = sin[5] = 0.0
     clean = Spectrum(spec.kind, (cos,), (sin,))
-    for with_tiny, without in (
-        (harmonic_extension(tiny, grid).sheet1, harmonic_extension(clean, grid).sheet1),
-        (_boundary_rows(tiny, grid)[0], _boundary_rows(clean, grid)[0]),
-    ):
-        assert with_tiny.tobytes() == without.tobytes()
+    with_tiny, without = harmonic_extension(tiny, grid), harmonic_extension(clean, grid)
+    assert with_tiny.sheet1.tobytes() == without.sheet1.tobytes()
 
 
 @pytest.mark.parametrize("kind", [Continuation.IDENTITY, Continuation.SWAP])
@@ -566,7 +556,7 @@ def test_relax_matches_spectral_branched(grid64):
              (single_mode_trace(1.0, n=32), PolarGrid(16, 32))]
     for trace, grid in cases:
         spectral = minimize(trace, grid)
-        relaxed = relax_oracle(spectral.spectrum, grid)
+        relaxed = relax_oracle(spectral.field)
         gap = abs(dirichlet_energy(relaxed, 1.0) - spectral.energy) / spectral.energy
         assert gap <= 0.01
 
@@ -575,7 +565,7 @@ def test_relax_recovers_harmonic_boundary(grid64):
     """Boundary data already harmonic: relaxation reproduces it."""
     trace = single_mode_trace(1.0)
     ref = minimize(trace, grid64)
-    relaxed = relax_oracle(ref.spectrum, grid64)
+    relaxed = relax_oracle(ref.field)
     err = pair_distance_arrays(
         relaxed.sheet1, relaxed.sheet2, ref.field.sheet1, ref.field.sheet2
     )
@@ -585,7 +575,7 @@ def test_relax_recovers_harmonic_boundary(grid64):
 def test_relax_plain_gauss_seidel_small_grid():
     """The oracle's discrete energy is that of a long plain Gauss-Seidel run."""
     grid = PolarGrid(16, 32)
-    relaxed = relax_oracle(analyze_spectrum(lift_boundary(single_mode_trace(1.0, n=32))), grid)
+    relaxed = relax_oracle(minimize(single_mode_trace(1.0, n=32), grid).field)
     rho = grid.radii[:, None, None]
     for sheet in (relaxed.sheet1, relaxed.sheet2):
         boundary = sheet[-1]
@@ -612,7 +602,7 @@ def test_relax_rejects_non_stationary_solution(grid64, monkeypatch):
 
     monkeypatch.setattr(_kernels, "solve", perturbed)
     with pytest.raises(NotStationary):
-        relax_oracle(analyze_spectrum(lift_boundary(single_mode_trace(0.5))), grid64)
+        relax_oracle(minimize(single_mode_trace(0.5), grid64).field)
 
 
 def test_minimality_within_class(grid64):
@@ -680,7 +670,7 @@ def test_relax_doubled_boundary(grid64):
     th = 2 * np.pi * np.arange(n) / n
     z = np.stack([np.cos(th), np.sin(th)], axis=1)
     trace = BoundaryTrace.from_values(z, z.copy())
-    relaxed = relax_oracle(analyze_spectrum(forced_lift(trace, Continuation.IDENTITY)), grid64)
+    relaxed = relax_oracle(minimize(trace, grid64, Continuation.IDENTITY).field)
     r = grid64.radii[:, None]
     expected = np.stack(
         [r * np.cos(grid64.thetas)[None, :], r * np.sin(grid64.thetas)[None, :]],

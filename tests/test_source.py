@@ -114,6 +114,7 @@ TEST_ONLY = {
     "energy_decay_check": "criterion 7: the energy decay bound",
     "sheet_gradient": "criterion 8: the closed-form Jacobian of a sheet",
     "save_trace": "I/O: writes the boundary trace files the CLI reads",
+    "rescale_exact": "the tests' exact catalog entries: one rescale of blowup_sequence",
 }
 
 
@@ -186,3 +187,30 @@ def test_blowup_reads_no_grid_field():
         if _referred_name(node) == "DiskField"
     ]
     assert not found, f"DiskField referred to in qdisk.blowup: {found}"
+
+
+SPECTRAL_ROUTE = {"_eval_modes", "harmonic_extension", "analyze_spectrum"}
+
+
+def test_oracle_calls_no_spectral_code():
+    """The relaxation oracle stays independent of the spectral route:
+    relax_oracle, and every function of qdisk/minimizer.py that it calls,
+    directly or not, refer to none of the mode evaluator, the extension and
+    the spectral analysis."""
+    path = PACKAGE / "minimizer.py"
+    functions = {
+        node.name: node
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    found, seen, todo = [], set(), ["relax_oracle"]
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            referred = _referred_name(node)
+            if referred in SPECTRAL_ROUTE:
+                found.append(f"{name}:{node.lineno} {referred}")
+            elif referred in functions and referred not in seen:
+                todo.append(referred)
+    assert not found, f"the oracle calls spectral code: {found}"
