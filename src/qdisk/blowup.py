@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePair, GridTooCoarse, NoCatalogMatch, ZeroEnergy
-from .field import FrequencyProfile, PolarGrid, scaled_tol
+from .errors import DegeneratePair, NoCatalogMatch, ZeroEnergy
+from .field import PolarGrid, scaled_tol
 from .forms import Continuation, FourTuple, HomogeneousPair, sheet_eval
 from .minimizer import (
     Spectrum,
@@ -29,7 +29,7 @@ from .minimizer import (
     spectral_energy,
     spectral_profile,
 )
-from .qpoint import pair_distance_arrays
+from .qpoint import pair_distance_arrays, squared_norm
 
 ENERGY_EPS = 1e-14
 
@@ -57,16 +57,29 @@ class ExactRescale:
 def rescale_exact(source, r: float) -> ExactRescale:
     """The normalized rescale at r of the ``spectrum`` of ``source`` (a
     MinimizeResult or an ExactRescale), on its ``grid``: each present mode
-    of frequency nu times r^nu / sqrt(spectral_energy(spectrum, r)). The
-    others are left out, and the result's ``coeff_eps`` is 0. Raises
-    ZeroEnergy when there is nothing to normalize. It is taken on
-    ``_unit_binade(spectrum)``: the normalization undoes that exact
-    division by a power of two, and no data scale makes it overflow."""
-    return _rescale(source.grid, _unit_binade(source.spectrum), r)
+    of frequency nu times r^nu / sqrt(D), D the closed-form energy at r of
+    the present modes alone. The others are left out, and the result's
+    ``coeff_eps`` is 0. Raises ZeroEnergy when there is nothing to
+    normalize. It is taken on ``_kept_modes(spectrum)``: the normalization
+    undoes its exact division by a power of two, and no data scale makes it
+    overflow."""
+    return _rescale(source.grid, _kept_modes(source.spectrum), r)
+
+
+def _kept_modes(spectrum: Spectrum) -> Spectrum:
+    """``_unit_binade(spectrum)`` with every mode that is not present set to
+    0.0, so that its ``spectral_energy`` is that of the modes a rescale
+    keeps: no rounding-level mode below them takes it over as r -> 0."""
+    spectrum = _unit_binade(spectrum)
+    for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs):
+        absent = np.ones(len(cos), dtype=bool)
+        absent[_present(cos, sin, spectrum.coeff_eps)] = False
+        cos[absent] = sin[absent] = 0.0
+    return spectrum
 
 
 def _rescale(grid: PolarGrid, spectrum: Spectrum, r: float) -> ExactRescale:
-    """``rescale_exact`` of a spectrum already at its unit binade."""
+    """``rescale_exact`` of a spectrum that ``_kept_modes`` returned."""
     loops = []  # per loop: its cosine and sine tables, mode nu times r^nu
     for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs):
         k = _present(cos, sin, spectrum.coeff_eps)
@@ -101,29 +114,33 @@ def _circle_defect(f: ExactRescale, g: ExactRescale) -> float:
     distance, is largest on the circle: up to the circle's sampling, the
     defect bounds the two fields' pair distance over the whole disk. The
     squared distance adds its four terms in the order of ``np.sum(...,
-    axis=(0, 2))``, without the reduction (see ``minimizer._present``)."""
-    d = np.square(f.ring - g.ring)
-    return float(np.sqrt(np.max((d[0, :, 0] + d[0, :, 1]) + (d[1, :, 0] + d[1, :, 1]))))
+    axis=(0, 2))`` (``squared_norm`` per sheet, then the sheets)."""
+    d = squared_norm(f.ring - g.ring)
+    return float(np.sqrt(np.max(d[0] + d[1])))
 
 
-def check_radii(radii, grid: PolarGrid) -> tuple:
-    """The radii as floats; they must pass the grid's radius rule
-    (``PolarGrid.rings``) and strictly decrease. They are not snapped: the
-    rescale reads the spectrum at the exact radius."""
+def check_radii(radii) -> tuple:
+    """The radii as floats; each must lie in (0, 1], and they must strictly
+    decrease, a repeat being named. No grid enters: the rescale reads the
+    spectrum at the exact radius, however close to the center."""
     radii = tuple(float(r) for r in radii)
-    grid.rings(radii)
-    if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly decreasing")
+    for r in radii:
+        if not 0.0 < r <= 1.0:
+            raise ValueError(f"radius {r} outside (0, 1]")
+    for r1, r2 in zip(radii, radii[1:]):
+        if r2 >= r1:
+            raise ValueError(f"radius {r1} is given twice" if r2 == r1 else
+                             "radii must be strictly decreasing")
     return radii
 
 
 def blowup_sequence(source, radii) -> BlowupSequence:
     """The normalized rescales (``rescale_exact``) of ``source``, a
     MinimizeResult or an ExactRescale, along the checked radii, with the
-    ``_circle_defect`` of each against the one before. The spectrum is
-    brought to its unit binade once, for every radius."""
-    radii = check_radii(radii, source.grid)
-    spectrum = _unit_binade(source.spectrum)
+    ``_circle_defect`` of each against the one before. The table of kept
+    modes (``_kept_modes``) is built once, for every radius."""
+    radii = check_radii(radii)
+    spectrum = _kept_modes(source.spectrum)
     fields = tuple(_rescale(source.grid, spectrum, r) for r in radii)
     defects = tuple(_circle_defect(f, g) for f, g in zip(fields, fields[1:]))
     return BlowupSequence(radii, fields, defects)
@@ -135,16 +152,6 @@ _FIT_RADII = (0.25, 0.5, 0.75, 1.0)
 BLOWUP_FIT_TOL = 0.05
 
 
-def check_fit_grid(grid: PolarGrid) -> None:
-    """GridTooCoarse, naming the catalog fit radii, when the grid's radius
-    rule refuses one of the radii ``identify_catalog`` reads."""
-    try:
-        grid.rings(_FIT_RADII)
-    except GridTooCoarse as exc:
-        radii = ", ".join(f"{r:g}" for r in _FIT_RADII)
-        raise GridTooCoarse(f"the catalog fit reads radii {radii}: {exc}") from exc
-
-
 def _fit_sheet_tuple(values: np.ndarray, thetas: np.ndarray, N: float) -> FourTuple:
     """Least-squares coefficients of one sheet's boundary ring at degree N."""
     basis = np.stack([np.cos(N * thetas), np.sin(N * thetas)], axis=1)
@@ -152,29 +159,21 @@ def _fit_sheet_tuple(values: np.ndarray, thetas: np.ndarray, N: float) -> FourTu
     return FourTuple(*sol.T.ravel().tolist())
 
 
-def _profile(g: ExactRescale, radii) -> FrequencyProfile:
-    """The closed-form frequency profile of a rescale at the rings its grid
-    reads for the radii."""
-    return spectral_profile(g.spectrum, g.grid.radii[g.grid.rings(radii)])
-
-
 def identify_catalog(g: ExactRescale) -> tuple[HomogeneousPair, float, float]:
     """Fit a normalized blow-up limit to a concrete catalog entry.
 
-    Fits N as the median of the frequency profile at _FIT_RADII and rounds
-    it to the nearest half-integer, fits each sheet's boundary trace to the
-    degree-N mode family, and asks HomogeneousPair.validate whether the
-    pair under the seam is a catalog entry. Returns the entry, the fitted N
-    and the sup-norm boundary residual.
+    Fits N as the median of the closed-form frequency profile at the exact
+    _FIT_RADII and rounds it to the nearest half-integer, fits each sheet's
+    boundary trace to the degree-N mode family, and asks
+    HomogeneousPair.validate whether the pair under the seam is a catalog
+    entry. Returns the entry, the fitted N and the sup-norm boundary
+    residual.
     Raises NoCatalogMatch when the fitted degree is farther than 0.1 from a
     half-integer, when the trace has almost no content at that degree, or
-    with validate's reason when the fitted entry fails it at BLOWUP_FIT_TOL;
-    GridTooCoarse (``check_fit_grid``) when the grid cannot resolve
-    _FIT_RADII.
+    with validate's reason when the fitted entry fails it at BLOWUP_FIT_TOL.
     """
-    check_fit_grid(g.grid)
     # the median of the profile, taken by hand: np.median imports numpy.ma
-    N = np.sort(_profile(g, _FIT_RADII).N)
+    N = np.sort(spectral_profile(g.spectrum, _FIT_RADII).N)
     fitted = float((N[(len(N) - 1) // 2] + N[len(N) // 2]) / 2)
     rounded = round(2.0 * fitted) / 2.0
     if abs(fitted - rounded) > 0.1:
@@ -210,7 +209,7 @@ def blowup_report(
 ) -> dict:
     """JSON-ready summary of a blow-up identification. The boundary mass is
     H/D at rho = 1 of the limit ``g``: H(1) of a limit of unit energy."""
-    profile = _profile(g, (1.0,))
+    profile = spectral_profile(g.spectrum, (1.0,))
     return {
         "fitted_N": fitted_N,
         "rounded_N": entry.N,

@@ -13,10 +13,11 @@ Exit codes: 0 success, 1 negative classification result, 2 invalid input
 class, errors and warnings (trace modes folded at or above the grid's
 angular Nyquist, a blow-up limit whose boundary mass misses 1/N,
 --dump-fields on frequency-0 data) go to stderr. Before reading the trace,
-both trace commands check the grid, their radii (PolarGrid.rings, the one
-radius rule; for blowup also the radii of the catalog fit) and their output
-paths, none of which may overwrite the input trace or another output
-(exit 2). minimize prints its results only after writing its files, and a
+both trace commands check the grid, their radii and their output paths,
+none of which may overwrite the input trace or another output (exit 2). A
+radius lies in (0, 1]; minimize's profile radii also pass the grid's ring
+rule (PolarGrid.rings), while blowup's radii, read exactly, must be
+distinct. minimize prints its results only after writing its files, and a
 run that fails while writing removes the files it wrote, the one it was
 writing included, so a run that exits 2 leaves no results.
 
@@ -38,16 +39,18 @@ File formats:
                     both N are 0, the next four null, and a note stands
                     in place of cauchy_defects
 
-blowup rescales the spectral minimizer exactly: at radius r, mode nu times
-r^nu / sqrt(D(r)), D(r) the closed-form energy, a spectrum of unit energy.
-The report reads the limit (the last radius) from the spectrum in closed
-form: fitted_N is the median of N = rD/H at the grid rings of the catalog
-fit radii, boundary_mass is H/D at 1; the fitted tuples and residual read
-the limit on the unit circle at the grid's angles. cauchy_defects[k] is the
-largest labelled distance (sheet 1 to sheet 1, sheet 2 to sheet 2) on that
-circle between the rescales at radii k and k+1: the sheets' difference is
+blowup rescales the spectral minimizer exactly: at radius r, each present
+mode nu times r^nu / sqrt(D(r)), D(r) the closed-form energy of the present
+modes, a spectrum of unit energy. The report reads the limit (the last
+radius) from the spectrum in closed form: fitted_N is the median of
+N = rD/H at the exact catalog fit radii 0.25, 0.5, 0.75 and 1,
+boundary_mass is H/D at 1; the fitted tuples and residual read the limit
+on the unit circle at the grid's angles. cauchy_defects[k] is the largest
+labelled distance (sheet 1 to sheet 1, sheet 2 to sheet 2) on that circle
+between the rescales at radii k and k+1: the sheets' difference is
 harmonic, so it bounds their pair distance over the whole disk. A dump is
-the extension of a rescale on the grid, with unit closed-form energy.
+the extension of a rescale on the grid, with unit closed-form energy: --nr
+sets that grid alone, and the report does not depend on it.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ import numpy as np
 from .blowup import (
     blowup_report,
     blowup_sequence,
-    check_fit_grid,
     check_radii,
     identify_catalog,
     report_to_json,
@@ -278,10 +280,7 @@ def cmd_minimize(args) -> int:
 def cmd_blowup(args) -> int:
     # every argument check runs before minimize, whatever the data
     grid = PolarGrid(args.nr, args.ntheta)
-    radii = check_radii(
-        sorted(_parse_radii(args.radii, DEFAULT_BLOWUP_RADII), reverse=True), grid
-    )
-    check_fit_grid(grid)
+    radii = check_radii(sorted(_parse_radii(args.radii, DEFAULT_BLOWUP_RADII), reverse=True))
     dumps = [Path(f"{args.dump_fields}_r{r:g}.csv") for r in radii] if args.dump_fields else []
     outputs = [args.out] if args.out is not None else []
     _refuse_overwrite(args.trace, outputs + [p for csv in dumps for p in dump_files(csv)])

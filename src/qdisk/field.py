@@ -32,9 +32,9 @@ from .qpoint import pair_distance_arrays
 EPS_BOUNDARY_MASS = 1e-14
 # how far a sheet's center ring may depart from one value
 CENTER_RING_ATOL = 1e-9
-# innermost rings below grid resolution: PolarGrid.rings keeps the profile,
-# blow-up and catalog fit radii outside them, since quadrature and
-# interpolation noise amplify there
+# innermost rings below grid resolution: PolarGrid.rings keeps the radii of
+# grid profiles outside them, since quadrature and interpolation noise
+# amplify there
 CENTER_EXCLUSION_RINGS = 3
 
 
@@ -84,9 +84,10 @@ class PolarGrid:
         return int(round(r * self.n_r))
 
     def rings(self, radii) -> list[int]:
-        """The distinct rings nearest the radii, ascending: the one radius
-        rule of profiles and blow-ups. GridTooCoarse when a ring lies inside
-        the center exclusion zone."""
+        """The distinct rings nearest the radii, ascending: the radius rule
+        of grid profiles (``frequency_profile``), which read the field at
+        its rings. GridTooCoarse when a ring lies inside the center
+        exclusion zone."""
         rings = set()
         for r in radii:
             i = self.ring_of(r)

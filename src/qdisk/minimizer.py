@@ -42,6 +42,7 @@ from .field import (
     scaled_tol,
 )
 from .forms import Continuation
+from .qpoint import squared_norm
 
 # A mode is present when a coefficient exceeds this, scaled to the lift's
 # coordinates (Spectrum.coeff_eps).
@@ -99,11 +100,9 @@ class BoundaryTrace:
         """Distance between the sheets at each sample, sqrt(dx^2 + dy^2)
         taken at the sample's own power of two (``_binade_rows``) and scaled
         back: ``np.linalg.norm(p1 - p2, axis=1)`` bit for bit wherever no
-        square of the latter underflows or overflows, and without a
-        reduction over the coordinate pair (see ``_present``)."""
+        square of the latter underflows or overflows (``squared_norm``)."""
         d, exp = _binade_rows(self.p1 - self.p2)
-        dx, dy = d[:, 0], d[:, 1]
-        return np.ldexp(np.sqrt(dx * dx + dy * dy), exp)
+        return np.ldexp(np.sqrt(squared_norm(d)), exp)
 
     def separation(self) -> float:
         return float(np.min(self.gaps()))
@@ -271,12 +270,6 @@ def analyze_spectrum(lift: BoundaryLift) -> Spectrum:
     return Spectrum(lift.kind, tuple(cos_all), tuple(sin_all), scaled_tol(COEFF_EPS, lift.loops))
 
 
-# A coefficient table is (modes, 2). Here and in ``_mass`` its two columns
-# are combined term by term, in the order numpy's reduction over the
-# length-2 axis takes them, which keeps every bit: that reduction costs
-# 20-50 times its two terms (the rule of ``qpoint._squared_distance``).
-
-
 def _present(cos: np.ndarray, sin: np.ndarray, eps: float) -> np.ndarray:
     """Indices of the modes with a coefficient above eps."""
     a, b = np.abs(cos), np.abs(sin)
@@ -286,8 +279,8 @@ def _present(cos: np.ndarray, sin: np.ndarray, eps: float) -> np.ndarray:
 
 def _mass(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """|A_k|^2 + |B_k|^2 per mode of the tables: ``np.sum(cos**2, axis=1) +
-    np.sum(sin**2, axis=1)`` bit for bit."""
-    return (cos[:, 0] ** 2 + cos[:, 1] ** 2) + (sin[:, 0] ** 2 + sin[:, 1] ** 2)
+    np.sum(sin**2, axis=1)`` bit for bit (``squared_norm``)."""
+    return squared_norm(cos) + squared_norm(sin)
 
 
 def _columns(spectrum: Spectrum, grid: PolarGrid) -> int:
@@ -482,7 +475,7 @@ def folded_modes(spectrum: Spectrum, grid: PolarGrid) -> tuple[int, float]:
         energy += np.pi * np.sum(k * _mass(cos[k], sin[k]))
         if half < len(sin) and max(abs(sin[half, 0]), abs(sin[half, 1])) > eps:
             count += 1
-            energy += np.pi * half * (sin[half, 0] ** 2 + sin[half, 1] ** 2)
+            energy += np.pi * half * squared_norm(sin[half])
     return count, (float(energy / spectral_energy(spectrum)) if count else 0.0)
 
 

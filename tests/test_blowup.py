@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import exact_entry, random_trace, single_mode_trace
+from conftest import conformal_swap_trace, exact_entry, random_trace, single_mode_trace
 
 from qdisk import cli
 from qdisk import field as field_module
@@ -16,7 +16,7 @@ from qdisk.blowup import (
     identify_catalog,
     rescale_exact,
 )
-from qdisk.errors import GridTooCoarse, NoCatalogMatch, ZeroEnergy
+from qdisk.errors import NoCatalogMatch, ZeroEnergy
 from qdisk.field import (
     CENTER_EXCLUSION_RINGS,
     PolarGrid,
@@ -105,25 +105,26 @@ def test_blowup_sequence_single_radius(grid64):
 
 def test_blowup_sequence_validates_radii(grid64):
     g = exact_entry(DOUBLED_Z, grid64)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^radii must be strictly decreasing$"):
         blowup_sequence(g, [0.2, 0.4])
-    with pytest.raises(GridTooCoarse):
-        blowup_sequence(g, [0.5, 0.01])
+    with pytest.raises(ValueError, match=r"^radius 0\.0 outside \(0, 1\]$"):
+        blowup_sequence(g, [0.5, 0.0])
 
 
 def test_check_radii_ring_rule():
-    """Each radius passes the grid's radius rule, the profile's: its nearest
-    ring lies at least CENTER_EXCLUSION_RINGS out (three rings of 30 and
-    2.88 of 32 pass, 2.24 of 32 fails); the radii strictly decrease and are
-    not snapped."""
-    assert check_radii([0.4, 0.1], PolarGrid(30, 8)) == (0.4, 0.1)
-    assert check_radii([0.4, 0.09], PolarGrid(32, 8)) == (0.4, 0.09)
-    with pytest.raises(GridTooCoarse, match=r"^radius 0\.07 is below 3 grid rings$"):
-        check_radii([0.4, 0.07], PolarGrid(32, 8))
-    with pytest.raises(ValueError, match=r"^radius 1\.5 outside \(0, 1\]$"):
-        check_radii([1.5, 0.4], PolarGrid(32, 8))
-    with pytest.raises(ValueError, match="strictly decreasing"):
-        check_radii([0.4, 0.4], PolarGrid(64, 8))
+    """check_radii holds the radii to no grid's ring rule: it takes no grid,
+    and radii that would lie inside any grid's center rings pass, not
+    snapped. Each radius lies in (0, 1], the radii strictly decrease, and a
+    repeated radius is named."""
+    assert check_radii([0.4, 0.07]) == (0.4, 0.07)
+    assert check_radii([1, 1e-300]) == (1.0, 1e-300)
+    for bad in ("1.5", "0.0", "-0.1", "nan"):
+        with pytest.raises(ValueError, match=rf"^radius {bad} outside \(0, 1\]$"):
+            check_radii([float(bad), 0.4] if bad == "1.5" else [0.4, float(bad)])
+    with pytest.raises(ValueError, match=r"^radius 0\.4 is given twice$"):
+        check_radii([0.4, 0.4])
+    with pytest.raises(ValueError, match="^radii must be strictly decreasing$"):
+        check_radii([0.2, 0.4])
 
 
 def test_boundary_mass_identity_values(grid64):
@@ -430,10 +431,28 @@ def test_cmd_blowup_holds_two_rescaled_fields(tmp_path, monkeypatch, dump):
         assert peak <= 16 * ring_bytes
 
 
-def test_identify_catalog_names_the_fit_radii_on_a_coarse_grid():
-    """At 10 rings the fit radius 0.25 lies in the center exclusion zone."""
-    g = exact_entry(DOUBLED_Z, PolarGrid(10, 64))
-    with pytest.raises(GridTooCoarse, match=r"^the catalog fit reads radii 0\.25, 0\.5, "
-                       r"0\.75, 1: radius 0\.25 is below 3 grid rings$"):
-        identify_catalog(g)
-    identify_catalog(exact_entry(DOUBLED_Z, PolarGrid(11, 64)))
+def test_identify_catalog_reads_the_exact_fit_radii_on_a_coarse_grid():
+    """The fitted N is the median of the closed-form N at the fit radii
+    0.25, 0.5, 0.75 and 1 themselves, whatever the grid's rings: at 10 rings
+    (0.25 is 2.5 rings out, inside the center rings) and at 30 (0.25 is 7.5
+    rings out) the fit is the one at 32, where each fit radius is a ring."""
+    trace = conformal_swap_trace(np.random.default_rng(1))
+    fits = []
+    for n_r in (10, 30, 32):
+        limit = rescale_exact(minimize(trace, PolarGrid(n_r, 128)), 0.1)
+        N = np.sort(spectral_profile(limit.spectrum, (0.25, 0.5, 0.75, 1.0)).N)
+        entry, fitted, residual = identify_catalog(limit)
+        assert fitted == (N[1] + N[2]) / 2
+        fits.append((entry, fitted, residual))
+    assert fits[0] == fits[1] == fits[2]
+    assert (fits[0][0].N, fits[0][0].continuation) == (1.5, Continuation.SWAP)
+
+
+def test_rescale_has_unit_energy_at_small_radii(grid32):
+    """The rescale divides by the closed-form energy of the modes it keeps.
+    The energy of every mode would let a rounding-level mode below the
+    lowest kept one take over as r -> 0 (mode 1 here, of mass 1.9e-32),
+    and the rescale's energy would read 2.6e-8 at r = 1e-20."""
+    result = minimize(conformal_swap_trace(np.random.default_rng(1)), grid32)
+    for r in (1e-3, 1e-20, 1e-50, 1e-100):
+        assert abs(spectral_energy(rescale_exact(result, r).spectrum) - 1.0) <= 1e-12

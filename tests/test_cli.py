@@ -473,21 +473,23 @@ def test_minimize_checks_radii_before_reading_the_trace(branched_trace_file, tmp
 
 
 @pytest.mark.parametrize("r, rc", [("0.04", 0), ("0.0375", 2)])
-def test_one_radius_rule_for_both_commands(perturbed_trace_file, tmp_path, capsys, r, rc):
-    """At 64 rings r = 0.04 is 2.56 rings, nearest ring 3, and runs in both
-    commands; r = 0.0375 is 2.4 rings, nearest ring 2, and both exit 2 with
-    the same line before the trace is read."""
-    runs = [["minimize", perturbed_trace_file, "--out", str(tmp_path / "f.csv"),
-             "--radii", f"{r},1"],
-            ["blowup", perturbed_trace_file, "--out", str(tmp_path / "report.json"),
-             "--radii", f"0.4,{r}"]]
-    for argv in runs:
-        assert main(argv) == rc
-        err = capsys.readouterr().err
-        if rc:
-            assert err == f"error: GridTooCoarse: radius {r} is below 3 grid rings\n"
-        else:
-            assert err == "detected class: swap (separation 1.6)\n"
+def test_ring_rule_binds_minimize_alone(perturbed_trace_file, tmp_path, capsys, r, rc):
+    """At 64 rings r = 0.04 is 2.56 rings, nearest ring 3, and r = 0.0375
+    is 2.4 rings, nearest ring 2: minimize, whose profile reads the grid's
+    rings, runs at the first and exits 2 at the second before the trace is
+    read. blowup reads the spectrum at the exact radius and runs at both."""
+    argv = ["minimize", perturbed_trace_file, "--out", str(tmp_path / "f.csv"),
+            "--radii", f"{r},1"]
+    assert main(argv) == rc
+    err = capsys.readouterr().err
+    if rc:
+        assert err == f"error: GridTooCoarse: radius {r} is below 3 grid rings\n"
+    else:
+        assert err == "detected class: swap (separation 1.6)\n"
+    argv = ["blowup", perturbed_trace_file, "--out", str(tmp_path / "report.json"),
+            "--radii", f"0.4,{r}"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == "detected class: swap (separation 1.6)\n"
 
 
 def test_profile_reads_each_ring_once(perturbed_trace_file, tmp_path, capsys):
@@ -585,7 +587,7 @@ def test_write_that_fails_midway_leaves_nothing(perturbed_trace_file, tmp_path, 
 
 
 def test_blowup_bad_radii(perturbed_trace_file):
-    assert main(["blowup", perturbed_trace_file, "--radii", "0.4,0.01"]) == 2
+    assert main(["blowup", perturbed_trace_file, "--radii", "0.4,0"]) == 2
     assert main(["blowup", perturbed_trace_file, "--radii", "0.4,nope"]) == 2
 
 
@@ -1212,7 +1214,7 @@ def test_blowup_accepts_sheets_within_fit_tolerance(tmp_path, capsys):
     assert report["residual"] < 1e-4
 
 
-@pytest.mark.parametrize("radii", ["0.001", "0.4,0.01", "0.4,nope", "1.5", "0.4,0.4"])
+@pytest.mark.parametrize("radii", ["0", "0.4,-0.1", "0.4,nan", "0.4,nope", "1.5", "0.4,0.4"])
 def test_blowup_checks_radii_before_minimize(perturbed_trace_file, tmp_path, monkeypatch,
                                             capsys, radii):
     """Invalid radii exit 2 before minimize runs, on frequency-0 data too."""
@@ -1239,32 +1241,85 @@ def test_blowup_checks_radii_before_minimize(perturbed_trace_file, tmp_path, mon
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("nr", [4, 8, 10])
-def test_blowup_checks_fit_radii_before_minimize(perturbed_trace_file, tmp_path, monkeypatch,
-                                                 capsys, nr):
-    """Below 11 rings the catalog fit's radius 0.25 lies in the center
-    exclusion zone: blowup exits 2 naming the fit radii, before minimize
-    runs, with empty stdout and no detected class."""
-    calls = []
-    monkeypatch.setattr(cli, "minimize", lambda *args, **kwargs: calls.append(args))
-    out = tmp_path / "report.json"
-    argv = ["blowup", perturbed_trace_file, "--nr", str(nr), "--ntheta", "64",
-            "--radii", "1.0,0.9,0.8", "--out", str(out)]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: GridTooCoarse: the catalog fit reads radii 0.25, 0.5, "
-                            "0.75, 1: radius 0.25 is below 3 grid rings\n")
-    assert calls == []
-    assert not out.exists()
-
-
 # SHA-256 of the blow-up report, and of sidecar + CSV of the limit's dump,
 # for conformal_swap_trace(default_rng(1)) at 32x128 with the default radii,
 # pinned when the blow-up became the exact rescale of the spectrum (x86-64,
 # numpy 2)
 GOLDEN_BLOWUP_REPORT_SHA256 = "b663eea8c859608796fd1f570c7c2d7cd460ab0d77aa0aa5af0d633d4c28d09d"
 GOLDEN_BLOWUP_DUMP_SHA256 = "74f635b0f994105d6fe030c7d2e6b4aa40db5acb5ca24dd93f476b038b3c5660"
+
+
+def _blowup_run(argv, capsys):
+    """Exit code, stdout and stderr of one qdisk run."""
+    rc = main(argv)
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+@pytest.fixture(scope="module")
+def nr_traces(tmp_path_factory):
+    """The golden blow-up trace, which reads N = 3/2 swap, and a random
+    swap trace, whose fit is not conformal (exit 3)."""
+    directory = tmp_path_factory.mktemp("nr")
+    paths = directory / "golden.json", directory / "random.json"
+    save_trace(conformal_swap_trace(np.random.default_rng(1)), paths[0])
+    save_trace(random_trace(np.random.default_rng(3), Continuation.SWAP), paths[1])
+    return [str(path) for path in paths]
+
+
+@pytest.mark.parametrize("nr", [4, 8, 10, 24, 30, 33, 64, 256])
+def test_blowup_report_does_not_depend_on_nr(nr_traces, capsys, nr):
+    """The blow-up reads the spectrum at the exact radii, the catalog fit's
+    included, so its exit code, stdout and stderr at --ntheta 128 are those
+    at --nr 32 (where each fit radius is a ring) on any number of rings:
+    --nr sets only the grid of --dump-fields."""
+    runs = {}
+    for n_r in (nr, 32):
+        runs[n_r] = [_blowup_run(["blowup", trace, "--nr", str(n_r), "--ntheta", "128"], capsys)
+                     for trace in nr_traces]
+    assert runs[nr] == runs[32]
+    (golden_rc, golden_out, _), (random_rc, _, random_err) = runs[nr]
+    assert golden_rc == 0
+    assert hashlib.sha256(golden_out.encode()).hexdigest() == GOLDEN_BLOWUP_REPORT_SHA256
+    assert random_rc == 3
+    assert random_err.splitlines()[-1].startswith("error: NoCatalogMatch: ")
+
+
+def test_blowup_reads_small_radii_exactly(tmp_path, capsys):
+    """A radius of 1e-50 reads the golden trace's N = 3/2 swap. At 1e-200
+    the rescale's powers r^(3/2) square to below the float range: the run
+    exits 2 with one ZeroEnergy line, no traceback and no report."""
+    trace = tmp_path / "t.json"
+    save_trace(conformal_swap_trace(np.random.default_rng(1)), trace)
+    out = tmp_path / "report.json"
+    argv = ["blowup", str(trace), "--nr", "32", "--ntheta", "128", "--out", str(out)]
+    assert main([*argv, "--radii", "0.4,1e-50"]) == 0
+    report = json.loads(out.read_text())
+    assert (report["rounded_N"], report["continuation"]) == (1.5, "swap")
+    assert abs(report["fitted_N"] - 1.5) <= 1e-12
+    capsys.readouterr()
+    out.unlink()
+    assert main([*argv, "--radii", "0.4,1e-200"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "detected class: swap (separation 0.909)",
+        "error: ZeroEnergy: rescaled spectrum has numerically zero energy",
+    ]
+    assert not out.exists()
+
+
+def test_blowup_names_a_repeated_radius(perturbed_trace_file, tmp_path, monkeypatch, capsys):
+    """blowup sorts its radii itself, so a repeated radius is named as such,
+    not as radii out of order; it exits 2 before minimize runs."""
+    calls = []
+    monkeypatch.setattr(cli, "minimize", lambda *args, **kwargs: calls.append(args))
+    for radii, twice in (("0.2,0.2", "0.2"), ("0.4,0.1,0.4", "0.4")):
+        assert main(["blowup", perturbed_trace_file, "--radii", radii]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: radius {twice} is given twice\n"
+    assert calls == []
 
 
 def test_blowup_golden_bytes(tmp_path):

@@ -189,6 +189,22 @@ def test_blowup_reads_no_grid_field():
     assert not found, f"DiskField referred to in qdisk.blowup: {found}"
 
 
+GRID_RING_RULE = {"rings", "ring_of", "GridTooCoarse"}
+
+
+def test_blowup_holds_no_ring_rule():
+    """The blow-up reads its radii exactly: qdisk/blowup.py refers to none
+    of the grid's ring rule (PolarGrid.rings and ring_of, and the
+    GridTooCoarse they raise), so the rule cannot come back unseen."""
+    path = PACKAGE / "blowup.py"
+    found = [
+        f"{path.name}:{getattr(node, 'lineno', '?')} {_referred_name(node)}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if _referred_name(node) in GRID_RING_RULE
+    ]
+    assert not found, f"the grid's ring rule referred to in qdisk.blowup: {found}"
+
+
 SPECTRAL_ROUTE = {"_eval_modes", "harmonic_extension", "analyze_spectrum"}
 
 
