@@ -5,15 +5,17 @@ energy produces, along shrinking radii, approximations of the blow-up limit
 at the origin. For minimizers vanishing at the origin the limit is
 homogeneous of degree N(0), its boundary mass equals 1/N(0), and its sheets
 belong to the conformal catalog. ``identify_catalog`` checks the first and
-the last by fitting a catalog entry; ``blowup_report`` sets the boundary
-mass beside 1/N(0). The rescales are exact (``rescale_exact``): each is a
-spectrum, read in closed form and on the unit circle, never on a grid.
+the last on the entry the limit's lowest mode makes, read exactly, not
+fitted; ``blowup_report`` sets the boundary mass beside 1/N(0). The
+rescales are exact (``rescale_exact``): each is a spectrum, read in closed
+form and on the unit circle, never on a grid.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,7 @@ from .minimizer import (
     _eval_modes,
     _present,
     _unit_binade,
+    lowest_mode,
     spectral_energy,
     spectral_profile,
 )
@@ -147,60 +150,54 @@ def blowup_sequence(source, radii) -> BlowupSequence:
 
 
 _FIT_RADII = (0.25, 0.5, 0.75, 1.0)
-# Classification tolerance of the tuples fitted from finite-resolution
-# blow-up limits; exact input is classified far below this fit noise.
+# Classification tolerance of the limit's entry, absolute on a unit-energy
+# entry: the higher modes a finite rescale keeps bend the limit's profile
+# and sheets away from the exact entry, which is classified far below it.
 BLOWUP_FIT_TOL = 0.05
 
 
-def _fit_sheet_tuple(values: np.ndarray, thetas: np.ndarray, N: float) -> FourTuple:
-    """Least-squares coefficients of one sheet's boundary ring at degree N."""
-    basis = np.stack([np.cos(N * thetas), np.sin(N * thetas)], axis=1)
-    sol, *_ = np.linalg.lstsq(basis, values, rcond=None)
-    return FourTuple(*sol.T.ravel().tolist())
-
-
 def identify_catalog(g: ExactRescale) -> tuple[HomogeneousPair, float, float]:
-    """Fit a normalized blow-up limit to a concrete catalog entry.
+    """Read a normalized blow-up limit as a concrete catalog entry.
 
-    Fits N as the median of the closed-form frequency profile at the exact
-    _FIT_RADII and rounds it to the nearest half-integer, fits each sheet's
-    boundary trace to the degree-N mode family, and asks
-    HomogeneousPair.validate whether the pair under the seam is a catalog
-    entry. Returns the entry, the fitted N and the sup-norm boundary
-    residual.
-    Raises NoCatalogMatch when the fitted degree is farther than 0.1 from a
-    half-integer, when the trace has almost no content at that degree, or
-    with validate's reason when the fitted entry fails it at BLOWUP_FIT_TOL.
+    The entry is the limit's ``lowest_mode`` k, of degree N = k * unit:
+    each loop's tuple (A_x, B_x, A_y, B_y) at mode k, divided by the square
+    root of the entry's energy pi k sum_loops |A_k|^2 + |B_k|^2. In the swap
+    class the second sheet is the first times (-1)^k. Returns the entry,
+    the fitted N (the median of the closed-form N at the exact _FIT_RADII)
+    and the sup over the grid's angles of the pair distance between the
+    limit's ring and the entry's sheets. Raises NoCatalogMatch when the
+    fitted N is farther than 0.1 from N, or with validate's reason when the
+    entry fails it at BLOWUP_FIT_TOL.
     """
+    spectrum = g.spectrum
     # the median of the profile, taken by hand: np.median imports numpy.ma
-    N = np.sort(spectral_profile(g.spectrum, _FIT_RADII).N)
-    fitted = float((N[(len(N) - 1) // 2] + N[len(N) // 2]) / 2)
-    rounded = round(2.0 * fitted) / 2.0
-    if abs(fitted - rounded) > 0.1:
+    profile = np.sort(spectral_profile(spectrum, _FIT_RADII).N)
+    fitted = float((profile[(len(profile) - 1) // 2] + profile[len(profile) // 2]) / 2)
+    k = lowest_mode(spectrum)
+    N = k * spectrum.frequency_unit
+    if abs(fitted - N) > 0.1:
         raise NoCatalogMatch(
-            f"fitted degree {fitted:.4f} is not within 0.1 of a half-integer"
+            f"fitted degree {fitted:.4f} is not within 0.1 of the limit's degree {N:g}"
         )
 
-    thetas = g.grid.thetas
-    ring1, ring2 = g.ring
-    t1 = _fit_sheet_tuple(ring1, thetas, rounded)
-    t2 = _fit_sheet_tuple(ring2, thetas, rounded)
-    scale = max(np.abs(ring1).max(), np.abs(ring2).max(), 1e-30)
-    if max(abs(x) for x in (*t1, *t2)) <= 0.1 * scale:
-        raise NoCatalogMatch(
-            "boundary trace has almost no content at the fitted degree"
-        )
-
-    entry = HomogeneousPair(rounded, t1, t2, g.seam)
+    # per loop, mode k's (A_x, A_y) and (B_x, B_y); absent modes are 0.0
+    modes = np.array([(cos[k], sin[k])
+                      for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs)])
+    # at degree 0 there is no energy to divide by, and validate names the degree
+    norm = math.sqrt(np.pi * k * np.sum(np.square(modes))) or 1.0
+    sheets = [FourTuple(*(m.T.ravel() / norm).tolist()) for m in modes]
+    if g.seam is Continuation.SWAP:  # one turn on, mode k changes sign k times
+        sheets.append(sheets[0].negated() if k % 2 else sheets[0])
+    t1, t2 = sheets
+    entry = HomogeneousPair(N, t1, t2, g.seam)
     try:
         entry.validate(BLOWUP_FIT_TOL)
     except DegeneratePair as exc:
-        raise NoCatalogMatch("fitted sheets are numerically zero") from exc
+        raise NoCatalogMatch("limit sheets are numerically zero") from exc
     except ValueError as exc:
-        raise NoCatalogMatch(f"fitted {exc}") from exc
-    fit1 = sheet_eval(t1, rounded, 1.0, thetas)
-    fit2 = sheet_eval(t2, rounded, 1.0, thetas)
-    residual = float(pair_distance_arrays(ring1, ring2, fit1, fit2).max())
+        raise NoCatalogMatch(f"limit {exc}") from exc
+    entry_ring = (sheet_eval(t, N, 1.0, g.grid.thetas) for t in (t1, t2))
+    residual = float(pair_distance_arrays(*g.ring, *entry_ring).max())
     return entry, fitted, residual
 
 

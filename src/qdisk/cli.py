@@ -43,14 +43,17 @@ blowup rescales the spectral minimizer exactly: at radius r, each present
 mode nu times r^nu / sqrt(D(r)), D(r) the closed-form energy of the present
 modes, a spectrum of unit energy. The report reads the limit (the last
 radius) from the spectrum in closed form: fitted_N is the median of
-N = rD/H at the exact catalog fit radii 0.25, 0.5, 0.75 and 1,
-boundary_mass is H/D at 1; the fitted tuples and residual read the limit
-on the unit circle at the grid's angles. cauchy_defects[k] is the largest
-labelled distance (sheet 1 to sheet 1, sheet 2 to sheet 2) on that circle
-between the rescales at radii k and k+1: the sheets' difference is
-harmonic, so it bounds their pair distance over the whole disk. A dump is
-the extension of a rescale on the grid, with unit closed-form energy: --nr
-sets that grid alone, and the report does not depend on it.
+N = rD/H at the exact radii 0.25, 0.5, 0.75 and 1, boundary_mass is H/D
+at 1. The catalog entry is read, not fitted: the limit's lowest present
+mode, scaled to unit energy; rounded_N is its degree, and the run exits 3
+when fitted_N lies farther than 0.1 from it. The residual is the largest
+pair distance between limit and entry on the unit circle at the grid's
+angles. cauchy_defects[k] is the largest labelled distance (sheet 1 to
+sheet 1, sheet 2 to sheet 2) on that circle between the rescales at radii
+k and k+1: the sheets' difference is harmonic, so it bounds their pair
+distance over the whole disk. A dump is the extension of a rescale on the
+grid, with unit closed-form energy: --nr sets that grid alone, and the
+report does not depend on it.
 """
 
 from __future__ import annotations
@@ -130,7 +133,8 @@ def _add_trace_args(parser: argparse.ArgumentParser, out_help: str) -> None:
 
 
 def _parse_radii(arg: str | None, default) -> tuple:
-    """The --radii list as floats; the grid checks them."""
+    """The --radii list as floats, unchecked: minimize holds them to the
+    grid's ring rule (PolarGrid.rings), blowup to check_radii alone."""
     if arg is None:
         return tuple(default)
     try:

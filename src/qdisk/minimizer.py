@@ -479,27 +479,22 @@ def folded_modes(spectrum: Spectrum, grid: PolarGrid) -> tuple[int, float]:
     return count, (float(energy / spectral_energy(spectrum)) if count else 0.0)
 
 
-def frequency_from_spectrum(spectrum: Spectrum) -> float:
-    """Frequency at the origin read off the spectrum.
-
-    A nonzero constant mode means the extension does not vanish at the
-    origin, which forces frequency zero (the dichotomy); otherwise the
-    lowest present mode dominates as r -> 0. Present means what the
-    extension keeps: a coefficient above ``spectrum.coeff_eps``.
-    """
-    unit = spectrum.frequency_unit
-    best = None
-    for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs):
-        present = _present(cos, sin, spectrum.coeff_eps)
-        if len(present) == 0:
-            continue
-        if present[0] == 0:
-            return 0.0
-        nu = present[0] * unit
-        best = nu if best is None else min(best, nu)
-    if best is None:
+def lowest_mode(spectrum: Spectrum) -> int:
+    """Index of the lowest mode present (``_present``: kept by the
+    extension) in any loop. Raises ZeroSpectrum when no mode is present."""
+    k = np.concatenate([_present(cos, sin, spectrum.coeff_eps)[:1]
+                        for cos, sin in zip(spectrum.cos_coeffs, spectrum.sin_coeffs)])
+    if not len(k):
         raise ZeroSpectrum("no coefficient above threshold")
-    return float(best)
+    return int(k.min())
+
+
+def frequency_from_spectrum(spectrum: Spectrum) -> float:
+    """Frequency at the origin read off the spectrum: the ``lowest_mode``
+    dominates as r -> 0. A constant mode means the extension does not
+    vanish at the origin, which forces frequency zero (the dichotomy).
+    """
+    return lowest_mode(spectrum) * spectrum.frequency_unit
 
 
 @dataclass(frozen=True)

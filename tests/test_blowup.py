@@ -86,7 +86,9 @@ def test_blowup_sequence_catalog_fixed_points(grid64):
     """Every entry of enumerate_entries(8, 0), its exact spectrum blown up
     at 0.4, 0.2 and 0.1, reads back its own N and continuation, with the
     fitted N within 1e-12 (8.9e-16 measured) and Cauchy defects at rounding
-    (1.8e-16 measured)."""
+    (1.8e-16 measured), and its own sheets divided by the square root of
+    its energy pi N (|t1|^2 + |t2|^2), each coefficient within 1e-12
+    (1.1e-16 measured)."""
     entries = enumerate_entries(8, 0)
     assert len(entries) == 80
     for entry in entries:
@@ -95,6 +97,9 @@ def test_blowup_sequence_catalog_fixed_points(grid64):
         got, fitted, _residual = identify_catalog(seq.fields[-1])
         assert (got.N, got.continuation) == (entry.N, entry.continuation)
         assert abs(fitted - entry.N) <= 1e-12
+        sheets = np.array([entry.t1, entry.t2])
+        sheets /= np.sqrt(np.pi * entry.N * np.sum(sheets**2))
+        np.testing.assert_allclose([got.t1, got.t2], sheets, rtol=0, atol=1e-12)
 
 
 def test_blowup_sequence_single_radius(grid64):
@@ -181,21 +186,21 @@ def _identity_spectrum(grid, cos, sin) -> ExactRescale:
 def test_identify_catalog_rejects_offgrid_frequency(grid64):
     """Modes 1 and 2 of equal weight on both loops, z + z^2 and its
     negative: N(r) runs between 1 and 2, and its median at the fit radii,
-    1.28, is farther than 0.1 from any half-integer."""
+    1.28, is farther than 0.1 from the degree of the lowest mode, 1."""
     cos = np.array([[0, 0], [1, 0], [1, 0]])  # modes 0, 1 and 2
     sin = np.array([[0, 0], [0, 1], [0, 1]])
     g = _identity_spectrum(grid64, [cos, -cos], [sin, -sin])
-    with pytest.raises(NoCatalogMatch,
-                       match=r"^fitted degree 1\.2800 is not within 0\.1 of a half-integer$"):
+    message = r"^fitted degree 1\.2800 is not within 0\.1 of the limit's degree 1$"
+    with pytest.raises(NoCatalogMatch, match=message):
         identify_catalog(g)
 
 
 def test_no_catalog_match_reports_plain_floats(grid64):
-    """A non-conformal fit, (cos theta, 0) and its negative, is reported
+    """A non-conformal limit, (cos theta, 0) and its negative, is reported
     with float reprs."""
     cos = [[0, 0], [1, 0]]
     g = _identity_spectrum(grid64, [cos, np.negative(cos)], np.zeros((2, 2, 2)))
-    with pytest.raises(NoCatalogMatch, match="^fitted tuples not conformal") as exc:
+    with pytest.raises(NoCatalogMatch, match="^limit tuples not conformal") as exc:
         identify_catalog(g)
     assert "FourTuple(a=" in str(exc.value)
     assert "np.float64" not in str(exc.value)
@@ -206,18 +211,18 @@ def test_no_catalog_match_reports_plain_floats(grid64):
     [
         # the sheets agree at the slit, but 2N is even
         ((1.0, 0.0, 0.0, 1.0), Continuation.SWAP,
-         "fitted degree N=1 does not suit swap continuation, which requires odd 2N"),
+         "limit degree N=1 does not suit swap continuation, which requires odd 2N"),
         # z and -conj(z)/2 sum to a non-conformal tuple
         ((-0.5, 0.0, 0.0, 0.5), Continuation.IDENTITY,
-         "fitted tuples do not close under identity: their sum is not conformal"),
+         "limit tuples do not close under identity: their sum is not conformal"),
         # {z, conj(z)}: F1 + F2 is inadmissible, though N is an integer
         ((1.0, 0.0, 0.0, -1.0), Continuation.IDENTITY,
-         "fitted tuples do not close under identity: their sum is not conformal"),
+         "limit tuples do not close under identity: their sum is not conformal"),
     ],
     ids=["swap-even-2N", "identity-inadmissible-sum", "identity-z-conj-z"],
 )
 def test_identify_catalog_seam_messages(grid64, t2, seam, message):
-    """Conformal fitted sheets that fail HomogeneousPair.validate under the
+    """Conformal limit sheets that fail HomogeneousPair.validate under the
     limit's seam report validate's reason."""
     entry = HomogeneousPair(1.0, FourTuple(1.0, 0.0, 0.0, 1.0), FourTuple(*t2), seam)
     with pytest.raises(NoCatalogMatch) as exc:
@@ -227,15 +232,26 @@ def test_identify_catalog_seam_messages(grid64, t2, seam, message):
 
 def test_identify_catalog_rejects_a_limit_without_content_at_its_degree(grid64):
     """A seeded two-mode identity spectrum, modes 3 and 5: its fitted degree
-    4.09 rounds to 4, which neither mode carries. On the whole circle mode 4
-    is orthogonal to both, so the fitted tuples are zero to rounding."""
+    4.09 lies between them, with no content there, and farther than 0.1
+    from the degree of its lowest mode, 3."""
     rng = np.random.default_rng(234)
     modes = rng.choice(np.arange(1, 7), size=2, replace=False)
     tables = np.zeros((2, 2, 7, 2))  # cos and sin, loop, mode, coordinate
     tables[:, :, modes] = rng.normal(size=(2, 2, 2, 2))
-    with pytest.raises(NoCatalogMatch,
-                       match="^boundary trace has almost no content at the fitted degree$"):
+    message = r"^fitted degree 4\.0908 is not within 0\.1 of the limit's degree 3$"
+    with pytest.raises(NoCatalogMatch, match=message):
         identify_catalog(_identity_spectrum(grid64, *tables))
+
+
+def test_identify_catalog_names_degree_zero(grid64):
+    """A limit whose lowest mode is the constant one, +-(1, 0) beside a
+    0.1 z, has degree 0: its profile reads N below 0.1, and validate names
+    the degree; no division by its zero energy is reached."""
+    cos = np.array([[1, 0], [0.1, 0]])  # modes 0 and 1
+    g = _identity_spectrum(grid64, [cos, -cos], np.zeros((2, 2, 2)))
+    with pytest.raises(NoCatalogMatch,
+                       match="^limit degree N=0 is not a positive half-integer$"):
+        identify_catalog(g)
 
 
 def test_blowup_parity(grid64):

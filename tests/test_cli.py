@@ -17,7 +17,7 @@ from qdisk import cli, minimizer
 from qdisk import field as field_module
 from qdisk.cli import main
 from qdisk.field import PolarGrid, load_field
-from qdisk.forms import Continuation, enumerate_entries, sheet_eval
+from qdisk.forms import Continuation, FourTuple, enumerate_entries, sheet_eval
 from qdisk.minimizer import (
     BoundaryTrace,
     frequency_from_spectrum,
@@ -1118,7 +1118,7 @@ def test_folding_warning_decides_no_exit_code(tmp_path, capsys, kind, command):
     bit for bit, and then either answers as at scale 1 or exits 2 with a
     typed error, never with an error of the warning's own arithmetic. An
     answer is the exit code and the output, or for a failure its type: the
-    fitted tuples a NoCatalogMatch names keep only the digits that the
+    tuples a NoCatalogMatch names keep only the digits that the
     data's rounding at the scale leaves. Both draws' blowup answers at
     every scale."""
     trace = random_trace(np.random.default_rng(5), kind, n=16)
@@ -1145,7 +1145,7 @@ def test_folding_warning_decides_no_exit_code(tmp_path, capsys, kind, command):
         assert got[:2] == (code, answer) or (got[0] == 2 and got[1] is not None)
     if command == "blowup":
         # swap: frequency 0 at scale 1, read off the spectrum at every scale;
-        # identity: the rescale at the spectrum's unit binade fails its fit
+        # identity: the rescale at the spectrum's unit binade fails its catalog check
         assert all(got[:2] == (code, answer) for got in scaled)
 
 
@@ -1201,8 +1201,9 @@ def test_minimize_prints_n0_from_the_spectrum(tmp_path, capsys):
 
 
 def test_blowup_accepts_sheets_within_fit_tolerance(tmp_path, capsys):
-    """3/2 sheet plus a 1e-3 degree-3 sheet: the fitted slit values are
-    opposite within the fit tolerance, so the swap seam closes at 3/2."""
+    """3/2 sheet plus a 1e-3 degree-3 sheet: the entry is the 3/2 mode, its
+    slit values opposite, so the swap seam closes at 3/2, and the degree-3
+    sheet shows in the residual alone."""
     path = tmp_path / "trace.json"
     save_trace(_branched_trace_with_mode(256, 6), path)
     out = tmp_path / "report.json"
@@ -1243,9 +1244,10 @@ def test_blowup_checks_radii_before_minimize(perturbed_trace_file, tmp_path, mon
 
 # SHA-256 of the blow-up report, and of sidecar + CSV of the limit's dump,
 # for conformal_swap_trace(default_rng(1)) at 32x128 with the default radii,
-# pinned when the blow-up became the exact rescale of the spectrum (x86-64,
+# pinned when the blow-up became the exact rescale of the spectrum, the
+# report's again when its entry became the limit's lowest mode (x86-64,
 # numpy 2)
-GOLDEN_BLOWUP_REPORT_SHA256 = "b663eea8c859608796fd1f570c7c2d7cd460ab0d77aa0aa5af0d633d4c28d09d"
+GOLDEN_BLOWUP_REPORT_SHA256 = "f168ea9ab19b159995d4a0b5dff40ae8232c142812bb57f11989a1a89721c970"
 GOLDEN_BLOWUP_DUMP_SHA256 = "74f635b0f994105d6fe030c7d2e6b4aa40db5acb5ca24dd93f476b038b3c5660"
 
 
@@ -1259,7 +1261,7 @@ def _blowup_run(argv, capsys):
 @pytest.fixture(scope="module")
 def nr_traces(tmp_path_factory):
     """The golden blow-up trace, which reads N = 3/2 swap, and a random
-    swap trace, whose fit is not conformal (exit 3)."""
+    swap trace, whose limit is not conformal (exit 3)."""
     directory = tmp_path_factory.mktemp("nr")
     paths = directory / "golden.json", directory / "random.json"
     save_trace(conformal_swap_trace(np.random.default_rng(1)), paths[0])
@@ -1283,6 +1285,50 @@ def test_blowup_report_does_not_depend_on_nr(nr_traces, capsys, nr):
     assert hashlib.sha256(golden_out.encode()).hexdigest() == GOLDEN_BLOWUP_REPORT_SHA256
     assert random_rc == 3
     assert random_err.splitlines()[-1].startswith("error: NoCatalogMatch: ")
+
+
+def _four_tuples(line: str) -> list:
+    """The FourTuples a message names, as (a, b, c, d) of floats."""
+    fields = re.findall(r"FourTuple\(a=(\S+), b=(\S+), c=(\S+), d=(\S+?)\)", line)
+    return [FourTuple(*map(float, t)) for t in fields]
+
+
+def test_blowup_entry_does_not_depend_on_ntheta(nr_traces, capsys):
+    """The random swap trace's limit is read off its lowest mode, not fitted
+    on the grid's angles: at --ntheta 64, 128, 256 and 1024 blowup exits 3
+    with one stderr, and its second sheet is the first negated, bit for
+    bit."""
+    runs = [_blowup_run(["blowup", nr_traces[1], "--nr", "32", "--ntheta", str(n)], capsys)
+            for n in (64, 128, 256, 1024)]
+    assert all(run == runs[0] for run in runs)
+    rc, out, err = runs[0]
+    assert (rc, out) == (3, "")
+    t1, t2 = _four_tuples(err.splitlines()[-1])
+    assert repr(t2) == repr(t1.negated())
+
+
+def test_blowup_agrees_with_n0(tmp_path, capsys):
+    """The double loop 1e-2 z^(1/2) + z^(3/2): minimize prints N0: 0.5. At
+    the default radii the limit's profile still reads 1.47, so blowup exits
+    3 and names the degree 0.5 of its lowest mode; at 1e-6 it reads the
+    entry of degree 0.5 swap."""
+    n = 256
+    th = 2 * np.pi * np.arange(n) / n
+    cover = np.concatenate([th, th + 2 * np.pi])
+    loop = sum(a * np.stack([np.cos(nu * cover), np.sin(nu * cover)], axis=1)
+               for nu, a in ((0.5, 1e-2), (1.5, 1.0)))
+    path = tmp_path / "weak.json"
+    save_trace(BoundaryTrace.from_values(loop[:n], loop[n:]), path)
+    assert main(["minimize", str(path), "--out", str(tmp_path / "f.csv")]) == 0
+    assert _n0_line(capsys).startswith("N0: 0.5  ")
+    out = tmp_path / "report.json"
+    assert main(["blowup", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: NoCatalogMatch: fitted degree 1.4720 is not within 0.1 of the limit's degree 0.5")
+    assert not out.exists()
+    assert main(["blowup", str(path), "--radii", "0.4,1e-6", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert (report["rounded_N"], report["continuation"]) == (0.5, "swap")
 
 
 def test_blowup_reads_small_radii_exactly(tmp_path, capsys):
@@ -1391,7 +1437,8 @@ def test_minimize_golden_bytes_on_consecutive_modes(tmp_path, monkeypatch, capsy
 # its fields): the make_traces arguments, the command line, and the SHA-256
 # of every file written, as BENCH_16.json records them under outputs.per_input,
 # apart from the blow-up's, pinned again when it moved to the exact rescales
-# of the spectrum.
+# of the spectrum, and its report's once more when its entry became the
+# limit's lowest mode.
 BENCH_OUTPUTS = {
     "broad-0": (
         ("broadband", 101, 1024, 1),
@@ -1422,7 +1469,7 @@ BENCH_OUTPUTS = {
             "F_r0.2.json": "429e61e04efb551a384c1e44d7a06b00e3afb264dbbfca60e225c987e5bdd7c7",
             "F_r0.4.csv": "eea5e3ea2a940801121b26ef49a9d4c9071ffc948a52160fd4ab353c2aeb130e",
             "F_r0.4.json": "429e61e04efb551a384c1e44d7a06b00e3afb264dbbfca60e225c987e5bdd7c7",
-            "report.json": "4444f3269baf25048e2dd38c5e41968da1d0af06d8e9ceac01e2524a0a7aba60",
+            "report.json": "d8557ed62f055bc504dc6cf378cd598fabf6d611f9a685b14bfe7a524918c7f8",
         },
     ),
 }
@@ -1549,9 +1596,9 @@ def test_forced_swap_keeps_the_detected_sheet_order(monkeypatch, tmp_path, capsy
 
 
 def test_blowup_reports_non_conformal_fit(tmp_path, capsys):
-    """The first criterion-4 trace: its exact limit at r = 0.1, read on the
-    unit circle at 256 angles, fits non-conformal tuples, and blowup says so
-    on one line, exit 3."""
+    """The first criterion-4 trace: the lowest mode of its exact limit at
+    r = 0.1 gives non-conformal tuples, and blowup says so on one line, exit
+    3."""
     path = tmp_path / "crit4.json"
     save_trace(random_trace(np.random.default_rng(2), Continuation.IDENTITY), path)
     out = tmp_path / "report.json"
@@ -1560,10 +1607,10 @@ def test_blowup_reports_non_conformal_fit(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (
         "detected class: identity (separation 0.473)\n"
-        "error: NoCatalogMatch: fitted tuples not conformal at tol=0.05: "
-        "FourTuple(a=0.23548558381371237, b=-0.08180499812471062, c=-0.10352749827272023, "
-        "d=-0.28547480991758495), FourTuple(a=-0.09005310804229637, b=0.025117568376893017, "
-        "c=-0.1202498400885101, d=-0.37475462807268045)\n"
+        "error: NoCatalogMatch: limit tuples not conformal at tol=0.05: "
+        "FourTuple(a=0.2355999841204592, b=-0.0818447394826626, c=-0.10357779255132235, "
+        "d=-0.28561349528971747), FourTuple(a=-0.09009685638143754, b=0.02512977064201901, "
+        "c=-0.12030825818090277, d=-0.37493668611509634)\n"
     )
     assert not out.exists()
 

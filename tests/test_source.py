@@ -177,15 +177,20 @@ def test_data_thresholds_are_read_through_scaled_tol():
     assert not found, f"data thresholds read without scaled_tol: {found}"
 
 
+def _blowup_refers_to(names):
+    """Where qdisk/blowup.py refers to one of the names, or defines it."""
+    path = PACKAGE / "blowup.py"
+    return [
+        f"{path.name}:{getattr(node, 'lineno', '?')} {name}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for name in {_referred_name(node), getattr(node, "name", None)} & names
+    ]
+
+
 def test_blowup_reads_no_grid_field():
     """One blow-up route: qdisk/blowup.py takes spectra only and does not
     refer to DiskField, so a grid-field branch cannot come back unseen."""
-    path = PACKAGE / "blowup.py"
-    found = [
-        f"{path.name}:{getattr(node, 'lineno', '?')}"
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if _referred_name(node) == "DiskField"
-    ]
+    found = _blowup_refers_to({"DiskField"})
     assert not found, f"DiskField referred to in qdisk.blowup: {found}"
 
 
@@ -196,13 +201,19 @@ def test_blowup_holds_no_ring_rule():
     """The blow-up reads its radii exactly: qdisk/blowup.py refers to none
     of the grid's ring rule (PolarGrid.rings and ring_of, and the
     GridTooCoarse they raise), so the rule cannot come back unseen."""
-    path = PACKAGE / "blowup.py"
-    found = [
-        f"{path.name}:{getattr(node, 'lineno', '?')} {_referred_name(node)}"
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if _referred_name(node) in GRID_RING_RULE
-    ]
+    found = _blowup_refers_to(GRID_RING_RULE)
     assert not found, f"the grid's ring rule referred to in qdisk.blowup: {found}"
+
+
+CATALOG_FIT = {"lstsq", "_fit_sheet_tuple"}
+
+
+def test_blowup_holds_no_catalog_fit():
+    """The blow-up reads its catalog entry off the limit's lowest mode:
+    qdisk/blowup.py refers to neither a least-squares solve nor the sheet
+    fit that made one, so the fit cannot come back unseen."""
+    found = _blowup_refers_to(CATALOG_FIT)
+    assert not found, f"a catalog fit referred to in qdisk.blowup: {found}"
 
 
 SPECTRAL_ROUTE = {"_eval_modes", "harmonic_extension", "analyze_spectrum"}
